@@ -17,23 +17,27 @@ carries a disk cache — shares them across invocations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..circuit.wire import wire_resistance_table
 from ..config import SelectorParams, SystemConfig, config_hash, default_config
+from ..cpu.frontend import FrontEnd
 from ..cpu.system import SimulationResult, SystemSimulator
 from ..engine.cache import MISSING, cache_key
 from ..engine.context import RunContext
 from ..engine.registry import experiment
 from ..mem.energy import EnergyModel
 from ..mem.lifetime import LifetimeEstimator
+from ..mem.line_codec import LineWriteModel
 from ..techniques import (
     Scheme,
     SchemeLatencyModel,
     make_drvr,
     make_naive_high_voltage,
+    standard_schemes,
 )
 from ..techniques.partition_reset import PartitionResetPartitioner
 from ..techniques.dummy_bl import DummyBitlinePartitioner
@@ -128,44 +132,24 @@ class PerfSettings:
 
 @dataclass(frozen=True)
 class _PerfTask:
-    """One executor task: simulate a (scheme, benchmark) cell."""
+    """One executor task: replay a benchmark's front end under a scheme."""
 
-    config: SystemConfig  # already scaled by PerformanceRunner
-    settings: PerfSettings
-    scheme_name: str
-    benchmark: str
-
-
-# Per-process memo of (schemes, suite) so a pool worker pays the scheme
-# construction cost once per configuration, not once per task.
-_WORKER_ENV: dict[tuple, tuple] = {}
-
-
-def _worker_env(config: SystemConfig, settings: PerfSettings) -> tuple:
-    key = (config_hash(config), settings.sizing)
-    env = _WORKER_ENV.get(key)
-    if env is None:
-        from ..techniques.stacks import standard_schemes
-
-        schemes = standard_schemes(config)
-        suite = {
-            name: scale_benchmark(spec, settings.scale)
-            for name, spec in benchmark_suite().items()
-        }
-        _WORKER_ENV[key] = env = (schemes, suite)
-    return env
+    frontend: FrontEnd
+    write_model: LineWriteModel  # pickles as (config, scheme)
 
 
 def _run_cell(task: _PerfTask) -> SimulationResult:
     """Simulate one cell (top-level so it pickles to pool workers)."""
-    schemes, suite = _worker_env(task.config, task.settings)
+    frontend, model = task.frontend, task.write_model
     simulator = SystemSimulator(
-        task.config,
-        schemes[task.scheme_name],
-        suite[task.benchmark],
-        accesses_per_core=task.settings.accesses_per_core,
-        seed=task.settings.seed,
-        warmup_accesses=task.settings.warmup_accesses,
+        model.config,
+        model.scheme,
+        frontend.benchmark,
+        accesses_per_core=frontend.accesses_per_core,
+        seed=frontend.seed,
+        warmup_accesses=frontend.warmup_accesses,
+        frontend=frontend,
+        write_model=model,
     )
     return simulator.run()
 
@@ -179,6 +163,11 @@ class PerformanceRunner:
     memoises them in memory and — when the context carries a result
     cache — on disk, keyed by (config hash, sizing, scheme, benchmark,
     code version).
+
+    A benchmark's cells share one recorded
+    :class:`~repro.cpu.frontend.FrontEnd` (only the latest benchmark's
+    stays resident) and each scheme one
+    :class:`~repro.mem.line_codec.LineWriteModel`.
     """
 
     def __init__(
@@ -201,6 +190,8 @@ class PerformanceRunner:
             for name, spec in benchmark_suite().items()
         }
         self._cache: dict[tuple[str, str], SimulationResult] = {}
+        self._frontend: FrontEnd | None = None
+        self._write_models: dict[str, LineWriteModel] = {}
 
     @property
     def benchmark_names(self) -> tuple[str, ...]:
@@ -244,14 +235,26 @@ class PerformanceRunner:
                 missing.append(cell)
             else:
                 self._cache[cell] = value
-        if not missing:
-            return
+        for benchmark, group in itertools.groupby(missing, key=lambda c: c[1]):
+            self._simulate(benchmark, [scheme for scheme, _ in group])
+
+    def _simulate(self, benchmark: str, scheme_names: list[str]) -> None:
+        """Run one benchmark's cells on its shared front end."""
+        frontend = self._frontend
+        if frontend is None or frontend.benchmark.name != benchmark:
+            self._frontend = frontend = None  # release before recording
+            self._frontend = frontend = FrontEnd.record(
+                self.config,
+                self._suite[benchmark],
+                self.settings.accesses_per_core,
+                self.settings.seed,
+                self.settings.warmup_accesses,
+            )
         tasks = [
-            _PerfTask(self.config, self.settings, scheme, benchmark)
-            for scheme, benchmark in missing
+            _PerfTask(frontend, self._write_model(name)) for name in scheme_names
         ]
-        for cell, result in zip(
-            missing, self.context.executor.map(_run_cell, tasks)
+        for name, result in zip(
+            scheme_names, self.context.executor.map(_run_cell, tasks)
         ):
             if result.error is not None:
                 # Partial-result mode: the cell stays missing, the
@@ -260,8 +263,21 @@ class PerformanceRunner:
                 self.context.note_task_error(result.error)
                 continue
             self.context.note_retries(result.attempts - 1)
+            cell = (name, benchmark)
             self._cache[cell] = result.value
-            disk.store(self._cell_key(*cell), result.value)
+            self.context.cache.store(self._cell_key(*cell), result.value)
+
+    def _write_model(self, scheme_name: str) -> LineWriteModel:
+        model = self._write_models.get(scheme_name)
+        if model is None:
+            # Cells replay schemes calibrated on the default solver, like
+            # their latency tables, whatever solver the context runs: a
+            # cell's cache key names no solver.
+            scheme = standard_schemes(self.config)[scheme_name]
+            model = self._write_models[scheme_name] = LineWriteModel(
+                self.config, scheme
+            )
+        return model
 
     def run(self, scheme_name: str, benchmark: str) -> SimulationResult:
         key = (scheme_name, benchmark)

@@ -1,8 +1,10 @@
 """CMP substrate: set-associative caches, the per-core DRAM-L3
-hierarchy, interval cores, and the trace-driven system simulator."""
+hierarchy, interval cores, and the trace-driven system simulator with
+its scheme-independent front end."""
 
 from .cache import AccessResult, SetAssociativeCache
 from .core import CoreState
+from .frontend import FrontEnd
 from .hierarchy import CoreCacheHierarchy, HierarchyOutcome
 from .system import SimulationResult, SystemSimulator
 
@@ -10,6 +12,7 @@ __all__ = [
     "AccessResult",
     "SetAssociativeCache",
     "CoreState",
+    "FrontEnd",
     "CoreCacheHierarchy",
     "HierarchyOutcome",
     "SimulationResult",

@@ -4,7 +4,10 @@ Eight interval-model cores play their benchmark's L2-miss streams
 through private DRAM-L3 slices; L3 misses become main-memory reads
 (which stall the issuing core, discounted by MLP) and dirty L3 victims
 become main-memory writes (posted, but subject to write-queue
-backpressure).  The ReRAM write path — Flip-N-Write masks, the active
+backpressure).  The streams, L3 slices and write masks do not depend on
+the scheme: :class:`~repro.cpu.frontend.FrontEnd` records them once and
+the simulator replays the records, in the event order its timing
+produces.  The ReRAM write path — Flip-N-Write masks, the active
 scheme's partitioner and voltage levels, pump constraints, write bursts
 — is the event-driven controller of :mod:`repro.mem.controller`.
 
@@ -14,21 +17,24 @@ performance metric (§V).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..config import SystemConfig
 from ..mem.controller import ControllerStats, MemoryController
-from ..mem.dimm import AddressMapping
-from ..mem.line_codec import LineWriteModel
+from ..mem.dimm import AddressMapping, LineLocation
+from ..mem.line_codec import LineWriteModel, LineWriteResult
 from ..techniques.base import Scheme
 from ..workloads.benchmarks import BenchmarkSpec
 from ..workloads.datapatterns import WritePatternGenerator
 from ..workloads.synthetic import SyntheticStream
 from .core import CoreState
-from .hierarchy import CoreCacheHierarchy
+from .frontend import L3_HIT, WRITE, WRITEBACK, FrontEnd
 
 __all__ = ["SimulationResult", "SystemSimulator"]
 
@@ -53,8 +59,31 @@ class SimulationResult:
         return sum(self.per_core_ipc)
 
 
+def _scheduler(
+    heap: list[tuple[float, int, Callable[[float], None]]]
+) -> Callable[[float, Callable[[float], None]], None]:
+    """Event push onto ``heap``, ties broken by insertion order.
+
+    A closure rather than a bound method: the controller keeps it, and
+    a controller -> simulator reference cycle would hold every finished
+    simulator (and the front end it replayed) until a full collection.
+    """
+    seq = itertools.count()
+
+    def schedule(time: float, callback: Callable[[float], None]) -> None:
+        heapq.heappush(heap, (time, next(seq), callback))
+
+    return schedule
+
+
 class SystemSimulator:
-    """One (benchmark, scheme) run."""
+    """One (benchmark, scheme) run: a front end replayed under a scheme.
+
+    ``frontend`` and ``write_model`` let several schemes share one
+    recorded :class:`~repro.cpu.frontend.FrontEnd` and each scheme one
+    :class:`~repro.mem.line_codec.LineWriteModel`; without them the
+    simulator records and builds its own.
+    """
 
     def __init__(
         self,
@@ -64,56 +93,65 @@ class SystemSimulator:
         accesses_per_core: int = 20_000,
         seed: int = 1,
         warmup_accesses: int = 0,
+        *,
+        frontend: FrontEnd | None = None,
+        write_model: LineWriteModel | None = None,
     ) -> None:
+        if frontend is None:
+            frontend = FrontEnd.record(
+                config, benchmark, accesses_per_core, seed, warmup_accesses
+            )
+        elif not frontend.matches(
+            config, benchmark, accesses_per_core, seed, warmup_accesses
+        ):
+            raise ValueError("front end was recorded for a different run")
+        if write_model is None:
+            write_model = LineWriteModel(config, scheme)
+        elif write_model.scheme != scheme or write_model.config != config:
+            raise ValueError("write model belongs to a different scheme or config")
         self.config = config
         self.scheme = scheme
         self.benchmark = benchmark
         self.accesses_per_core = accesses_per_core
-        self.warmup_accesses = warmup_accesses
+        self.frontend = frontend
+        self.write_model = write_model
         self._heap: list[tuple[float, int, Callable[[float], None]]] = []
-        self._seq = itertools.count()
+        self._schedule = _scheduler(self._heap)
         self.controller = MemoryController(config, scheme, self._schedule)
         self.mapping = AddressMapping(
             config.memory, config.array.size, scheduling=scheme.scheduling
         )
-        self.write_model = LineWriteModel(config, scheme)
-        self.cores: list[CoreState] = []
-        self.hierarchies: list[CoreCacheHierarchy] = []
-        self.streams: list[SyntheticStream] = []
-        self.patterns: list[WritePatternGenerator] = []
-        line_bits = config.memory.line_bytes * 8
-        for core_id in range(benchmark.cores):
-            core = CoreState(
-                params=config.cpu,
-                core_id=core_id,
-                effective_mlp=min(4.0, float(config.cpu.mshrs_per_core)),
-            )
-            self.cores.append(core)
-            self.hierarchies.append(CoreCacheHierarchy(config.cpu))
-            self.streams.append(
-                SyntheticStream(benchmark.streams[core_id], seed=seed + core_id)
-            )
-            self.patterns.append(
-                WritePatternGenerator(
-                    benchmark.patterns[core_id],
-                    line_bits=line_bits,
-                    seed=seed + 1000 + core_id,
-                )
-            )
+        effective_mlp = min(4.0, float(config.cpu.mshrs_per_core))
+        self.cores = [
+            CoreState(params=config.cpu, core_id=core_id, effective_mlp=effective_mlp)
+            for core_id in range(benchmark.cores)
+        ]
+        # SCH places lines by popularity rank, a function of the stream
+        # parameters alone.
+        self._rankers = (
+            [SyntheticStream(params) for params in benchmark.streams]
+            if scheme.scheduling
+            else None
+        )
+        self._records = [
+            zip(core.gaps.tolist(), core.kinds.tolist(), core.addresses.tolist())
+            for core in frontend.cores
+        ]
+        self._victims = [
+            zip(core.victims.tolist(), core.resets, core.sets)
+            for core in frontend.cores
+        ]
         self._remaining = [accesses_per_core] * benchmark.cores
-        import numpy as _np
-
-        self._maintenance_rng = _np.random.default_rng(seed + 991)
+        # Maintenance draws follow the global event order, which depends
+        # on the scheme, so they stay in the replay.
+        self._maintenance_rng = np.random.default_rng(seed + 991)
         # A dedicated generator keeps demand-write patterns identical
         # across schemes regardless of the maintenance rate.
         self._maintenance_patterns = WritePatternGenerator(
-            benchmark.patterns[0], line_bits=line_bits, seed=seed + 2000
+            benchmark.patterns[0], line_bits=frontend.line_bits, seed=seed + 2000
         )
 
     # -- event engine --------------------------------------------------------------
-
-    def _schedule(self, time: float, callback: Callable[[float], None]) -> None:
-        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def _run_heap(self) -> float:
         last = 0.0
@@ -130,14 +168,10 @@ class SystemSimulator:
             return
         self._remaining[core_id] -= 1
         core = self.cores[core_id]
-        stream = self.streams[core_id]
-        access = stream.next_access()
-        core.advance_compute(access.gap_instructions)
-        outcome = self.hierarchies[core_id].access_l3(
-            access.address, access.is_write
-        )
-        if outcome.level == "L3":
-            if not access.is_write:
+        gap, kind, address = next(self._records[core_id])
+        core.advance_compute(gap)
+        if kind & L3_HIT:
+            if not kind & WRITE:
                 core.stall_cycles(self.config.cpu.l3_hit_cycles)
             self._schedule_next(core_id)
             return
@@ -145,8 +179,8 @@ class SystemSimulator:
         # are L2 write-backs carrying the full line -- no fetch).
         issue = core.time_s
         blocked = False
-        if outcome.memory_read:
-            location = self._locate(core_id, access.address)
+        if not kind & WRITE:
+            location = self._locate(core_id, address)
 
             def on_read_done(completion: float, c=core, t=issue, cid=core_id) -> None:
                 c.stall_for_read(t, completion)
@@ -155,16 +189,14 @@ class SystemSimulator:
             self.controller.submit_read(issue, location, on_read_done)
             blocked = True
         # ... and a dirty victim, if any, is written back to ReRAM.
-        if outcome.writeback_address is not None:
-            self._submit_write(core_id, outcome.writeback_address, blocked)
+        if kind & WRITEBACK:
+            self._submit_write(core_id, blocked)
         elif not blocked:
             self._schedule_next(core_id)
 
-    def _submit_write(
-        self, core_id: int, address: int, read_blocked: bool
-    ) -> None:
+    def _submit_write(self, core_id: int, read_blocked: bool) -> None:
         core = self.cores[core_id]
-        resets, sets = self.patterns[core_id].masks()
+        address, resets, sets = next(self._victims[core_id])
         location = self._locate(core_id, address)
         result = self.write_model.write(resets, sets, location.row)
         now = core.time_s
@@ -176,21 +208,35 @@ class SystemSimulator:
             extra = self.write_model.write(extra_resets, extra_sets, extra_row)
             self.controller.try_submit_write(now, location, extra)
 
-        def attempt(time: float) -> None:
-            core.stall_until(time)
-            if self.controller.try_submit_write(core.time_s, location, result):
-                if not read_blocked:
-                    self._schedule_next(core_id)
-            else:
-                # Queue full: the core stalls until a slot frees [35].
-                self.controller.notify_write_space(attempt)
+        self._attempt_write(core_id, location, result, read_blocked, now)
 
-        attempt(now)
+    def _attempt_write(
+        self,
+        core_id: int,
+        location: LineLocation,
+        result: LineWriteResult,
+        read_blocked: bool,
+        time: float,
+    ) -> None:
+        core = self.cores[core_id]
+        core.stall_until(time)
+        if self.controller.try_submit_write(core.time_s, location, result):
+            if not read_blocked:
+                self._schedule_next(core_id)
+        else:
+            # Queue full: the core stalls until a slot frees [35].  (A
+            # partial, not a self-referencing closure: no reference cycle
+            # outlives the write.)
+            self.controller.notify_write_space(
+                functools.partial(
+                    self._attempt_write, core_id, location, result, read_blocked
+                )
+            )
 
-    def _locate(self, core_id: int, address: int):
+    def _locate(self, core_id: int, address: int) -> LineLocation:
         hotness = (
-            self.streams[core_id].hotness_rank(address)
-            if self.scheme.scheduling
+            self._rankers[core_id].hotness_rank(address)
+            if self._rankers is not None
             else None
         )
         return self.mapping.locate(address, hotness)
@@ -205,17 +251,7 @@ class SystemSimulator:
     # -- driving --------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute the full trace and return the aggregated result."""
-        # Warm the DRAM-L3 slices so the measured window sees steady-state
-        # miss and write-back rates.  Warmup consumes stream records and
-        # updates cache state only -- no timing, no memory traffic --
-        # and is identical for every scheme.
-        for core_id in range(len(self.cores)):
-            stream = self.streams[core_id]
-            hierarchy = self.hierarchies[core_id]
-            for _ in range(self.warmup_accesses):
-                access = stream.next_access()
-                hierarchy.access_l3(access.address, access.is_write)
+        """Replay the recorded trace and return the aggregated result."""
         for core_id in range(len(self.cores)):
             self._schedule(
                 0.0, lambda now, cid=core_id: self._core_step(now, cid)
@@ -236,8 +272,6 @@ class SystemSimulator:
                 f"simulation deadlock: {self._remaining} accesses unconsumed"
             )
         elapsed = max(core.time_s for core in self.cores)
-        hierarchy_misses = sum(h.l3.misses for h in self.hierarchies)
-        hierarchy_accesses = sum(h.l3.accesses for h in self.hierarchies)
         return SimulationResult(
             benchmark=self.benchmark.name,
             scheme=self.scheme.name,
@@ -245,9 +279,7 @@ class SystemSimulator:
             elapsed_s=elapsed,
             per_core_ipc=[core.ipc for core in self.cores],
             stats=self.controller.stats,
-            l3_miss_rate=(
-                hierarchy_misses / hierarchy_accesses if hierarchy_accesses else 0.0
-            ),
+            l3_miss_rate=self.frontend.l3_miss_rate,
             memory_reads=self.controller.stats.reads,
             memory_writes=self.controller.stats.writes,
         )

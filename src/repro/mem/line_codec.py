@@ -5,7 +5,9 @@ A memory line is striped across 64 cross-point MATs; each MAT stores
 (bit ``k`` of a MAT slice lands in column group ``k``).  The RESET/SET
 masks produced by Flip-N-Write are therefore reshaped to ``(64, 8)``;
 each row is fed to the active scheme's partitioner, and the slowest
-MAT's plan decides the line's RESET-phase latency.
+MAT's plan decides the line's RESET-phase latency.  The masks may also
+arrive packed one byte per MAT, the form the simulator's front end
+records.
 
 ``LineWriteResult`` aggregates everything the memory controller, energy
 model, lifetime estimator and Figs. 9/14 need about one line write.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SystemConfig
-from ..techniques.base import Scheme, SchemeLatencyModel, WritePlan
+from ..techniques.base import Scheme, SchemeLatencyModel
 
 __all__ = ["LineWriteResult", "LineWriteModel"]
 
@@ -27,7 +29,6 @@ __all__ = ["LineWriteResult", "LineWriteModel"]
 class LineWriteResult:
     """Outcome of writing one 64B line under a scheme."""
 
-    plans: list[WritePlan]  # one per MAT (only MATs with activity)
     reset_bits: int  # data-required RESETs across the line
     set_bits: int  # data-required SETs
     extra_resets: int  # added by the partitioner (PR pairs, dummies)
@@ -53,7 +54,15 @@ class LineWriteResult:
 
 
 class LineWriteModel:
-    """Applies a scheme's partitioner and latency tables to line writes."""
+    """Applies a scheme's partitioner and latency tables to line writes.
+
+    A MAT's share of a write depends only on its (RESET, SET) key pair
+    — at most 3^8 combinations — and on its row.  The partitioner runs
+    once per key pair (memoised as a plan summary), and the RESET-phase
+    latency and energy of every (row, RESET-group mask) are tabulated
+    up front, so ``write`` is one memo lookup and two table reads per
+    active MAT.
+    """
 
     def __init__(self, config: SystemConfig, scheme: Scheme) -> None:
         self.config = config
@@ -61,65 +70,82 @@ class LineWriteModel:
         self.latency_model = SchemeLatencyModel(config, scheme)
         self.mats = config.memory.line_bytes  # 64 MATs per 64B line
         self.width = config.array.data_width
-        # Partitioner plans depend only on the 8-bit mask pair (at most
-        # 3^8 combinations), and latencies additionally on the row --
-        # memoising both makes trace-driven simulation tractable.
-        self._plan_cache: dict[tuple[int, int], WritePlan] = {}
-        self._latency_cache: dict[
-            tuple[int, tuple[int, ...], bool], tuple[float, float]
-        ] = {}
-        self._energy_cache: dict[tuple[int, tuple[int, ...]], float] = {}
         self._bit_weights = 1 << np.arange(self.width)
-        # Per-(row, group) applied voltage for RESET energy accounting.
-        ir = self.latency_model.ir_model
-        a = config.array.size
-        group_cols = np.arange(self.width) * (a // self.width) + (
-            a // self.width - 1
-        )
-        self._v_matrix = scheme.regulator.matrix(ir)[:, group_cols]
-        self._i_on = config.cell.i_on
+        # reset_key << width | set_key -> (RESET-group mask, data RESETs,
+        # data SETs, concurrent RESETs, concurrent SETs, extra RESETs,
+        # extra SETs, SET-phase latency, SET energy).
+        self._summaries: dict[int, tuple] = {}
         self._e_set_bit = config.cell.e_set_per_bit
+        self._reset_phase, self._reset_energy = self._tabulate()
 
-    def _plan_for(self, reset_key: int, set_key: int) -> WritePlan:
-        key = (reset_key, set_key)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            reset_bits = (reset_key & self._bit_weights) > 0
-            set_bits = (set_key & self._bit_weights) > 0
-            plan = self.scheme.partitioner.plan(reset_bits, set_bits)
-            self._plan_cache[key] = plan
-        return plan
+    def __reduce__(self):
+        # Pickled (to pool workers) as its recipe: the tables rebuild
+        # from the process's profile caches.
+        return type(self), (self.config, self.scheme)
 
-    def _latency_for(self, row: int, plan: WritePlan) -> tuple[float, float]:
-        """(full write latency, RESET-phase latency) for one MAT plan."""
-        key = (row, plan.reset_groups, bool(plan.set_groups))
-        cached = self._latency_cache.get(key)
-        if cached is None:
-            reset_phase = self.latency_model.reset_phase_latency(
-                row, plan.reset_groups
-            )
-            cached = (
-                self.latency_model.write_latency(row, plan),
-                reset_phase,
-            )
-            self._latency_cache[key] = cached
-        return cached
+    def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, RESET-group mask) tables of RESET-phase latency and energy.
 
-    def _reset_energy_for(self, row: int, plan: WritePlan) -> float:
-        """Array-side RESET energy: each bit conducts Ion at its level
-        for its own RESET duration (Equation 1 latency)."""
-        if not plan.reset_groups:
-            return 0.0
-        key = (row, plan.reset_groups)
-        energy = self._energy_cache.get(key)
-        if energy is None:
-            groups = list(plan.reset_groups)
-            n = len(groups)
-            durations = self.latency_model.table[n - 1, row, groups]
-            voltages = self._v_matrix[row, groups]
-            energy = float(np.sum(voltages * self._i_on * durations))
-            self._energy_cache[key] = energy
-        return energy
+        The latency is the slowest group's (``reset_phase_latency``).
+        The energy charges each bit Ion at its level for its own RESET
+        duration (Equation 1 latency), summed by ``np.sum`` over each
+        mask's own ``n``-long group vector — the reduction a one-off
+        ``np.sum`` performs (zero padding to a common length would
+        change it).
+        """
+        width = self.width
+        table = self.latency_model.table  # (n - 1, row, group)
+        rows = table.shape[1]
+        # Per-(row, group) applied voltage: each group's last column.
+        per_group = rows // width
+        columns = np.arange(width) * per_group + per_group - 1
+        voltages = self.scheme.regulator.matrix(self.latency_model.ir_model)[
+            :, columns
+        ]
+        i_on = self.config.cell.i_on
+        bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+        counts = bits.sum(axis=1)
+        phase = np.zeros((rows, 1 << width))
+        energy = np.zeros((rows, 1 << width))
+        for n in range(1, width + 1):
+            chosen = np.flatnonzero(counts == n)
+            groups = np.nonzero(bits[chosen])[1].reshape(chosen.size, n)
+            durations = table[n - 1][:, groups]
+            products = voltages[:, groups] * i_on * durations
+            phase[:, chosen] = durations.max(axis=2)
+            # Row-major, so each n-long vector is one contiguous inner
+            # reduction (a strided axis would be summed column by column).
+            vectors = np.ascontiguousarray(products).reshape(-1, n)
+            energy[:, chosen] = np.sum(vectors, axis=1).reshape(rows, chosen.size)
+        return phase, energy
+
+    def _summarise(self, reset_key: int, set_key: int) -> tuple:
+        """Plan summary of one MAT's (RESET, SET) key pair."""
+        plan = self.scheme.partitioner.plan(
+            (reset_key & self._bit_weights) > 0, (set_key & self._bit_weights) > 0
+        )
+        groups = 0
+        for group in plan.reset_groups:
+            groups |= 1 << group
+        return (
+            groups,
+            reset_key.bit_count(),
+            set_key.bit_count(),
+            len(plan.reset_groups),
+            len(plan.set_groups),
+            plan.extra_resets,
+            plan.extra_sets,
+            self.latency_model.set_latency if plan.set_groups else 0.0,
+            len(plan.set_groups) * self._e_set_bit,
+        )
+
+    def _mat_keys(self, mask: np.ndarray) -> list[int]:
+        """Per-MAT bit keys (bit ``k`` = column group ``k``) of a mask."""
+        mask = np.asarray(mask)
+        if mask.dtype == np.uint8 and mask.size == self.mats and self.width == 8:
+            return mask.tolist()  # packed: one byte per MAT already
+        bits = np.asarray(mask, dtype=bool).reshape(self.mats, self.width)
+        return (bits @ self._bit_weights).tolist()
 
     def write(
         self, resets: np.ndarray, sets: np.ndarray, row: int
@@ -127,38 +153,43 @@ class LineWriteModel:
         """Plan and time a line write.
 
         ``resets`` / ``sets`` are the Flip-N-Write cell masks of the
-        whole line (``mats * width`` bits); ``row`` is the MAT row the
-        line occupies (all MATs of a line share the row).
+        whole line — ``mats * width`` booleans, or the same bits packed
+        little-endian into ``uint8`` bytes (``np.packbits(mask,
+        bitorder="little")``, one byte per MAT) — and ``row`` is the MAT
+        row the line occupies (all MATs of a line share the row).
         """
-        resets = np.asarray(resets, dtype=bool).reshape(self.mats, self.width)
-        sets = np.asarray(sets, dtype=bool).reshape(self.mats, self.width)
-        reset_keys = resets @ self._bit_weights
-        set_keys = sets @ self._bit_weights
-        plans: list[WritePlan] = []
-        latency = 0.0
-        reset_latency = 0.0
-        extra_resets = 0
-        extra_sets = 0
-        concurrent_resets = 0
-        concurrent_sets = 0
-        reset_energy = 0.0
-        set_energy = 0.0
-        for mat in np.flatnonzero(reset_keys | set_keys):
-            plan = self._plan_for(int(reset_keys[mat]), int(set_keys[mat]))
-            plans.append(plan)
-            total, reset_phase = self._latency_for(row, plan)
-            latency = max(latency, total)
-            reset_latency = max(reset_latency, reset_phase)
-            extra_resets += plan.extra_resets
-            extra_sets += plan.extra_sets
-            concurrent_resets += len(plan.reset_groups)
-            concurrent_sets += len(plan.set_groups)
-            reset_energy += self._reset_energy_for(row, plan)
-            set_energy += len(plan.set_groups) * self._e_set_bit
+        summaries = self._summaries
+        phases, energies = self._reset_phase, self._reset_energy
+        shift = self.width
+        reset_bits = set_bits = extra_resets = extra_sets = 0
+        concurrent_resets = concurrent_sets = 0
+        latency = reset_latency = reset_energy = set_energy = 0.0
+        # Per-MAT energies add in ascending MAT order, one running sum.
+        for reset_key, set_key in zip(self._mat_keys(resets), self._mat_keys(sets)):
+            if not (reset_key or set_key):
+                continue
+            pair = reset_key << shift | set_key
+            summary = summaries.get(pair)
+            if summary is None:
+                summary = summaries[pair] = self._summarise(reset_key, set_key)
+            (groups, data_resets, data_sets, n_resets, n_sets,
+             more_resets, more_sets, set_phase, e_set) = summary
+            reset_phase = phases.item(row, groups)
+            if reset_phase + set_phase > latency:
+                latency = reset_phase + set_phase
+            if reset_phase > reset_latency:
+                reset_latency = reset_phase
+            reset_bits += data_resets
+            set_bits += data_sets
+            extra_resets += more_resets
+            extra_sets += more_sets
+            concurrent_resets += n_resets
+            concurrent_sets += n_sets
+            reset_energy += energies.item(row, groups)
+            set_energy += e_set
         return LineWriteResult(
-            plans=plans,
-            reset_bits=int(resets.sum()),
-            set_bits=int(sets.sum()),
+            reset_bits=reset_bits,
+            set_bits=set_bits,
             extra_resets=extra_resets,
             extra_sets=extra_sets,
             latency=latency,

@@ -39,8 +39,9 @@ class ScriptedServer(threading.Thread):
                 conn, _ = self._sock.accept()
             except OSError:  # listener closed: test over
                 return
-            with conn:
-                reader = conn.makefile("rb")
+            # Closing the reader too is what lets a "reset" reach the
+            # client as EOF: the makefile object holds the socket open.
+            with conn, conn.makefile("rb") as reader:
                 while True:
                     line = reader.readline()
                     if not line:
@@ -95,6 +96,10 @@ def server(request):
 
 #: No sleeping in tests: full jitter over [0, 0] is always 0.
 _FAST = ClientRetry(retries=4, base_s=0.0, cap_s=0.0)
+
+#: Socket timeout for clients of a resetting stub: a reset the client
+#: never sees costs seconds, not the 300 s default.
+_SHORT_TIMEOUT_S = 5.0
 
 
 class TestClientRetrySchedule:
@@ -159,7 +164,9 @@ class TestRetryBehavior:
     def test_connection_reset_reconnects_and_preserves_rid(self, server):
         """A run retried over a fresh connection reuses its idempotency key."""
         stub = server(["reset", "ok"])
-        with ServiceClient(port=stub.port, retry=_FAST) as client:
+        with ServiceClient(
+            port=stub.port, retry=_FAST, timeout_s=_SHORT_TIMEOUT_S
+        ) as client:
             doc = client.run("fig04", seed=3)
         assert doc["ok"]
         assert len(stub.received) == 2
@@ -169,8 +176,11 @@ class TestRetryBehavior:
 
     def test_non_retryable_request_propagates_connection_loss(self, server):
         stub = server(["reset", "ok"])
-        with ServiceClient(port=stub.port, retry=_FAST) as client:
-            with pytest.raises((ConnectionError, OSError)):
+        with ServiceClient(
+            port=stub.port, retry=_FAST, timeout_s=_SHORT_TIMEOUT_S
+        ) as client:
+            # The reset itself (EOF or RST), not the socket timeout.
+            with pytest.raises(ConnectionError):
                 client.request({"op": "stats"}, retryable=False)
 
     def test_connect_retries_while_service_boots(self):
