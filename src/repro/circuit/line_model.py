@@ -243,16 +243,15 @@ class ReducedArrayModel:
         cols: tuple[int, ...],
         drive: dict[int, float],
         bias: BiasScheme,
-    ) -> tuple[Network, list[int], dict[int, list[int]]]:
+    ) -> tuple[Network, np.ndarray, dict[int, np.ndarray]]:
         """Construct the reduced RESET network (order is load-bearing:
         the ``reference`` backend's results are byte-locked to it)."""
         a = self.config.array.size
         v_half = self.config.cell.v_reset / 2.0
         r_wire = self.config.array.r_wire
-        selected = set(cols)
 
         net = Network()
-        wl_nodes = net.add_nodes(a)  # by column
+        wl_nodes = np.asarray(net.add_nodes(a))  # by column
         rail = net.add_node()
         net.fix_voltage(rail, v_half)
 
@@ -270,13 +269,13 @@ class ReducedArrayModel:
                 net.fix_voltage(wl_nodes[c], 0.0)
 
         # Half-selected cells on the selected WL: unselected BLs at Vrst/2.
-        unselected_wl = [wl_nodes[c] for c in range(a) if c not in selected]
-        net.add_devices([rail] * len(unselected_wl), unselected_wl, self.leak)
+        unselected_wl = np.delete(wl_nodes, cols)
+        net.add_devices(np.full(unselected_wl.size, rail), unselected_wl, self.leak)
 
         # Each selected BL is its own ladder driven from the bottom.
-        bl_nodes: dict[int, list[int]] = {}
+        bl_nodes: dict[int, np.ndarray] = {}
         for c in cols:
-            nodes = net.add_nodes(a)  # by row
+            nodes = np.asarray(net.add_nodes(a))  # by row
             bl_nodes[c] = nodes
             driver = net.add_node()
             net.fix_voltage(driver, drive[c])
@@ -290,8 +289,8 @@ class ReducedArrayModel:
                 for r in range(bias.bl_tap_every, a, bias.bl_tap_every):
                     net.fix_voltage(nodes[r], drive[c])
             # Half-selected cells on this BL: unselected WLs at Vrst/2.
-            halves = nodes[:row] + nodes[row + 1:]
-            net.add_devices(halves, [rail] * len(halves), self.leak)
+            halves = np.delete(nodes, row)
+            net.add_devices(halves, np.full(halves.size, rail), self.leak)
             # The selected cell couples this BL to the selected WL; its
             # selector is fully on, so it presents a saturating load.
             net.add_device(nodes[row], wl_nodes[c], self.on_stack)
@@ -303,19 +302,16 @@ class ReducedArrayModel:
         solution,
         row: int,
         cols: tuple[int, ...],
-        wl_nodes: list[int],
-        bl_nodes: dict[int, list[int]],
+        wl_nodes: np.ndarray,
+        bl_nodes: dict[int, np.ndarray],
     ) -> ReducedSolution:
         """Read the figure-facing quantities out of a solved network."""
         v_half = self.config.cell.v_reset / 2.0
         r_wire = self.config.array.r_wire
 
         voltages = solution.voltages
-        wl_profile = voltages[np.asarray(wl_nodes, dtype=np.intp)]
-        bl_profiles = {
-            c: voltages[np.asarray(nodes, dtype=np.intp)]
-            for c, nodes in bl_nodes.items()
-        }
+        wl_profile = voltages[wl_nodes]
+        bl_profiles = {c: voltages[nodes] for c, nodes in bl_nodes.items()}
         v_eff = {
             (row, c): float(bl_profiles[c][row] - wl_profile[c]) for c in cols
         }

@@ -22,7 +22,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,18 +60,53 @@ class Solution:
         return float(self.voltages[node])
 
 
+def _node_array(nodes) -> np.ndarray:
+    """Node handles from any iterable, as a fresh int64 array."""
+    if not isinstance(nodes, (list, tuple, np.ndarray)):
+        nodes = list(nodes)
+    return np.array(nodes, dtype=np.int64)
+
+
+class _Column:
+    """An append-only element list kept as array chunks plus a list tail."""
+
+    def __init__(self, dtype: type) -> None:
+        self._dtype = dtype
+        self._chunks = [np.empty(0, dtype=dtype)]
+        self._tail: list = []
+
+    def _flush(self) -> None:
+        if self._tail:
+            self._chunks.append(np.asarray(self._tail, dtype=self._dtype))
+            self._tail = []
+
+    def append(self, value) -> None:
+        self._tail.append(value)
+
+    def extend(self, values: np.ndarray) -> None:
+        self._flush()
+        self._chunks.append(values)
+
+    def array(self) -> np.ndarray:
+        self._flush()
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks)]
+        return self._chunks[0]
+
+    def __len__(self) -> int:
+        return sum(chunk.size for chunk in self._chunks) + len(self._tail)
+
+
 class _DeviceGroup:
     """All devices sharing one selector model, stored as index arrays."""
 
     def __init__(self, model: SelectorModel) -> None:
         self.model = model
-        self.n1: list[int] = []
-        self.n2: list[int] = []
+        self.n1 = _Column(np.int64)
+        self.n2 = _Column(np.int64)
 
     def frozen(self) -> tuple[SelectorModel, np.ndarray, np.ndarray]:
-        return self.model, np.asarray(self.n1, dtype=np.intp), np.asarray(
-            self.n2, dtype=np.intp
-        )
+        return self.model, self.n1.array(), self.n2.array()
 
 
 class Network:
@@ -81,11 +118,13 @@ class Network:
 
     def __init__(self) -> None:
         self._node_count = 0
-        self._res_n1: list[int] = []
-        self._res_n2: list[int] = []
-        self._res_g: list[float] = []
+        self._res_n1 = _Column(np.int64)
+        self._res_n2 = _Column(np.int64)
+        self._res_g = _Column(np.float64)
         self._groups: dict[int, _DeviceGroup] = {}
-        self._device_order: list[tuple[int, int]] = []  # (model id, slot)
+        # Device handles come in runs: (first handle, model id, first slot).
+        self._runs: list[tuple[int, int, int]] = []
+        self._device_count = 0
         self._fixed: dict[int, float] = {}
         self._revision = 0  # bumped on any mutation; guards signature memos
         self._pattern_memo: tuple[int, str] | None = None
@@ -131,36 +170,31 @@ class Network:
         group = self._groups.setdefault(id(model), _DeviceGroup(model))
         group.n1.append(n1)
         group.n2.append(n2)
-        handle = len(self._device_order)
-        self._device_order.append((id(model), len(group.n1) - 1))
-        self._revision += 1
-        return handle
+        return self._new_handles(group, 1)[0]
 
     def _check_nodes(self, nodes: np.ndarray) -> None:
         bad = (nodes != GROUND) & ((nodes < 0) | (nodes >= self._node_count))
         if bad.any():
             raise ValueError(f"unknown node handle {int(nodes[bad][0])}")
 
-    def add_resistors(
-        self, n1s, n2s, resistance: float
-    ) -> None:
+    def add_resistors(self, n1s, n2s, resistance: float) -> None:
         """Bulk :meth:`add_resistor`: many equal-valued resistors at once.
 
         Produces exactly the element lists the equivalent loop of
         single calls would — results are byte-identical — while paying
         Python call overhead once instead of per resistor.
         """
-        a1 = np.asarray(list(n1s), dtype=np.int64)
-        a2 = np.asarray(list(n2s), dtype=np.int64)
+        a1 = _node_array(n1s)
+        a2 = _node_array(n2s)
         if a1.shape != a2.shape:
             raise ValueError("endpoint lists must have equal length")
         self._check_nodes(a1)
         self._check_nodes(a2)
         if resistance <= 0:
             raise ValueError(f"resistance must be positive, got {resistance}")
-        self._res_n1.extend(a1.tolist())
-        self._res_n2.extend(a2.tolist())
-        self._res_g.extend([1.0 / resistance] * a1.size)
+        self._res_n1.extend(a1)
+        self._res_n2.extend(a2)
+        self._res_g.extend(np.full(a1.size, 1.0 / resistance))
         self._revision += 1
 
     def add_devices(self, n1s, n2s, model: SelectorModel) -> list[int]:
@@ -169,22 +203,24 @@ class Network:
         Returns the device handles in order; byte-identical to the
         equivalent loop of single calls.
         """
-        l1 = [int(n) for n in n1s]
-        l2 = [int(n) for n in n2s]
-        if len(l1) != len(l2):
+        a1 = _node_array(n1s)
+        a2 = _node_array(n2s)
+        if a1.shape != a2.shape:
             raise ValueError("endpoint lists must have equal length")
-        self._check_nodes(np.asarray(l1, dtype=np.int64))
-        self._check_nodes(np.asarray(l2, dtype=np.int64))
+        self._check_nodes(a1)
+        self._check_nodes(a2)
         group = self._groups.setdefault(id(model), _DeviceGroup(model))
-        base_slot = len(group.n1)
-        group.n1.extend(l1)
-        group.n2.extend(l2)
-        start = len(self._device_order)
-        self._device_order.extend(
-            (id(model), base_slot + i) for i in range(len(l1))
-        )
+        group.n1.extend(a1)
+        group.n2.extend(a2)
+        return self._new_handles(group, a1.size)
+
+    def _new_handles(self, group: _DeviceGroup, count: int) -> list[int]:
+        """Handles of the ``count`` devices just added to ``group``."""
+        start = self._device_count
+        self._runs.append((start, id(group.model), len(group.n1) - count))
+        self._device_count += count
         self._revision += 1
-        return list(range(start, start + len(l1)))
+        return list(range(start, self._device_count))
 
     def fix_voltage(self, node: int, voltage: float) -> None:
         """Pin ``node`` to an ideal voltage source of ``voltage`` volts."""
@@ -200,7 +236,7 @@ class Network:
 
     @property
     def device_count(self) -> int:
-        return len(self._device_order)
+        return self._device_count
 
     @property
     def revision(self) -> int:
@@ -217,7 +253,7 @@ class Network:
         signature and a cached factorisation structure.  Memoised per
         :attr:`revision`: any mutation (say a fault-injected cell
         swapping its device model mid-sweep) yields a fresh hash, which
-        is what forces the factor-cache backends to rebuild instead of
+        is what forces the structure caches to rebuild instead of
         reusing a stale Jacobian structure.
         """
         if self._pattern_memo is not None and self._pattern_memo[0] == self._revision:
@@ -225,9 +261,9 @@ class Network:
         digest = hashlib.blake2b(digest_size=16)
         digest.update(struct.pack("<qqq", self._node_count, len(self._res_g),
                                   len(self._groups)))
-        digest.update(np.asarray(self._res_n1, dtype=np.int64).tobytes())
-        digest.update(np.asarray(self._res_n2, dtype=np.int64).tobytes())
-        digest.update(np.asarray(self._res_g, dtype=np.float64).tobytes())
+        digest.update(self._res_n1.array().tobytes())
+        digest.update(self._res_n2.array().tobytes())
+        digest.update(self._res_g.array().tobytes())
         for group in self._groups.values():
             model = group.model
             digest.update(type(model).__name__.encode())
@@ -236,8 +272,8 @@ class Network:
                 if dataclasses.is_dataclass(model)
                 else repr(model).encode()
             )
-            digest.update(np.asarray(group.n1, dtype=np.int64).tobytes())
-            digest.update(np.asarray(group.n2, dtype=np.int64).tobytes())
+            digest.update(group.n1.array().tobytes())
+            digest.update(group.n2.array().tobytes())
         digest.update(np.asarray(sorted(self._fixed), dtype=np.int64).tobytes())
         signature = digest.hexdigest()
         self._pattern_memo = (self._revision, signature)
@@ -269,7 +305,7 @@ class Network:
             Maximum per-node voltage change applied in one Newton step.
         backend:
             Solver backend name (or instance); ``None`` uses the
-            ``reference`` backend, the seed-exact per-solve path.  See
+            ``reference`` backend, whose results are seed-exact.  See
             :mod:`repro.circuit.solvers`.
         """
         from .solvers import dispatch_solve
@@ -287,67 +323,77 @@ class Network:
 
     def device_current(self, solution: Solution, handle: int) -> float:
         """Current through the device returned by :meth:`add_device`."""
-        model_id, slot = self._device_order[handle]
+        if not 0 <= handle < self._device_count:
+            raise IndexError(f"unknown device handle {handle}")
+        start, model_id, first_slot = self._runs[
+            bisect_right(self._runs, handle, key=lambda run: run[0]) - 1
+        ]
+        slot = first_slot + handle - start
         group = self._groups[model_id]
-        v1 = solution.voltage(group.n1[slot])
-        v2 = solution.voltage(group.n2[slot])
+        v1 = solution.voltage(int(group.n1.array()[slot]))
+        v2 = solution.voltage(int(group.n2.array()[slot]))
         return float(group.model.current(v1 - v2))
 
     def resistor_current(self, solution: Solution, index: int) -> float:
         """Current through the ``index``-th resistor (n1 -> n2)."""
-        v1 = solution.voltage(self._res_n1[index])
-        v2 = solution.voltage(self._res_n2[index])
-        return (v1 - v2) * self._res_g[index]
+        v1 = solution.voltage(int(self._res_n1.array()[index]))
+        v2 = solution.voltage(int(self._res_n2.array()[index]))
+        return (v1 - v2) * float(self._res_g.array()[index])
+
+
+class _Drive(NamedTuple):
+    """One solve's pinned voltages (by sorted node) and source injections."""
+
+    fixed_values: np.ndarray
+    inject_vals: np.ndarray
 
 
 class _SolverState:
-    """Pre-vectorised view of a :class:`Network` for the Newton loop."""
+    """Pre-vectorised, immutable view of a :class:`Network`'s pattern.
+
+    It serves every network with that pattern; the pinned voltage
+    *values* of a solve live in its :class:`_Drive`.
+    """
 
     def __init__(self, network: Network) -> None:
-        self._network = network
-        n = network.node_count
+        n = self.node_count = network.node_count
         fixed = network._fixed
-        self.free = np.array([i for i in range(n) if i not in fixed], dtype=np.intp)
+        self.fixed_nodes = np.array(sorted(fixed), dtype=np.intp)
+        is_free = np.ones(n, dtype=bool)
+        is_free[self.fixed_nodes] = False
+        self.free = np.flatnonzero(is_free)
         if self.free.size == 0:
             raise ValueError("network has no free nodes to solve for")
-        self.index_of = np.full(n, -1, dtype=np.intp)
-        self.index_of[self.free] = np.arange(self.free.size)
-        self.fixed_nodes = np.array(sorted(fixed), dtype=np.intp)
-        self.fixed_values = np.array([fixed[i] for i in sorted(fixed)], dtype=float)
+        index_of = np.full(n, -1, dtype=np.intp)
+        index_of[self.free] = np.arange(self.free.size)
 
-        res_n1 = np.asarray(network._res_n1, dtype=np.intp)
-        res_n2 = np.asarray(network._res_n2, dtype=np.intp)
-        res_g = np.asarray(network._res_g, dtype=float)
-        self._linear, self._inject_rows, self._inject_vals = self._assemble_linear(
-            res_n1, res_n2, res_g, fixed
-        )
-        self.groups = [group.frozen() for group in network._groups.values()]
-        # Pre-map device endpoints: free-node row index (-1 when not free)
-        # and a safe gather index (ground reads slot of an arbitrary node but
-        # is masked to 0 V below).
+        self._assemble_linear(index_of, ~is_free, network)
+        # Pre-map device endpoints to free-node row indices (-1 when not
+        # free).  Node -1 is GROUND, which reads the 0 V slot appended to
+        # the voltage vector in device_voltages.
         self._dev_maps = []
-        for model, n1, n2 in self.groups:
+        for group in network._groups.values():
+            model, n1, n2 = group.frozen()
             self._dev_maps.append(
                 (
                     model,
                     n1,
                     n2,
-                    np.where(n1 >= 0, self.index_of[np.maximum(n1, 0)], -1),
-                    np.where(n2 >= 0, self.index_of[np.maximum(n2, 0)], -1),
+                    np.where(n1 >= 0, index_of[np.maximum(n1, 0)], -1),
+                    np.where(n2 >= 0, index_of[np.maximum(n2, 0)], -1),
                 )
             )
 
     def _assemble_linear(
-        self,
-        res_n1: np.ndarray,
-        res_n2: np.ndarray,
-        res_g: np.ndarray,
-        fixed: dict[int, float],
-    ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-        """Reduced linear conductance matrix + fixed-voltage injections."""
+        self, index_of: np.ndarray, fixed_mask: np.ndarray, network: Network
+    ) -> None:
+        """Reduced linear conductance matrix + fixed-voltage injection map."""
         size = self.free.size
-        i1 = np.where(res_n1 >= 0, self.index_of[np.maximum(res_n1, 0)], -1)
-        i2 = np.where(res_n2 >= 0, self.index_of[np.maximum(res_n2, 0)], -1)
+        res_n1 = network._res_n1.array()
+        res_n2 = network._res_n2.array()
+        res_g = network._res_g.array()
+        i1 = np.where(res_n1 >= 0, index_of[np.maximum(res_n1, 0)], -1)
+        i2 = np.where(res_n2 >= 0, index_of[np.maximum(res_n2, 0)], -1)
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         vals: list[np.ndarray] = []
@@ -356,97 +402,46 @@ class _SolverState:
             rows.append(a[keep])
             cols.append(b[keep])
             vals.append(sign * res_g[keep])
-        matrix = sp.coo_matrix(
+        self._linear = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(size, size),
         ).tocsc()
 
         # Resistors from a free node to a pinned node inject -g * v_pinned.
-        voltage_of = np.zeros(self._network.node_count + 1, dtype=float)
-        for node, value in fixed.items():
-            voltage_of[node] = value
-        fixed_mask = np.zeros(self._network.node_count, dtype=bool)
-        fixed_mask[list(fixed)] = True
         inject_rows: list[np.ndarray] = []
-        inject_vals: list[np.ndarray] = []
         inject_src: list[np.ndarray] = []
         inject_g: list[np.ndarray] = []
         for a, other in ((i1, res_n2), (i2, res_n1)):
             crossing = (a >= 0) & (other >= 0) & fixed_mask[np.maximum(other, 0)]
             inject_rows.append(a[crossing])
-            inject_vals.append(-res_g[crossing] * voltage_of[other[crossing]])
             inject_src.append(other[crossing])
             inject_g.append(res_g[crossing])
-        # Kept so refresh_fixed() can recompute the injections when the
-        # pinned voltage *values* change (structure reuse across drives).
+        self._inject_rows = np.concatenate(inject_rows)
         self._inject_src = np.concatenate(inject_src)
         self._inject_g = np.concatenate(inject_g)
-        return matrix, np.concatenate(inject_rows), np.concatenate(inject_vals)
 
-    def refresh_fixed(self, fixed: dict[int, float]) -> None:
-        """Update pinned voltage values in place (same pinned-node set).
+    def drive(self, fixed: dict[int, float]) -> _Drive:
+        """The pinned values and source injections of ``fixed``."""
+        values = np.array([fixed[n] for n in self.fixed_nodes.tolist()], dtype=float)
+        voltage_of = np.zeros(self.node_count + 1, dtype=float)
+        voltage_of[self.fixed_nodes] = values
+        return _Drive(values, -self._inject_g * voltage_of[self._inject_src])
 
-        Lets a cached state be reused across solves that differ only in
-        drive levels: the reduced conductance matrix is untouched, only
-        the fixed-voltage vector and the source injections refresh.
-        """
-        if sorted(fixed) != list(self.fixed_nodes):
-            raise ValueError("refresh_fixed requires an identical pinned-node set")
-        self.fixed_values = np.array([fixed[i] for i in sorted(fixed)], dtype=float)
-        voltage_of = np.zeros(self._network.node_count + 1, dtype=float)
-        for node, value in fixed.items():
-            voltage_of[node] = value
-        self._inject_vals = -self._inject_g * voltage_of[self._inject_src]
+    def device_voltages(self, voltages: np.ndarray) -> list[np.ndarray]:
+        """``V(n1) - V(n2)`` of every device group, in ``_dev_maps`` order."""
+        grounded = np.append(voltages, 0.0)  # GROUND (-1) reads 0 V
+        return [grounded[n1] - grounded[n2] for _m, n1, n2, _f1, _f2 in self._dev_maps]
 
-    def initial_voltages(self, initial: np.ndarray | None) -> np.ndarray:
-        voltages = np.zeros(self._network.node_count, dtype=float)
-        voltages[self.fixed_nodes] = self.fixed_values
-        if initial is not None:
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape[0] != voltages.shape[0]:
-                raise ValueError("initial guess length mismatch")
-            voltages[self.free] = initial[self.free]
-        elif self.fixed_values.size:
-            voltages[self.free] = float(self.fixed_values.mean())
-        return voltages
-
-    def _device_voltages(
-        self, voltages: np.ndarray, n1: np.ndarray, n2: np.ndarray
-    ) -> np.ndarray:
-        v1 = np.where(n1 >= 0, voltages[np.maximum(n1, 0)], 0.0)
-        v2 = np.where(n2 >= 0, voltages[np.maximum(n2, 0)], 0.0)
-        return v1 - v2
-
-    def residual(self, voltages: np.ndarray) -> np.ndarray:
+    def residual(self, voltages: np.ndarray, drive: _Drive) -> np.ndarray:
         """KCL residual at the free nodes (amps leaving each node)."""
         residual = self._linear @ voltages[self.free]
-        np.add.at(residual, self._inject_rows, self._inject_vals)
-        for model, n1, n2, f1, f2 in self._dev_maps:
-            current = np.asarray(model.current(self._device_voltages(voltages, n1, n2)))
+        np.add.at(residual, self._inject_rows, drive.inject_vals)
+        for (model, _n1, _n2, f1, f2), v in zip(
+            self._dev_maps, self.device_voltages(voltages)
+        ):
+            current = np.asarray(model.current(v))
             keep1 = f1 >= 0
             keep2 = f2 >= 0
             np.add.at(residual, f1[keep1], current[keep1])
             np.add.at(residual, f2[keep2], -current[keep2])
         return residual
-
-    def jacobian(self, voltages: np.ndarray) -> sp.csc_matrix:
-        """Residual Jacobian: linear matrix + device conductance stamps."""
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        for model, n1, n2, f1, f2 in self._dev_maps:
-            g = np.asarray(
-                model.conductance(self._device_voltages(voltages, n1, n2))
-            )
-            for a, b, sign in ((f1, f1, 1.0), (f2, f2, 1.0), (f1, f2, -1.0), (f2, f1, -1.0)):
-                keep = (a >= 0) & (b >= 0)
-                rows.append(a[keep])
-                cols.append(b[keep])
-                vals.append(sign * g[keep])
-        if not rows:
-            return self._linear
-        stamp = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=self._linear.shape,
-        ).tocsc()
-        return self._linear + stamp

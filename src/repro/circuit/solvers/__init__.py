@@ -6,19 +6,18 @@ The backends here trade generality for reuse on that workload, behind
 one interface (:class:`~repro.circuit.solvers.base.SolverBackend`):
 
 ``reference``
-    The historical per-solve path: assemble the Jacobian from scratch
-    each Newton iteration and solve it with ``scipy`` ``spsolve``.
-    Payloads produced through this backend are byte-identical to the
-    seed implementation; it is the parity anchor the other backends are
-    tested against.
+    Cold flat-start full Newton over one block of a cached, immutable
+    per-pattern structure — free-node maps, the reduced linear
+    conductance matrix, and the Jacobian's scatter template — keyed on
+    the (array geometry, selection topology) sparsity pattern.  Every
+    Newton iteration factorises, as the seed implementation did, and
+    payloads are byte-identical to it; it is the parity anchor the
+    other backends are tested against.
 
 ``factor-cache``
-    Keys the factorisation *structure* — free-node maps, the reduced
-    linear conductance matrix, and the Jacobian's CSC sparsity pattern
-    with a precomputed scatter template — on the (array geometry,
-    selection topology) sparsity pattern, and reuses it across Newton
-    iterations and across RESET vectors.  Re-solves of a known pattern
-    also warm-start Newton from the previous converged solution.
+    The same engine and structure cache, plus a warm start from the
+    pattern's previous converged solution and chord Newton, which
+    reuses factorisations across iterations and solves.
 
 ``batched``
     Stacks the independent per-BL / per-section solves of a RESET
@@ -101,17 +100,15 @@ def get_backend(solver: "str | SolverBackend | None") -> SolverBackend:
 
 
 def reset_backend_state() -> None:
-    """Drop warm state from every instantiated backend singleton.
+    """Empty the structure cache of every instantiated backend singleton.
 
-    Clears structure caches (and with them the ``last_free`` warm-start
-    vectors) so subsequent solves start cold.  Benchmarks call this
-    between entries to keep timings independent of run order; it is a
-    no-op for stateless backends such as ``reference``.
+    Drops the cached pattern structures (and with them the accelerated
+    backends' warm-start slots) so subsequent solves start cold.
+    Benchmarks call this between entries to keep timings independent of
+    run order.
     """
     for instance in _INSTANCES.values():
-        cache = getattr(instance, "cache", None)
-        if cache is not None:
-            cache.clear()
+        instance.cache.clear()
 
 
 #: The installed cross-request solve coalescer, or ``None``.  Installed

@@ -22,16 +22,20 @@ from typing import Sequence
 import numpy as np
 
 from ... import obs
+from ..network import GROUND, ConvergenceError, Network, Solution, _DeviceGroup
 from .base import SolverBackend
 from .structure import StructureCache, newton_block_solve
 
 __all__ = ["BatchedBackend"]
 
 
-def _merge_networks(networks: Sequence) -> tuple["object", list[int]]:
-    """Block-diagonal union of ``networks`` (GROUND stays shared)."""
-    from ..network import GROUND, Network, _DeviceGroup
+def _shifted(nodes: np.ndarray, off: int) -> np.ndarray:
+    """Node handles moved up by ``off``; GROUND stays put."""
+    return np.where(nodes == GROUND, nodes, nodes + off)
 
+
+def _merge_networks(networks: Sequence) -> tuple[Network, list[int]]:
+    """Block-diagonal union of ``networks`` (GROUND stays shared)."""
     merged = Network()
     offsets: list[int] = []
     total = 0
@@ -40,15 +44,15 @@ def _merge_networks(networks: Sequence) -> tuple["object", list[int]]:
         total += net.node_count
     merged._node_count = total
     for net, off in zip(networks, offsets):
-        merged._res_n1.extend(n if n == GROUND else n + off for n in net._res_n1)
-        merged._res_n2.extend(n if n == GROUND else n + off for n in net._res_n2)
-        merged._res_g.extend(net._res_g)
+        merged._res_n1.extend(_shifted(net._res_n1.array(), off))
+        merged._res_n2.extend(_shifted(net._res_n2.array(), off))
+        merged._res_g.extend(net._res_g.array())
         for group in net._groups.values():
             target = merged._groups.setdefault(
                 id(group.model), _DeviceGroup(group.model)
             )
-            target.n1.extend(n if n == GROUND else n + off for n in group.n1)
-            target.n2.extend(n if n == GROUND else n + off for n in group.n2)
+            target.n1.extend(_shifted(group.n1.array(), off))
+            target.n2.extend(_shifted(group.n2.array(), off))
         for node, value in net._fixed.items():
             merged._fixed[node + off] = value
     merged._revision += 1
@@ -130,8 +134,6 @@ class BatchedBackend(SolverBackend):
         max_iterations: int = 200,
         v_step_limit: float = 0.25,
     ):
-        from ..network import ConvergenceError, Solution
-
         if initials is not None and len(initials) != len(networks):
             raise ValueError(
                 f"got {len(initials)} initial guesses for {len(networks)} networks"
@@ -163,13 +165,16 @@ class BatchedBackend(SolverBackend):
                         np.mean(list(net._fixed.values()))
                     )
 
-        seeded = merged_initial is not None or structure.last_free is not None
+        drive = structure.drive(merged)
+        warm = self.cache.warm_start(structure)
+        seeded = merged_initial is not None or warm.free is not None
         try:
             solutions = newton_block_solve(
                 structure,
                 blocks,
+                drive=drive,
                 initial=merged_initial,
-                warm=True,
+                warm=warm,
                 tol=tol,
                 max_iterations=max_iterations,
                 v_step_limit=v_step_limit,
@@ -182,13 +187,13 @@ class BatchedBackend(SolverBackend):
             # point (or a stalled chord iteration): the guaranteed
             # fallback is a cold flat-start full Newton.
             obs.count("solver.full_newton_fallbacks")
-            structure.last_free = None
-            structure.last_lu = None
+            warm.free = warm.lu = None
             solutions = newton_block_solve(
                 structure,
                 blocks,
+                drive=drive,
                 initial=None,
-                warm=False,
+                warm=warm,
                 tol=tol,
                 max_iterations=max_iterations,
                 v_step_limit=v_step_limit,

@@ -1,18 +1,11 @@
-"""Backend that reuses factorisation structures across solves.
+"""Backend that also reuses solutions and factorisations across solves.
 
-RESET sweeps solve the same array topology hundreds of times with only
-drive voltages changing.  This backend keys a
-:class:`~repro.circuit.solvers.structure.SolverStructure` on the
-network's content-derived pattern signature and reuses it — reduced
-node maps, linear matrix, and the CSC scatter template that replaces
-per-iteration COO assembly — across Newton iterations and across RESET
-vectors.  Repeat solves of a pattern also warm-start from the previous
-converged voltages, typically cutting 8 Newton iterations down to 2.
-
-Reuse is invalidated by content, not by identity: any mutation to a
-network (fault-injected cells swapping device models, an extra tap)
-changes its pattern signature and forces a rebuild, so conductance
-topology changes mid-sweep can never hit a stale structure.
+It runs the ``reference`` backend's engine on the same kind of
+pattern-keyed :class:`~repro.circuit.solvers.structure.StructureCache`,
+and adds what a RESET sweep's hundreds of near-identical solves allow:
+repeat solves of a pattern warm-start from its previous converged
+voltages (typically 8 Newton iterations down to 2), and chord Newton
+reuses LU factorisations across iterations and solves.
 """
 
 from __future__ import annotations
@@ -53,14 +46,16 @@ class FactorCacheBackend(SolverBackend):
 
         obs.count("solver.solves")
         structure = self.cache.get(network)
-        block = [(0, structure.state.free.size, 0, network.node_count)]
-        seeded = initial is not None or structure.last_free is not None
+        drive = structure.drive(network)
+        warm = self.cache.warm_start(structure)
+        seeded = initial is not None or warm.free is not None
         try:
             return newton_block_solve(
                 structure,
-                block,
+                structure.whole,
+                drive=drive,
                 initial=initial,
-                warm=True,
+                warm=warm,
                 tol=tol,
                 max_iterations=max_iterations,
                 v_step_limit=v_step_limit,
@@ -75,13 +70,13 @@ class FactorCacheBackend(SolverBackend):
             # guaranteed fallback is a cold flat-start full Newton —
             # the reference backend's exact schedule.
             obs.count("solver.full_newton_fallbacks")
-            structure.last_free = None
-            structure.last_lu = None
+            warm.free = warm.lu = None
             return newton_block_solve(
                 structure,
-                block,
+                structure.whole,
+                drive=drive,
                 initial=None,
-                warm=False,
+                warm=warm,
                 tol=tol,
                 max_iterations=max_iterations,
                 v_step_limit=v_step_limit,

@@ -1,28 +1,35 @@
-"""The historical per-solve sparse backend (parity anchor).
+"""The default backend (parity anchor): cold full Newton per solve.
 
-This is the seed implementation's Newton loop, moved verbatim behind
-the :class:`~repro.circuit.solvers.base.SolverBackend` interface: the
-Jacobian is assembled from scratch every iteration and solved with
-SuperLU via ``spsolve``.  Nothing is cached between solves, so results
-are a pure function of the network — payloads stay byte-identical to
-the seed code, which is what the golden parity suite locks.
+Each solve is a flat-start, full-Newton :func:`newton_block_solve` over
+one block, so its result is a pure function of the network and
+byte-identical to the seed implementation, which rebuilt everything
+per solve.  Only what the sparsity pattern fixes is reused, from a
+bounded, thread-safe
+:class:`~repro.circuit.solvers.structure.StructureCache` of immutable
+structures; drive values stay local to each solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from ... import obs
 from .base import SolverBackend
+from .structure import StructureCache, newton_block_solve
 
 __all__ = ["ReferenceBackend"]
 
 
 class ReferenceBackend(SolverBackend):
-    """Damped Newton with per-iteration assembly and ``spsolve``."""
+    """Cold damped Newton on cached, immutable pattern structures."""
 
     name = "reference"
+
+    #: Patterns kept; a figure uses 14-29 (see ``docs/solvers.md``).
+    cache_size = 16
+
+    def __init__(self) -> None:
+        self.cache = StructureCache(maxsize=self.cache_size)
 
     def solve(
         self,
@@ -32,42 +39,14 @@ class ReferenceBackend(SolverBackend):
         max_iterations: int = 200,
         v_step_limit: float = 0.25,
     ):
-        from ..network import ConvergenceError, Solution, _SolverState
-
         obs.count("solver.solves")
-        state = _SolverState(network)
-        voltages = state.initial_voltages(initial)
-        residual = state.residual(voltages)
-        norm = float(np.linalg.norm(residual))
-        for iteration in range(1, max_iterations + 1):
-            if norm <= tol:
-                return Solution(voltages, iteration - 1, norm)
-            obs.count("solver.newton_iterations")
-            jacobian = state.jacobian(voltages)
-            obs.count("solver.factorisations")
-            delta = spla.spsolve(jacobian, -residual)
-            max_step = float(np.max(np.abs(delta))) if delta.size else 0.0
-            if max_step > v_step_limit:
-                delta *= v_step_limit / max_step
-            scale = 1.0
-            for _ in range(40):
-                trial = voltages.copy()
-                trial[state.free] += scale * delta
-                trial_residual = state.residual(trial)
-                trial_norm = float(np.linalg.norm(trial_residual))
-                if trial_norm < norm or trial_norm <= tol:
-                    voltages, residual, norm = trial, trial_residual, trial_norm
-                    break
-                scale *= 0.5
-            else:
-                raise ConvergenceError(
-                    f"line search stalled at residual {norm:.3e} A"
-                )
-        if norm <= tol * 100:
-            # Accept near-converged solutions; the KCL error is still tiny
-            # relative to the micro-amp device currents.
-            return Solution(voltages, max_iterations, norm)
-        raise ConvergenceError(
-            f"Newton failed to converge in {max_iterations} iterations "
-            f"(residual {norm:.3e} A)"
-        )
+        structure = self.cache.get(network)
+        return newton_block_solve(
+            structure,
+            structure.whole,
+            drive=structure.drive(network),
+            initial=initial,
+            tol=tol,
+            max_iterations=max_iterations,
+            v_step_limit=v_step_limit,
+        )[0]

@@ -4,27 +4,31 @@ The cross-point RESET workload solves thousands of networks that share
 one sparsity pattern: the array geometry and selection topology fix the
 Jacobian's structure, and only the drive voltages (and the Newton
 iterates) change the numeric values.  A :class:`SolverStructure`
-captures everything that is a function of the pattern alone:
+captures everything that is a function of the pattern alone, and is
+immutable once built:
 
 * the reduced free-node maps and linear conductance matrix of
   :class:`~repro.circuit.network._SolverState`,
 * the union CSC sparsity pattern of ``linear + device stamps``, with a
   precomputed scatter template that turns device conductances into the
   Jacobian's data array in O(nnz) — no per-iteration COO assembly,
-  conversion, or sparse addition,
-* the last converged solution, used to warm-start repeat solves of the
-  same pattern.
+  conversion, or sparse addition — bit-identical to scipy's
+  ``linear + coo(stamps).tocsc()``.
+
+A solve's pinned voltage values stay local to it; the accelerated
+backends' warm-start state lives in :class:`WarmStart` slots.
 
 :func:`newton_block_solve` runs the damped Newton iteration over one or
 more independent *blocks* (sub-networks merged block-diagonally by the
-batched backend).  Each block follows the reference backend's
-per-network schedule — same initial guess, per-block step clamp,
-per-block line search, per-block stopping.
+batched backend).  Each block follows the schedule of a standalone
+solve of its network — same initial guess, per-block step clamp,
+per-block line search, per-block stopping — and one block is exactly
+the ``reference`` backend's solve.
 
 With ``chord=True`` (the accelerated backends' default) the engine runs
 *chord* (modified Newton) iterations on warm-started or explicitly
 seeded solves: a numeric LU factorisation — including the one left
-behind by the previous solve of the same structure (``last_lu``) — is
+behind by the previous solve of the same pattern (``WarmStart.lu``) — is
 reused across iterations while the residual norm keeps contracting
 geometrically, and is refreshed adaptively — on slow contraction, on
 damping activation (step clamping or line-search halving), or when a
@@ -50,15 +54,18 @@ solution.
 
 from __future__ import annotations
 
+import copy
+import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ... import obs
-from ..network import ConvergenceError, Solution, _SolverState
+from ..network import ConvergenceError, Solution, _Drive, _SolverState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network import Network
@@ -68,6 +75,7 @@ __all__ = [
     "CHORD_TIGHTEN",
     "SolverStructure",
     "StructureCache",
+    "WarmStart",
     "newton_block_solve",
 ]
 
@@ -91,142 +99,147 @@ CHORD_TIGHTEN = 1e-4
 
 
 class SolverStructure:
-    """Pattern-keyed, value-refreshable view of a network's Newton system."""
+    """Pattern-keyed, immutable view of a network's Newton system.
+
+    Nothing a solve sets is stored here, so concurrent solves of the
+    pattern can share one structure.
+    """
 
     def __init__(self, network: "Network") -> None:
         self.signature = network.pattern_signature()
         self.state = _SolverState(network)
-        self.last_free: np.ndarray | None = None  # warm-start voltages
-        self.last_lu = None  # most recent numeric LU (chord reuse)
+        #: The one block covering the whole network.
+        self.whole = ((0, self.state.free.size, 0, self.state.node_count),)
         self._build_scatter_template()
 
     # -- assembly template ----------------------------------------------------
 
     def _build_scatter_template(self) -> None:
+        """Precompute where (and in which order) device stamps land.
+
+        scipy sums duplicate COO stamps left to right in the order its
+        COO-to-CSC conversion leaves them (stable column bucketing, then
+        an unstable in-column sort).  That order depends on the indices
+        alone, so letting scipy sort position tags recovers it.
+        """
         state = self.state
+        linear = state._linear
+        self._stamp_slots = None
+        if not state._dev_maps:
+            return  # no devices: the Jacobian is the linear matrix
         size = state.free.size
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         src: list[np.ndarray] = []
-        signs: list[float] = []
+        signs: list[np.ndarray] = []
         offset = 0
         for _model, n1, _n2, f1, f2 in state._dev_maps:
             for a, b, sign in ((f1, f1, 1.0), (f2, f2, 1.0), (f1, f2, -1.0), (f2, f1, -1.0)):
-                keep = (a >= 0) & (b >= 0)
+                keep = np.flatnonzero((a >= 0) & (b >= 0))
                 rows.append(a[keep])
                 cols.append(b[keep])
-                src.append(offset + np.flatnonzero(keep))
-                signs.append(sign)
+                src.append(offset + keep)
+                signs.append(np.full(keep.size, sign))
             offset += n1.size
-        self._n_devices = offset
-        stamp_rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
-        stamp_cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.intp)
-        self._stamp_src = (
-            np.concatenate(src) if src else np.empty(0, dtype=np.intp)
+        stamp_rows = np.concatenate(rows)
+        stamp_cols = np.concatenate(cols)
+        bucketed = np.argsort(stamp_cols, kind="stable")
+        col_ptr = np.cumsum(np.bincount(stamp_cols, minlength=size))
+        tagged = sp.csc_matrix(
+            (bucketed.astype(float), stamp_rows[bucketed], np.append(0, col_ptr)),
+            shape=linear.shape,
         )
-        self._stamp_sign = np.concatenate(
-            [np.full(r.size, s) for r, s in zip(rows, signs)]
-        ) if rows else np.empty(0, dtype=float)
+        tagged.sort_indices()
+        order = tagged.data.astype(np.intp)
+        stamp_rows = stamp_rows[order]
+        stamp_cols = stamp_cols[order]
+        self._stamp_src = np.concatenate(src)[order]
+        self._stamp_sign = np.concatenate(signs)[order]
 
         # Union pattern of linear matrix + device stamps, computed
         # symbolically (all-ones data) so zero-valued entries cannot
         # drop out of the pattern.
-        linear = state._linear
         lin_pattern = sp.csc_matrix(
-            (np.ones(linear.nnz), linear.indices.copy(), linear.indptr.copy()),
-            shape=linear.shape,
+            (np.ones(linear.nnz), linear.indices, linear.indptr), shape=linear.shape
         )
-        if stamp_rows.size:
-            stamp_pattern = sp.coo_matrix(
-                (np.ones(stamp_rows.size), (stamp_rows, stamp_cols)),
-                shape=linear.shape,
-            ).tocsc()
-            union = (lin_pattern + stamp_pattern).tocsc()
-        else:
-            union = lin_pattern
-        union.sort_indices()
-        self._indices = union.indices
-        self._indptr = union.indptr
-        self._shape = union.shape
-        self._nnz = union.nnz
+        stamp_pattern = sp.coo_matrix(
+            (np.ones(stamp_rows.size), (stamp_rows, stamp_cols)), shape=linear.shape
+        ).tocsc()
+        union = (lin_pattern + stamp_pattern).tocsc()
+        union.sum_duplicates()  # sorts, and caches the canonical flag
 
         # Entry keys (col * n + row) ascend strictly in canonical CSC
         # order, so searchsorted maps any (row, col) to its data slot.
-        union_keys = (
-            np.repeat(np.arange(size), np.diff(self._indptr)) * size
-            + self._indices
-        )
-        lin_keys = (
-            np.repeat(np.arange(size), np.diff(linear.indptr)) * size
-            + linear.indices
-        )
-        base = np.zeros(self._nnz, dtype=float)
-        base[np.searchsorted(union_keys, lin_keys)] = linear.data
-        self._base_data = base
-        self._stamp_slots = np.searchsorted(
-            union_keys, stamp_cols * size + stamp_rows
-        )
+        def keys(matrix):
+            col_of = np.repeat(np.arange(size), np.diff(matrix.indptr))
+            return col_of * size + matrix.indices
 
-    # -- per-solve value refresh ----------------------------------------------
+        union_keys = keys(union)
+        union.data = np.zeros(union.nnz, dtype=float)
+        union.data[np.searchsorted(union_keys, keys(linear))] = linear.data
+        self._stamp_slots = np.searchsorted(union_keys, stamp_cols * size + stamp_rows)
+        self._base = union  # Jacobians share its checked index arrays
 
-    def refresh(self, network: "Network") -> None:
-        """Adopt ``network``'s pinned voltage values (same pattern)."""
+    # -- per-solve values -----------------------------------------------------
+
+    def drive(self, network: "Network") -> _Drive:
+        """``network``'s pinned voltage values (same pattern)."""
         if network.pattern_signature() != self.signature:
             raise ValueError(
                 "structure reuse across different network patterns is invalid"
             )
-        self.state.refresh_fixed(network._fixed)
-
-    # -- numeric evaluation ---------------------------------------------------
-
-    def device_conductances(self, voltages: np.ndarray) -> np.ndarray:
-        """Concatenated per-device differential conductances."""
-        if not self._n_devices:
-            return np.empty(0, dtype=float)
-        state = self.state
-        parts = [
-            np.broadcast_to(
-                np.asarray(
-                    model.conductance(state._device_voltages(voltages, n1, n2)),
-                    dtype=float,
-                ),
-                n1.shape,
-            )
-            for model, n1, n2, _f1, _f2 in state._dev_maps
-        ]
-        return np.concatenate(parts)
+        return self.state.drive(network._fixed)
 
     def jacobian(self, voltages: np.ndarray) -> sp.csc_matrix:
         """Jacobian via the scatter template (no COO round-trip)."""
-        data = self._base_data
-        if self._n_devices:
-            g = self.device_conductances(voltages)
-            data = data + np.bincount(
-                self._stamp_slots,
-                weights=g[self._stamp_src] * self._stamp_sign,
-                minlength=self._nnz,
-            )
-        else:
-            data = data.copy()
+        state = self.state
+        if self._stamp_slots is None:
+            return state._linear
+        g = np.concatenate([
+            model.conductance(v)
+            for (model, *_), v in zip(state._dev_maps, state.device_voltages(voltages))
+        ])
+        base = self._base
+        data = base.data + np.bincount(
+            self._stamp_slots,
+            weights=g[self._stamp_src] * self._stamp_sign,
+            minlength=base.nnz,
+        )
+        nonzero = data != 0
+        if nonzero.all():
+            jacobian = copy.copy(base)
+            jacobian.data = data
+            return jacobian
+        # scipy's sparse sum drops entries that cancel to exactly 0.
+        kept = np.append(0, np.cumsum(nonzero))[base.indptr]
         return sp.csc_matrix(
-            (data, self._indices, self._indptr), shape=self._shape
+            (data[nonzero], base.indices[nonzero], kept.astype(base.indptr.dtype)),
+            shape=base.shape,
         )
 
-    def residual(self, voltages: np.ndarray) -> np.ndarray:
-        return self.state.residual(voltages)
+
+@dataclass
+class WarmStart:
+    """Where an accelerated backend resumes its next solve of a pattern."""
+
+    free: np.ndarray | None = None  # last converged free-node voltages
+    lu: object = None  # most recent numeric LU (chord reuse)
 
 
 class StructureCache:
-    """Bounded LRU of :class:`SolverStructure` keyed by pattern hash."""
+    """Bounded, thread-safe LRU of :class:`SolverStructure` by pattern hash,
+    plus the accelerated backends' :class:`WarmStart` slot per pattern."""
 
     def __init__(self, maxsize: int = 64) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._entries: OrderedDict[str, SolverStructure] = OrderedDict()
+        self._warm: dict[str, WarmStart] = {}
+        self._lock = threading.Lock()
 
     def get(self, network: "Network") -> SolverStructure:
-        """The cached structure for ``network``'s pattern, values refreshed.
+        """The cached structure for ``network``'s pattern.
 
         The key is the content-derived pattern hash, so mutating a
         network between solves (a fault-injected cell changing its
@@ -234,21 +247,33 @@ class StructureCache:
         structure instead of reusing a stale one.
         """
         signature = network.pattern_signature()
-        structure = self._entries.get(signature)
+        with self._lock:
+            structure = self._entries.get(signature)
+            if structure is not None:
+                self._entries.move_to_end(signature)
         if structure is not None:
             obs.count("solver.factor_hits")
-            self._entries.move_to_end(signature)
-            structure.refresh(network)
             return structure
         obs.count("solver.factor_misses")
-        structure = SolverStructure(network)
-        self._entries[signature] = structure
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        built = SolverStructure(network)  # unlocked: builds may run in parallel
+        with self._lock:
+            structure = self._entries.setdefault(signature, built)
+            while len(self._entries) > self.maxsize:
+                evicted, _ = self._entries.popitem(last=False)
+                self._warm.pop(evicted, None)
         return structure
 
+    def warm_start(self, structure: SolverStructure) -> WarmStart:
+        """The warm-start slot of a cached ``structure``'s pattern."""
+        with self._lock:
+            if structure.signature not in self._entries:
+                return WarmStart()  # evicted meanwhile: nothing to keep
+            return self._warm.setdefault(structure.signature, WarmStart())
+
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
+            self._warm.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -256,13 +281,14 @@ class StructureCache:
 
 def _block_initial_voltages(
     structure: SolverStructure,
-    blocks: list[tuple[int, int, int, int]],
+    drive: _Drive,
+    blocks: Sequence[tuple[int, int, int, int]],
     initial: np.ndarray | None,
 ) -> np.ndarray:
-    """Reference-identical starting point, computed per block."""
+    """Flat-start point (mean pinned voltage) or the caller's guess, per block."""
     state = structure.state
-    voltages = np.zeros(state._network.node_count, dtype=float)
-    voltages[state.fixed_nodes] = state.fixed_values
+    voltages = np.zeros(state.node_count, dtype=float)
+    voltages[state.fixed_nodes] = drive.fixed_values
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         if initial.shape[0] != voltages.shape[0]:
@@ -272,17 +298,16 @@ def _block_initial_voltages(
     for f0, f1, n0, n1 in blocks:
         lo, hi = np.searchsorted(state.fixed_nodes, (n0, n1))
         if hi > lo:
-            voltages[state.free[f0:f1]] = float(
-                state.fixed_values[lo:hi].mean()
-            )
+            voltages[state.free[f0:f1]] = float(drive.fixed_values[lo:hi].mean())
     return voltages
 
 
 def newton_block_solve(
     structure: SolverStructure,
-    blocks: list[tuple[int, int, int, int]],
+    blocks: Sequence[tuple[int, int, int, int]],
+    drive: _Drive,
     initial: np.ndarray | None = None,
-    warm: bool = False,
+    warm: WarmStart | None = None,
     tol: float = 1e-10,
     max_iterations: int = 200,
     v_step_limit: float = 0.25,
@@ -292,16 +317,22 @@ def newton_block_solve(
     """Lockstep damped Newton over independent block sub-systems.
 
     ``blocks`` lists ``(free_lo, free_hi, node_lo, node_hi)`` ranges;
-    a single all-covering block reproduces the reference schedule for
-    one network.  Blocks are independent (no cross-block matrix
+    a single all-covering block (``structure.whole``) solves one
+    network.  ``drive`` holds the pinned voltage values of this solve
+    (:meth:`SolverStructure.drive`).  Blocks are independent (no cross-block matrix
     entries), so per-block clamping, line search, and freezing once
     converged keep every block on its standalone Newton trajectory.
+
+    ``warm`` is the pattern's :class:`WarmStart` slot: an unseeded solve
+    starts from its last landing point, and every solve leaves its
+    landing point and last LU there.  ``warm=None`` (``reference``)
+    keeps no state.
 
     ``chord=True`` enables modified-Newton factorisation reuse on
     warm-started or explicitly seeded solves (cold flat starts always
     run full Newton, bit-for-bit the reference trajectory): an LU of
-    one iterate — seeded from the structure's ``last_lu`` when a
-    previous solve left one behind — serves later iterations while
+    one iterate — seeded from ``warm.lu`` when a previous solve left
+    one behind — serves later iterations while
     every active block keeps contracting by at least
     ``chord_contraction`` per step, and is refreshed when contraction
     slows, when damping activates (a step clamp or a line-search
@@ -316,11 +347,10 @@ def newton_block_solve(
     """
     state = structure.state
     free = state.free
-    voltages = _block_initial_voltages(structure, blocks, initial)
-    warm_started = warm and initial is None and structure.last_free is not None
+    voltages = _block_initial_voltages(structure, drive, blocks, initial)
+    warm_started = warm is not None and initial is None and warm.free is not None
     if warm_started:
-        voltages = voltages.copy()
-        voltages[free] = structure.last_free
+        voltages[free] = warm.free
         obs.count("solver.warm_starts")
 
     # Factorisation reuse is restricted to solves that start from a
@@ -330,7 +360,7 @@ def newton_block_solve(
     chord_active = chord and (warm_started or initial is not None)
 
     n_blocks = len(blocks)
-    residual = structure.residual(voltages)
+    residual = state.residual(voltages, drive)
     norms = np.array(
         [float(np.linalg.norm(residual[f0:f1])) for f0, f1, _n0, _n1 in blocks]
     )
@@ -344,11 +374,11 @@ def newton_block_solve(
     lu = None  # live LU factorisation (reused across iterations by chord)
     lu_fresh = False  # factored at the *current* iterate?
     refresh = True  # force a refactorisation before the next step
-    if chord_active and structure.last_lu is not None:
-        # Adopt the factorisation the previous solve of this structure
+    if chord_active and warm is not None and warm.lu is not None:
+        # Adopt the factorisation the previous solve of this pattern
         # ended on: near-identical drive points often converge on pure
         # back-substitutions, with zero new factorisations.
-        lu = structure.last_lu
+        lu = warm.lu
         refresh = False
         obs.count("solver.lu_carryovers")
 
@@ -396,7 +426,7 @@ def newton_block_solve(
             for b in undecided:
                 f0, f1, _n0, _n1 = blocks[b]
                 trial[free[f0:f1]] += scales[b] * delta[f0:f1]
-            trial_residual = structure.residual(trial)
+            trial_residual = state.residual(trial, drive)
             still = []
             for b in undecided:
                 f0, f1, _n0, _n1 = blocks[b]
@@ -464,9 +494,10 @@ def newton_block_solve(
             )
         stop_iteration[lagging] = max_iterations
 
-    structure.last_free = voltages[free].copy()
-    if lu is not None:
-        structure.last_lu = lu
+    if warm is not None:
+        warm.free = voltages[free].copy()
+        if lu is not None:
+            warm.lu = lu
     return [
         Solution(voltages, int(stop_iteration[b]), float(norms[b]))
         for b in range(n_blocks)

@@ -369,6 +369,7 @@ class ParallelExecutor:
         # ``shutdown(wait=False)`` nulls ``pool._processes``, so the
         # registry's reference is the only handle left to join on.
         self._pools: "list[tuple[ProcessPoolExecutor, dict]]" = []
+        self._managers: "list[threading.Thread]" = []  # see _release_pool
         self._pools_lock = threading.Lock()
 
     @property
@@ -386,6 +387,25 @@ class ParallelExecutor:
                 if any(proc.is_alive() for proc in tuple(entry[1].values()))
             ]
             self._pools.append((pool, pool._processes))
+            self._managers = [t for t in self._managers if t.is_alive()]
+
+    def _release_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Shut ``pool`` down without waiting; close() still reaps it.
+
+        The pool's manager thread pops each exiting worker from
+        ``pool._processes`` *before* joining it, so the registry keeps a
+        copy of that map, and close() joins the manager thread first:
+        when two threads reap one child, the one that loses the
+        ``waitpid`` race reports the exiting worker as still alive.
+        """
+        with self._pools_lock:
+            self._pools = [
+                (entry, dict(processes) if entry is pool else processes)
+                for entry, processes in self._pools
+            ]
+            if pool._executor_manager_thread is not None:
+                self._managers.append(pool._executor_manager_thread)
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
         """Join every worker process this executor ever started.
@@ -397,8 +417,12 @@ class ParallelExecutor:
         """
         with self._pools_lock:
             pools, self._pools = self._pools, []
-        for pool, processes in pools:
+            managers, self._managers = self._managers, []
+        for pool, _processes in pools:
             pool.shutdown(wait=True, cancel_futures=True)
+        for manager in managers:
+            manager.join()
+        for _pool, processes in pools:
             for proc in tuple(processes.values()):
                 proc.join()
 
@@ -589,7 +613,7 @@ class ParallelExecutor:
                 queue[:0] = reversed(retry)
                 retry.clear()
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            self._release_pool(pool)
         return [i for i in retry if i not in results], died
 
 

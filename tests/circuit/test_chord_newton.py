@@ -199,7 +199,8 @@ class TestGuaranteedFallback:
         calls = []
 
         def flaky(structure, blocks, **kwargs):
-            calls.append(kwargs)
+            warm = kwargs["warm"]
+            calls.append({**kwargs, "cold": warm.free is None and warm.lu is None})
             if len(calls) == 1:
                 raise ConvergenceError("injected warm-path failure")
             return real(structure, blocks, **kwargs)
@@ -214,7 +215,8 @@ class TestGuaranteedFallback:
         # The fallback re-solve is a cold flat-start full Newton.
         assert len(calls) == 2
         assert calls[1]["chord"] is False
-        assert calls[1]["warm"] is False
+        assert calls[0]["cold"] is False
+        assert calls[1]["cold"] is True
         assert calls[1]["initial"] is None
         counters = collector.snapshot().to_plain()["counters"]
         assert counters.get("solver.full_newton_fallbacks") == 1

@@ -131,3 +131,64 @@ class TestValidation:
         net.add_resistor(b, GROUND, 100.0)
         solution = net.solve()
         assert net.resistor_current(solution, 0) == pytest.approx(5e-3)
+
+
+class TestBulkConstruction:
+    """Bulk adds build exactly the element lists single adds do."""
+
+    @staticmethod
+    def _pair(bulk):
+        net = Network()
+        nodes = net.add_nodes(12)
+        net.fix_voltage(nodes[0], 2.0)
+        net.fix_voltage(nodes[7], 0.5)
+        leak = OnStackModel(i_on=2e-6, v_sat=0.6)
+        stack = OnStackModel(i_on=9e-5)
+        n1, n2 = nodes[:-1], nodes[1:]
+        halves = nodes[2:9]
+        if bulk:
+            net.add_resistors(np.asarray(n1), iter(n2), 50.0)
+            handles = net.add_devices(halves, [GROUND] * len(halves), leak)
+            handles.append(net.add_device(nodes[3], nodes[10], stack))
+            handles += net.add_devices((n for n in nodes[9:]), nodes[:3], leak)
+        else:
+            for a, b in zip(n1, n2):
+                net.add_resistor(a, b, 50.0)
+            handles = [net.add_device(n, GROUND, leak) for n in halves]
+            handles.append(net.add_device(nodes[3], nodes[10], stack))
+            handles += [net.add_device(a, b, leak) for a, b in zip(nodes[9:], nodes[:3])]
+        return net, handles
+
+    def test_element_lists_byte_identical(self):
+        bulk, bulk_handles = self._pair(bulk=True)
+        single, single_handles = self._pair(bulk=False)
+        for column in ("_res_n1", "_res_n2", "_res_g"):
+            got, want = getattr(bulk, column).array(), getattr(single, column).array()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for got, want in zip(bulk._groups.values(), single._groups.values()):
+            for g, w in zip(got.frozen()[1:], want.frozen()[1:]):
+                assert g.tobytes() == w.tobytes()
+        assert bulk_handles == single_handles == list(range(bulk.device_count))
+        assert bulk.pattern_signature() == single.pattern_signature()
+        solution = single.solve()
+        for handle in single_handles:
+            assert bulk.device_current(solution, handle) == single.device_current(
+                solution, handle
+            )
+
+    def test_free_nodes_are_the_unpinned_ones_in_order(self):
+        from repro.circuit.network import _SolverState
+
+        net, _handles = self._pair(bulk=True)
+        state = _SolverState(net)
+        want = np.array(
+            [i for i in range(net.node_count) if i not in net._fixed], dtype=np.intp
+        )
+        assert state.free.dtype == want.dtype
+        assert state.free.tobytes() == want.tobytes()
+
+    def test_unknown_device_handle_rejected(self):
+        net, handles = self._pair(bulk=True)
+        solution = net.solve()
+        with pytest.raises(IndexError):
+            net.device_current(solution, len(handles))

@@ -70,6 +70,13 @@ REFERENCE_GOLDENS_64 = {
 #: Chained fingerprint over six deterministic 2-bit RESET vectors
 #: (``reset_vector_gen`` defaults: seed 1234).
 REFERENCE_VECTOR_GOLDEN_64 = "a1bac30be0158ee498e1819f79f2c487"
+#: The seed solver's schedule on the same selections:
+#: ``(solves, factorisations, newton_iterations)``.
+REFERENCE_SCHEDULE_64 = {
+    "single-bit": (1, 7, 7),
+    "4-bit-pr": (1, 10, 10),
+    "worst-corner": (1, 7, 7),
+}
 
 
 def _assert_close(reference, other, context=""):
@@ -159,6 +166,22 @@ class TestReferenceGoldens:
                 fingerprint(model.solve_reset(row, cols))
                 == REFERENCE_GOLDENS_64[name]
             ), f"reference payload drifted for pattern {name!r}"
+
+    def test_selection_matrix_schedule(self, reduced_model_builder):
+        """Same bits by the same route: one factorisation per Newton step."""
+        from repro import obs
+
+        model = reduced_model_builder(64, "reference")
+        for name, (row, cols) in _patterns(64).items():
+            collector = obs.Collector()
+            with obs.collecting(collector):
+                model.solve_reset(row, cols)
+            counters = collector.snapshot().to_plain()["counters"]
+            schedule = tuple(
+                counters.get(f"solver.{key}", 0)
+                for key in ("solves", "factorisations", "newton_iterations")
+            )
+            assert schedule == REFERENCE_SCHEDULE_64[name], name
 
     def test_reset_vector_chain_fingerprint(
         self, reduced_model_builder, reset_vector_gen

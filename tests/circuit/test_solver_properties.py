@@ -170,7 +170,8 @@ class TestBackendInvariants:
         row, cols, drive = model._normalise(a - 1, (a - 1,), None)
         net, _wl, _bl = model._build_reset_network(row, cols, drive, BASELINE_BIAS)
         solution = net.solve(backend=solver)
-        residual = _SolverState(net).residual(solution.voltages)
+        state = _SolverState(net)
+        residual = state.residual(solution.voltages, state.drive(net._fixed))
         assert float(np.linalg.norm(residual)) <= 1e-10 * 100
         assert solution.residual_norm <= 1e-10 * 100
 

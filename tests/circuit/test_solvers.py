@@ -141,7 +141,7 @@ class TestStructureReuse:
         other = _cell_network()
         other.fix_voltage(2, 0.5)
         with pytest.raises(ValueError, match="invalid"):
-            structure.refresh(other)
+            structure.drive(other)
 
     def test_lru_bound_evicts_coldest(self):
         from repro.circuit.solvers.structure import StructureCache
@@ -159,8 +159,8 @@ class TestStructureReuse:
         backend = FactorCacheBackend()
         net = _cell_network()
         backend.solve(net)
-        structure = backend.cache.get(_cell_network())
-        structure.last_free = np.full_like(structure.last_free, 1e3)
+        warm = backend.cache.warm_start(backend.cache.get(_cell_network()))
+        warm.free = np.full_like(warm.free, 1e3)
         recovered = backend.solve(_cell_network())
         want = _cell_network().solve(backend="reference")
         np.testing.assert_allclose(
