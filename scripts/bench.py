@@ -29,8 +29,8 @@ so entries stay independent of matrix order.
 
 Schema 4 adds a ``service_matrix``: the same experiment requested
 concurrently through the ``repro serve`` request/compute planes
-(requests/s, p50/p99 latency, coalesce ratio) against a serialized
-one-shot baseline that resets all warm state between requests.
+(requests/s, p50/p99 latency) against a serialized one-shot baseline
+that resets all warm state between requests.
 
 Schema 5 adds a ``recovery_matrix``: the same workload driven through
 the supervised process pool three times — steady state, under a seeded
@@ -54,12 +54,16 @@ validator holds the amortization ratio at >= 5x.
 
 Schema 8 adds a ``shared_matrix``: a duplicate-heavy request mix
 (distinct fault identities, each requested several times) on the
-process compute plane with the shared-memory profile plane and solve
-coalescing enabled, against the same mix on the ship-back plane with
+process compute plane with the shared-memory profile plane and group
+dispatch enabled, against the same mix on the ship-back plane with
 both disabled — the pre-shared-plane process backend.  The validator
-holds the throughput speedup at >= 2x, the coalesce ratio at >= 2, and
-``duplicate_solves`` (a worker re-solving a profile a sibling already
-published) at ~0.
+holds the throughput speedup at >= 2x, the coalesce ratio (jobs per
+group-dispatched solve stream) at >= 2, and ``duplicate_solves`` (a
+worker re-solving a profile a sibling already published) at ~0.
+
+Schema 9 drops ``service_matrix.service.coalesce_ratio``: the
+thread-plane solve coalescer it measured is gone (solver backends
+serialise their own solves with a lock), so it would always read 1.
 
 ``--compare OLD.json`` prints a speedup table (wall time, peak RSS,
 factorisation counts) of this run against a previous document and, with
@@ -150,7 +154,7 @@ MC_MIN_AMORTIZATION = 5.0
 #: (per-seed fault models at SHARED_FAULT_RATE), each requested as a
 #: burst of SHARED_DUPLICATES concurrent duplicates — the
 #: duplicate-heavy stream the shared-memory data plane and
-#: process-plane solve coalescing exist for.  The baseline leg runs
+#: process-plane group dispatch exist for.  The baseline leg runs
 #: the identical bursts with both disabled: the ship-back process
 #: plane as it was before the shared segment existed.
 #: fig07b is the most solve-dominated quick experiment (its profile
@@ -187,9 +191,11 @@ SHARED_MAX_DUPLICATE_SOLVES = 2
 #: v7: adds ``mc_matrix`` (K=64 Monte Carlo ensemble samples/s on the
 #: batched backend vs per-instance reference solves, >= 5x gate).
 #: v8: adds ``shared_matrix`` (duplicate-heavy request mix on the
-#: process plane: shared-memory profile plane + solve coalescing vs
+#: process plane: shared-memory profile plane + group dispatch vs
 #: the ship-back baseline, >= 2x gate, duplicate_solves ~0).
-SCHEMA = 8
+#: v9: drops ``service_matrix.service.coalesce_ratio`` (the solve
+#: coalescer it measured was removed).
+SCHEMA = 9
 
 
 def _reset_shared_state() -> None:
@@ -330,8 +336,8 @@ def run_service_matrix() -> dict:
     *each* request and every request gets a fresh model cache.  The
     service side drives the same requests concurrently through the
     in-process request plane (admission, deadline machinery, thread-pool
-    compute, solve coalescer), where warm contexts and coalesced solves
-    amortise work across the stream.
+    compute), where warm contexts and solver caches amortise work
+    across the stream.
     """
     import asyncio
 
@@ -359,7 +365,7 @@ def run_service_matrix() -> dict:
     _reset_shared_state()
     clear_warm_contexts()
 
-    async def drive() -> tuple[list[float], float, dict]:
+    async def drive() -> tuple[list[float], float]:
         service = EngineService(
             ServeOptions(
                 cache_dir=None,
@@ -384,20 +390,17 @@ def run_service_matrix() -> dict:
                 *(one(i, seed) for i, seed in enumerate(seeds))
             )
             wall = time.perf_counter() - start
-            stats = service.stats()
         finally:
             await service.close(drain=True)
-        return request_latencies, wall, stats
+        return request_latencies, wall
 
-    request_latencies, service_wall, stats = asyncio.run(drive())
+    request_latencies, service_wall = asyncio.run(drive())
     service_stats = _latency_stats(request_latencies, service_wall)
-    service_stats["coalesce_ratio"] = stats.get("coalesce_ratio", 1.0)
     speedup = round(serialized_wall / service_wall, 3) if service_wall else 0.0
     print(
         f"service:   {SERVICE_REQUESTS} x {name} serialized "
         f"{serialized_wall:7.3f}s -> concurrent {service_wall:7.3f}s "
-        f"({speedup:.2f}x, coalesce ratio "
-        f"{service_stats['coalesce_ratio']:.2f})",
+        f"({speedup:.2f}x)",
         flush=True,
     )
     return {
@@ -816,7 +819,7 @@ def run_shared_matrix() -> dict:
     concurrent duplicate requests, one fault identity per burst —
     through the process compute plane.  The baseline leg disables the
     shared segment *and* group dispatch (``shared_plane=False,
-    coalesce=False``): every duplicate in a burst lands on its own
+    group_dispatch=False``): every duplicate in a burst lands on its own
     worker, re-solves the identical profile grid in lockstep with its
     siblings, and ships the profiles back through the result pipe,
     exactly the pre-shared-plane backend.  The shared leg stacks each
@@ -919,7 +922,7 @@ def run_shared_matrix() -> dict:
         compute_workers=SERVICE_WORKERS,
         solver=DEFAULT_MATRIX_SOLVER,
         shared_plane=False,
-        coalesce=False,
+        group_dispatch=False,
     )
     latencies, wall, _ = drive(baseline_options)
     baseline = _latency_stats(latencies, wall)
@@ -1152,8 +1155,6 @@ def validate(document: dict) -> None:
     for mode in ("serialized", "service"):
         mode_stats = service_matrix[mode]
         mode_keys = {"wall_s", "requests_per_s", "p50_s", "p99_s"}
-        if mode == "service":
-            mode_keys.add("coalesce_ratio")
         check(
             isinstance(mode_stats, dict) and set(mode_stats) == mode_keys,
             f"service_matrix.{mode} keys must be {sorted(mode_keys)}",
@@ -1168,10 +1169,6 @@ def validate(document: dict) -> None:
             mode_stats["p50_s"] <= mode_stats["p99_s"],
             f"service_matrix.{mode}: p50 must not exceed p99",
         )
-    check(
-        service_matrix["service"]["coalesce_ratio"] >= 1.0,
-        "coalesce_ratio is jobs per backend call and cannot go below 1",
-    )
     check(
         isinstance(service_matrix["speedup_vs_serialized"], (int, float))
         and service_matrix["speedup_vs_serialized"] > 0,

@@ -4,8 +4,8 @@
 Boots a real ``python -m repro serve`` subprocess on the supervised
 process compute plane with a *seeded* chaos policy armed — worker
 kills mid-solve, a worker killed *while holding a shared-segment
-stripe write lock*, dropped/delayed compute futures, stalled
-coalescer dispatch, corrupted ``.repro_cache`` entries — and drives
+stripe write lock*, dropped/delayed compute futures, corrupted
+``.repro_cache`` entries — and drives
 two rounds of concurrent requests from three clients through it.  The
 contract under chaos:
 
@@ -66,7 +66,7 @@ SEEDS = (0, 1, 2, 3)
 CHAOS_SPEC = (
     "seed=3,kill_worker_rate=0.25,kill_delay_ms=2,kill_in_lock_rate=0.65,"
     "drop_future_rate=0.1,delay_future_rate=0.1,delay_future_ms=10,"
-    "stall_dispatch_rate=0.2,stall_dispatch_ms=10,corrupt_cache_rate=0.2"
+    "corrupt_cache_rate=0.2"
 )
 
 KNOWN_ERROR_CODES = {

@@ -57,8 +57,7 @@ def _leaked_processes(marker: str) -> "list[int]":
 
 def main() -> int:
     # Batch-mode baselines first, in this process: at this point no
-    # service (and so no coalescer) exists anywhere, making this the
-    # plain historical path.  The JSON round-trip normalises tuples to
+    # service exists anywhere, making this the plain historical path.  The JSON round-trip normalises tuples to
     # lists exactly as the wire protocol will.
     baselines = {
         name: json.loads(
@@ -117,10 +116,8 @@ def main() -> int:
         with ServiceClient(host, port) as client:
             stats = client.stats()
             completed = stats["counters"].get("service.completed", 0)
-            print(
-                f"service stats: {completed} completed, "
-                f"coalesce ratio {stats.get('coalesce_ratio', 1.0)}"
-            )
+            solves = stats["counters"].get("solver.solves", 0)
+            print(f"service stats: {completed} completed, {solves} solves")
             if completed < len(EXPERIMENTS):
                 print("FAIL: completed counter below request count",
                       file=sys.stderr)

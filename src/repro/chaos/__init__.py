@@ -4,14 +4,13 @@
 process spread — as injectable, sweepable distributions rather than
 exceptional states.  This package applies the same posture to the
 *serving infrastructure*: worker processes die mid-solve, compute
-futures are dropped or delayed, the coalescer's dispatch window stalls,
-and ``.repro_cache`` entries are corrupted on read — all driven by a
+futures are dropped or delayed, and ``.repro_cache`` entries are
+corrupted on read — all driven by a
 seeded, replayable :class:`~repro.chaos.policy.ChaosPolicy` so a chaos
 run is a deterministic test case, not a flake generator.
 
 Call sites mirror :mod:`repro.obs`: the module-level injection points
-(:func:`kill_point`, :func:`stall_point`, :func:`corrupt_point`,
-:func:`fires`) are no-ops — one ``None`` check — until a policy is
+(:func:`kill_point`, :func:`corrupt_point`, :func:`fires`) are no-ops — one ``None`` check — until a policy is
 :func:`install`-ed, so production paths pay nothing.  The active policy
 is process-global; worker processes receive the policy on each job spec
 and install it themselves.
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
@@ -46,7 +44,6 @@ __all__ = [
     "install",
     "kill_point",
     "exit_point",
-    "stall_point",
     "corrupt_point",
     "reset_counts",
     "uninstall",
@@ -188,15 +185,6 @@ def exit_point(site: str, token: object = None) -> None:
         return
     if fires(site, token):
         os._exit(KILL_EXIT_CODE)
-
-
-def stall_point(site: str = "coalesce.stall") -> None:
-    """Maybe stall the calling thread (dispatcher delay injection)."""
-    policy = _STATE.policy
-    if policy is None:
-        return
-    if fires(site):
-        time.sleep(policy.stall_dispatch_ms / 1000.0)
 
 
 def corrupt_point(path: "Path") -> None:

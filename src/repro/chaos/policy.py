@@ -4,7 +4,7 @@
 :class:`~repro.faults.model.FaultModel` is to the array devices: a
 frozen, picklable description of a *failure distribution* that can be
 keyed, shipped to worker processes, and replayed.  Each injection site
-(worker kill, future drop/delay, dispatcher stall, cache corruption)
+(worker kill, future drop/delay, cache corruption, shared-plane lock kill)
 carries a rate; whether a particular event fires is a pure function of
 ``(seed, site, token)``, so the same policy against the same request
 stream produces the same failures — chaos runs are test cases, not
@@ -29,7 +29,6 @@ SITE_RATES = {
     "worker.kill": "kill_worker_rate",
     "future.drop": "drop_future_rate",
     "future.delay": "delay_future_rate",
-    "coalesce.stall": "stall_dispatch_rate",
     "cache.corrupt": "corrupt_cache_rate",
     "shm.kill_in_lock": "kill_in_lock_rate",
 }
@@ -55,9 +54,6 @@ class ChaosPolicy:
         :class:`~repro.chaos.ChaosError` instead of its result.
     delay_future_rate / delay_future_ms:
         Probability/duration of holding a completed future's resolution.
-    stall_dispatch_rate / stall_dispatch_ms:
-        Probability/duration of stalling the solve coalescer's dispatch
-        window before it gathers a round.
     corrupt_cache_rate:
         Probability that a ``.repro_cache`` entry is bit-flipped on the
         read path *before* the envelope check runs — exercising the
@@ -76,8 +72,6 @@ class ChaosPolicy:
     drop_future_rate: float = 0.0
     delay_future_rate: float = 0.0
     delay_future_ms: float = 25.0
-    stall_dispatch_rate: float = 0.0
-    stall_dispatch_ms: float = 25.0
     corrupt_cache_rate: float = 0.0
     kill_in_lock_rate: float = 0.0
 
@@ -88,7 +82,7 @@ class ChaosPolicy:
                 raise ValueError(
                     f"{field} must be in [0, 1], got {rate} (site {site})"
                 )
-        for field in ("kill_delay_ms", "delay_future_ms", "stall_dispatch_ms"):
+        for field in ("kill_delay_ms", "delay_future_ms"):
             ms = getattr(self, field)
             if ms < 0:
                 raise ValueError(f"{field} must be >= 0, got {ms}")

@@ -88,12 +88,12 @@ class ReducedArrayModel:
         Parameters mirror
         :meth:`repro.circuit.crosspoint.FullArrayModel.solve_reset`.
         """
-        from .solvers import dispatch_solve
+        from .solvers import get_backend
 
         row, cols, drive = self._normalise(row, cols, v_applied)
         net, wl_nodes, bl_nodes = self._build_reset_network(row, cols, drive, bias)
         with obs.span("solve.reduced", array=self.config.array.size):
-            solution = dispatch_solve(self.solver, net)
+            solution = get_backend(self.solver).solve(net)
         return self._extract(solution, row, cols, wl_nodes, bl_nodes)
 
     def solve_reset_many(
@@ -135,7 +135,7 @@ class ReducedArrayModel:
         is deterministic for a fixed selection and bias, so node indices
         line up between the producing and consuming solves.
         """
-        from .solvers import dispatch_solve_many
+        from .solvers import get_backend
 
         prepared = [
             self._normalise(row, cols, v_applied) for row, cols in selections
@@ -147,12 +147,8 @@ class ReducedArrayModel:
         with obs.span(
             "solve.reduced.batch", array=self.config.array.size, batch=len(built)
         ):
-            # Dispatched rather than called on the backend directly: a
-            # service-installed coalescer may merge this batch with
-            # concurrent requests' batches of matching sparsity
-            # signature into one block-diagonal solve.
-            solutions = dispatch_solve_many(
-                self.solver, [net for net, _wl, _bl in built], initials=initials
+            solutions = get_backend(self.solver).solve_many(
+                [net for net, _wl, _bl in built], initials=initials
             )
         return [
             (
@@ -182,7 +178,7 @@ class ReducedArrayModel:
         block-diagonal stacking on ``batched``).  Returns
         ``(solution, voltages)`` pairs like :meth:`solve_reset_batch`.
         """
-        from .solvers import dispatch_solve_ensemble
+        from .solvers import get_backend
 
         prepared = [
             self._normalise(row, cols, v_applied) for row, cols, v_applied in jobs
@@ -196,8 +192,7 @@ class ReducedArrayModel:
             array=self.config.array.size,
             batch=len(built),
         ):
-            solutions = dispatch_solve_ensemble(
-                self.solver,
+            solutions = get_backend(self.solver).solve_ensemble(
                 [net for net, _wl, _bl in built],
                 initials=initials,
                 chunk=chunk,

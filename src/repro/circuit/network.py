@@ -308,10 +308,9 @@ class Network:
             ``reference`` backend, whose results are seed-exact.  See
             :mod:`repro.circuit.solvers`.
         """
-        from .solvers import dispatch_solve
+        from .solvers import get_backend
 
-        return dispatch_solve(
-            backend,
+        return get_backend(backend).solve(
             self,
             initial=initial,
             tol=tol,

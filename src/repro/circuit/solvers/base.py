@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
@@ -11,6 +15,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network import Network, Solution
 
 __all__ = ["SolverBackend"]
+
+#: Every live backend, so a forked child can replace locks that a
+#: parent thread held at fork time (that thread does not exist there).
+_LIVE: "weakref.WeakSet[SolverBackend]" = weakref.WeakSet()
+
+
+def _serialised(method):
+    """Run ``method`` under its backend's reentrant lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
+def _fresh_locks_after_fork() -> None:
+    for backend in _LIVE:
+        backend._lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; no fork elsewhere
+    os.register_at_fork(after_in_child=_fresh_locks_after_fork)
 
 
 class SolverBackend(ABC):
@@ -23,10 +51,28 @@ class SolverBackend(ABC):
     residual norm, raising
     :class:`~repro.circuit.network.ConvergenceError` when the iteration
     budget or line search is exhausted.
+
+    Concurrency: each instance serialises its public entry points
+    (:meth:`solve`, :meth:`solve_many`, :meth:`solve_ensemble`, in this
+    class and every subclass) with one reentrant lock, so the
+    structure and warm-start caches are never written by two request
+    threads at once.  The lock is reentrant because the entry points
+    call each other (``BatchedBackend.solve`` calls ``solve_many``, the
+    default ``solve_many`` calls ``solve``).
     """
 
     #: Registry name; also used in cache keys and obs counters.
     name: str = "abstract"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for method in ("solve", "solve_many", "solve_ensemble"):
+            if method in cls.__dict__:
+                setattr(cls, method, _serialised(cls.__dict__[method]))
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        _LIVE.add(self)
 
     @abstractmethod
     def solve(
@@ -39,6 +85,7 @@ class SolverBackend(ABC):
     ) -> "Solution":
         """Solve one network (parameters mirror ``Network.solve``)."""
 
+    @_serialised
     def solve_many(
         self,
         networks: Sequence["Network"],
@@ -70,6 +117,7 @@ class SolverBackend(ABC):
             for network, initial in zip(networks, initials)
         ]
 
+    @_serialised
     def solve_ensemble(
         self,
         networks: Sequence["Network"],

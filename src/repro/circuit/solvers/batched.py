@@ -71,6 +71,7 @@ class BatchedBackend(SolverBackend):
     ensemble_chunk = 128
 
     def __init__(self, cache_size: int = 64, chord: bool = True) -> None:
+        super().__init__()
         self.cache = StructureCache(maxsize=cache_size)
         self.chord = chord
 

@@ -31,6 +31,7 @@ class FactorCacheBackend(SolverBackend):
     name = "factor-cache"
 
     def __init__(self, cache_size: int = 64, chord: bool = True) -> None:
+        super().__init__()
         self.cache = StructureCache(maxsize=cache_size)
         self.chord = chord
 

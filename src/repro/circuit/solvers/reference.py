@@ -29,6 +29,7 @@ class ReferenceBackend(SolverBackend):
     cache_size = 16
 
     def __init__(self) -> None:
+        super().__init__()
         self.cache = StructureCache(maxsize=self.cache_size)
 
     def solve(

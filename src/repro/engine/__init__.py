@@ -15,8 +15,8 @@ The engine turns "one figure = one function call" into a pipeline:
   request both front doors build, and :func:`execute_plan`, the one
   cache→drive→validate→store pipeline;
 * :mod:`repro.engine.compute` — :class:`ComputeBackend` implementations
-  (inline for the batch CLI, thread pool + solve coalescer for the
-  service) that execute plans;
+  (inline for the batch CLI, thread and supervised process pools for
+  the service) that execute plans;
 * :mod:`repro.engine.executor` — serial and process-pool executors with
   deterministic result ordering and per-task timing (cell-level fan-out
   *within* an experiment; sits underneath the compute plane);

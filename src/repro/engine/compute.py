@@ -13,14 +13,12 @@ Three backends ship:
   batch CLI's path and keeps ``run_experiment`` synchronous and
   byte-identical to the historical runner.
 * :class:`ThreadPoolBackend` executes plans on worker threads over
-  *shared warm contexts* and activates a
-  :class:`~repro.circuit.solvers.coalesce.SolveCoalescer` for its
-  lifetime, so independent BL-profile solves from concurrent requests
-  merge into single ``solve_many`` calls (the ``batched`` backend then
-  runs them as one block-diagonal lockstep Newton).  Within an
-  experiment, cell-level fan-out still rides the context's executor —
-  the existing process pool sits *underneath* this backend, it is not
-  replaced by it.
+  *shared warm contexts*.  Concurrent requests share the process-wide
+  solver backends, each of which serialises its own solves with one
+  lock (see :class:`~repro.circuit.solvers.base.SolverBackend`).
+  Within an experiment, cell-level fan-out still rides the context's
+  executor — the existing process pool sits *underneath* this backend,
+  it is not replaced by it.
 * :class:`ProcessPoolBackend` executes whole plans in supervised worker
   *processes* over warm per-worker contexts, so CPU-bound request
   streams scale past one core and a crashed or wedged worker
@@ -51,12 +49,10 @@ is zero-copy readable by all siblings instead of being re-solved or
 pickled back through the result pipes.  The PR-9 ship-back path stays
 as the strict fallback whenever shared memory is unavailable or a
 stripe declines a write.  On top of it, the supervisor's dispatcher
-extends solve coalescing to the process plane: queued jobs with equal
-(config, solver, fault-set) identity are *grouped* onto one worker,
-where the head job solves the group's profile grids once and its
-group-mates collapse to registry hits — one solve stream serving the
-whole stack, with a worker-lifetime :class:`SolveCoalescer` funnelling
-the solves through a single dispatcher thread.
+*groups* queued jobs with equal (config, solver, fault-set) identity
+onto one worker, where the head job solves the group's profile grids
+once and its group-mates collapse to registry hits — one solve stream
+serving the whole stack.
 """
 
 from __future__ import annotations
@@ -171,23 +167,15 @@ def inline_backend() -> InlineBackend:
 
 
 class ThreadPoolBackend(ComputeBackend):
-    """Execute plans on worker threads with cross-request coalescing.
+    """Execute plans on worker threads over shared warm contexts.
 
-    ``workers`` bounds concurrent plan execution.  The backend owns a
-    :class:`~repro.circuit.solvers.coalesce.SolveCoalescer` that is
-    installed process-wide while the backend is open: besides merging
-    concurrent solves into one batch, the coalescer funnels every
-    Newton solve through its single dispatcher thread, which is what
-    makes the (thread-oblivious) solver structure caches safe to share
-    between request threads.
+    ``workers`` bounds concurrent plan execution.  Solves from
+    concurrent requests meet at the process-wide solver backends, whose
+    per-instance lock serialises them; every solve runs in its
+    request's own observability scope.
     """
 
-    def __init__(
-        self,
-        workers: int = 2,
-        coalesce: bool = True,
-        coalesce_window_s: float = 0.002,
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -196,14 +184,7 @@ class ThreadPoolBackend(ComputeBackend):
         )
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
-        self._coalescer = None
         self._closed = False
-        if coalesce:
-            from ..circuit.solvers import install_coalescer
-            from ..circuit.solvers.coalesce import SolveCoalescer
-
-            self._coalescer = SolveCoalescer(window_s=coalesce_window_s)
-            install_coalescer(self._coalescer)
 
     @property
     def label(self) -> str:
@@ -231,27 +212,15 @@ class ThreadPoolBackend(ComputeBackend):
             self._collector.merge(snapshot)
 
     def stats(self) -> "Snapshot":
-        """Aggregate observability: executed plans plus coalescer state."""
+        """Aggregate observability of every executed plan."""
         with self._collector_lock:
-            snapshot = self._collector.snapshot()
-        if self._coalescer is not None:
-            snapshot_c = self._coalescer.stats()
-            merged = obs.Collector()
-            merged.merge(snapshot)
-            merged.merge(snapshot_c)
-            return merged.snapshot()
-        return snapshot
+            return self._collector.snapshot()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        if self._coalescer is not None:
-            from ..circuit.solvers import uninstall_coalescer
-
-            uninstall_coalescer(self._coalescer)
-            self._coalescer.close()
 
 
 # -- supervised process pool ---------------------------------------------------
@@ -336,8 +305,6 @@ def _pool_worker_main(
     heartbeat_s: float,
     chaos_policy,
     shm_handle=None,
-    coalesce: bool = True,
-    coalesce_window_s: float = 0.002,
 ) -> None:
     """Worker process loop: execute job specs until the ``None`` sentinel.
 
@@ -367,15 +334,10 @@ def _pool_worker_main(
     group's profile grids once and publishes them (process-local
     registry + shared plane), and every group-mate's solves collapse to
     registry hits.  Running group-mates concurrently instead would be
-    strictly worse — the coalescer *concatenates* same-signature
-    submissions into one lockstep backend call (it amortises
-    factorisations across distinct networks, it does not dedupe
-    identical ones), so duplicate streams in lockstep re-solve every
-    quantum N times and break the warm-start continuation chain.  The
-    worker-lifetime :class:`SolveCoalescer` (installed when
-    ``coalesce``) still funnels every solve through one dispatcher
-    thread — backend structure/warm caches stay single-threaded — and
-    merges whatever concurrency a single job produces internally.
+    strictly worse: duplicate streams re-solve every quantum N times
+    and break the warm-start continuation chain.  Solves run on the
+    job's own thread, inside its ``obs.collecting`` scope, so their
+    counters land in the job's snapshot.
     """
     if chaos_policy is not None:
         chaos.install(chaos_policy)
@@ -418,40 +380,6 @@ def _pool_worker_main(
         if plane is not None:
             profile_registry.attach_shared(plane)
 
-    coalescer = None
-    coalesce_last: dict = {}
-    coalesce_lock = threading.Lock()
-    if coalesce:
-        from ..circuit.solvers import (
-            discard_coalescer_after_fork,
-            install_coalescer,
-        )
-        from ..circuit.solvers.coalesce import SolveCoalescer
-
-        discard_coalescer_after_fork()
-        coalescer = SolveCoalescer(window_s=coalesce_window_s)
-        install_coalescer(coalescer)
-
-    def coalesce_delta() -> dict:
-        """Coalescer counters accrued since the last shipped delta.
-
-        The coalescer keeps its own collector (solves run on its
-        dispatcher thread, outside any job's thread-local scope), so
-        workers ship counter *deltas* folded into job snapshots — the
-        supervisor's merge then adds up to exact process-plane totals.
-        """
-        if coalescer is None:
-            return {}
-        with coalesce_lock:
-            counters = coalescer.stats().counters
-            delta = {
-                name: total - coalesce_last.get(name, 0)
-                for name, total in counters.items()
-                if total != coalesce_last.get(name, 0)
-            }
-            coalesce_last.update(counters)
-        return delta
-
     def run_one(job_id: int, spec: _JobSpec) -> None:
         kill_timer = chaos.kill_point(spec.chaos_token)
         try:
@@ -466,12 +394,6 @@ def _pool_worker_main(
                 ("error", worker_id, (job_id, type(exc).__name__, str(exc), tb))
             )
         else:
-            delta = coalesce_delta()
-            if delta and snapshot is not None:
-                for name, n in delta.items():
-                    snapshot.counters[name] = (
-                        snapshot.counters.get(name, 0) + n
-                    )
             post(("done", worker_id, (job_id, (result, snapshot, profiles))))
         finally:
             # Disarm a kill aimed at this job once it is over: a stale
@@ -501,7 +423,7 @@ class _Job:
         self.attempts = 0  # resubmissions consumed by worker deaths
         self.dispatched = False
         #: Group-dispatch identity (config/solver/fault-set); jobs with
-        #: equal groups may be stacked onto one worker to coalesce.
+        #: equal groups may be stacked onto one worker.
         self.group: "tuple | None" = None
         #: Worker epoch this job is currently dispatched to, or None
         #: while queued.  Results are only merged when the reporting
@@ -537,8 +459,9 @@ class ProcessPoolBackend(ComputeBackend):
 
     ``workers`` is the pool size the supervisor maintains.  Each worker
     keeps its own warm-context table, so repeated requests with equal
-    parameters reuse one model cache *per worker* (cross-worker profile
-    sharing rides the ship-back path, like the executor's).
+    parameters reuse one model cache *per worker*; profiles cross
+    workers through the shared plane (below), or through the ship-back
+    path where the plane declines them.
 
     Failure containment, in escalation order:
 
@@ -570,9 +493,8 @@ class ProcessPoolBackend(ComputeBackend):
     everywhere, and the pipe ship-back path degrades into a fallback
     for whatever the segment declines.  Creation failure (no
     ``/dev/shm``, permissions) silently keeps the PR-9 ship-back
-    behaviour.  ``coalesce`` arms a worker-lifetime
-    :class:`SolveCoalescer` in each worker, and the dispatcher stacks
-    up to ``group_limit`` queued jobs of equal (config, solver,
+    behaviour.  With ``group_dispatch`` (default on) the dispatcher
+    stacks up to ``group_limit`` queued jobs of equal (config, solver,
     fault-set) identity onto one worker — unconditionally, because a
     group-mate stacked behind its head job costs a registry lookup
     while the same job raced on a spare worker re-solves the whole
@@ -597,8 +519,7 @@ class ProcessPoolBackend(ComputeBackend):
         restart_policy: "RetryPolicy | None" = None,
         chaos_policy: "chaos.ChaosPolicy | None" = None,
         shared_plane: bool = True,
-        coalesce: bool = True,
-        coalesce_window_s: float = 0.002,
+        group_dispatch: bool = True,
         group_limit: int = 4,
     ) -> None:
         if workers < 1:
@@ -645,8 +566,7 @@ class ProcessPoolBackend(ComputeBackend):
         self._closed = False
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
-        self.coalesce = coalesce
-        self.coalesce_window_s = coalesce_window_s
+        self.group_dispatch = group_dispatch
         self.group_limit = max(1, group_limit)
         self._shm = None
         if shared_plane:
@@ -708,8 +628,8 @@ class ProcessPoolBackend(ComputeBackend):
                 )
             job = _Job(next(self._next_job), _spec_for(plan, context))
             # Seed is deliberately *not* part of the group key: distinct
-            # seeds of one configuration share every sparsity pattern,
-            # which is exactly what the worker-side coalescer merges.
+            # seeds of one configuration share every profile grid, so a
+            # stacked seed still rides its head job's solves.
             job.group = (
                 plan.cfg_hash,
                 plan.solver,
@@ -765,8 +685,6 @@ class ProcessPoolBackend(ComputeBackend):
                 # immediately sees every profile its predecessors
                 # published.
                 self._shm.handle() if self._shm is not None else None,
-                self.coalesce,
-                self.coalesce_window_s,
             ),
             name=f"repro-pool-{wid}",
             daemon=True,
@@ -1060,7 +978,7 @@ class ProcessPoolBackend(ComputeBackend):
     def _dispatch(self) -> None:
         if not self._queue:
             return
-        if self.coalesce:
+        if self.group_dispatch:
             self._dispatch_affinity()
         idle = [
             w
@@ -1081,7 +999,7 @@ class ProcessPoolBackend(ComputeBackend):
             # dispatched anywhere else it re-solves the whole grid in
             # lockstep with the head, so even with idle workers to
             # spare, duplicates belong behind their head job.
-            if self.coalesce and batch[0].group is not None:
+            if self.group_dispatch and batch[0].group is not None:
                 group = batch[0].group
                 scan = 0
                 while (

@@ -6,11 +6,10 @@ applies admission control and per-request deadlines, and hands
 resolved :class:`~repro.engine.plan.ExperimentPlan` objects to the
 compute plane (:class:`~repro.engine.compute.ThreadPoolBackend` or a
 supervised :class:`~repro.engine.compute.ProcessPoolBackend`), where
-warm shared :class:`~repro.engine.context.RunContext` instances, the
-cross-request solve coalescer, and — on the process plane — the
-shared-memory profile segment with duplicate-identity group dispatch
-amortise model construction and Newton factorisations across the
-whole request stream.
+warm shared :class:`~repro.engine.context.RunContext` instances and —
+on the process plane — the shared-memory profile segment with
+duplicate-identity group dispatch amortise model construction and
+Newton factorisations across the whole request stream.
 
 Wire protocol — one JSON object per line, one response line per
 request (responses may interleave across concurrent requests on a
@@ -26,8 +25,8 @@ connection; match them by ``id``):
     Response: ``{"ok": true, "id": 1, "result": {experiment, meta,
     payload}}`` — the exact ``--json`` document of a batch run.
 ``{"op": "ping"}`` / ``{"op": "stats"}`` / ``{"op": "shutdown"}``
-    Liveness probe, observability snapshot (queue depth, coalesce
-    counters, request latencies, breaker/ladder state), graceful
+    Liveness probe, observability snapshot (queue depth, solver and
+    cache counters, request latencies, breaker/ladder state), graceful
     drain-and-exit.
 
 Failure envelope: ``{"ok": false, "id": ..., "error": {"code",
@@ -95,8 +94,9 @@ class ServeOptions:
     #: Deadline applied to requests that do not carry their own
     #: ``deadline_s``; ``None`` means unbounded.
     default_deadline_s: float | None = None
-    coalesce_window_s: float = 0.002
-    coalesce: bool = True
+    #: Process rung: stack queued jobs of equal (config, solver,
+    #: fault-set) identity onto one worker behind their head job.
+    group_dispatch: bool = True
     #: Disk cache shared by every request (``None`` disables caching).
     cache_dir: str | None = DEFAULT_CACHE_DIR
     #: Default solver for requests that do not name one.
@@ -191,15 +191,10 @@ class EngineService:
                 job_deadline_s=options.job_deadline_s,
                 chaos_policy=options.chaos,
                 shared_plane=options.shared_plane,
-                coalesce=options.coalesce,
-                coalesce_window_s=options.coalesce_window_s,
+                group_dispatch=options.group_dispatch,
             )
         if kind == "thread":
-            return ThreadPoolBackend(
-                workers=options.compute_workers,
-                coalesce=options.coalesce,
-                coalesce_window_s=options.coalesce_window_s,
-            )
+            return ThreadPoolBackend(workers=options.compute_workers)
         return inline_backend()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -298,7 +293,7 @@ class EngineService:
                 )
 
     def stats(self) -> dict:
-        """Service + compute + coalescer observability as a plain dict."""
+        """Service + compute-plane observability as a plain dict."""
         merged = obs.Collector()
         with self._obs_lock:
             merged.merge(self._collector.snapshot())
@@ -306,11 +301,7 @@ class EngineService:
         backend_stats = getattr(backend, "stats", None)
         if callable(backend_stats):
             merged.merge(backend_stats())
-        counters = merged.counters
-        jobs = counters.get("coalesce.jobs", 0)
-        batches = counters.get("coalesce.batches", 0)
         plain = merged.snapshot().to_plain()
-        plain["coalesce_ratio"] = round(jobs / batches, 4) if batches else 1.0
         plain["pending"] = self._pending
         plain["backend"] = getattr(
             backend, "label", type(backend).__name__
@@ -780,14 +771,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         help="default per-request deadline in seconds (unbounded if unset)",
     )
     parser.add_argument(
-        "--coalesce-window-ms", type=float, default=2.0, metavar="MS",
-        help="solve-coalescer gather window (0 disables merging wait)",
-    )
-    parser.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable the cross-request solve coalescer entirely",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="serve without the on-disk result cache",
     )
@@ -851,8 +834,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         compute_workers=args.compute_workers,
         max_pending=args.max_pending,
         default_deadline_s=args.deadline,
-        coalesce_window_s=max(0.0, args.coalesce_window_ms) / 1000.0,
-        coalesce=not args.no_coalesce,
         cache_dir=None if args.no_cache else args.cache_dir,
         solver=args.solver,
         compute_plane=args.compute_plane,

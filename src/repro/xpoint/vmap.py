@@ -97,8 +97,8 @@ class ProfileRegistry:
     def detach_shared(self, plane: Any = None) -> None:
         """Drop the shared plane (only if it is ``plane``, when given).
 
-        The owner-check mirrors ``uninstall_coalescer``: a backend
-        closing late must not detach a plane a newer backend attached.
+        The owner-check keeps a backend that closes late from
+        detaching a plane a newer backend attached.
         """
         if plane is None or self._shared is plane:
             self._shared = None

@@ -51,7 +51,7 @@ class TestPolicy:
 
     def test_is_null(self):
         assert ChaosPolicy(seed=9).is_null
-        assert not ChaosPolicy(seed=9, stall_dispatch_rate=0.1).is_null
+        assert not ChaosPolicy(seed=9, corrupt_cache_rate=0.1).is_null
 
     def test_every_site_has_a_rate_field(self):
         pol = ChaosPolicy()
@@ -85,7 +85,6 @@ class TestInjectionPoints:
         chaos.uninstall()
         chaos.reset_counts()
         assert not chaos.fires("future.drop")
-        chaos.stall_point()
         target = tmp_path / "entry.pkl"
         target.write_bytes(b"x" * 64)
         chaos.corrupt_point(target)

@@ -20,9 +20,10 @@ DRIVES = (2.9, 3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6)
 
 
 def test_concurrent_solves_match_serial(reduced_model_builder):
-    """Four threads on one pattern at different drives, no coalescer,
-    one shared backend: every result is byte-identical to a serial
-    solve (the ``ThreadPoolBackend(coalesce=False)`` path)."""
+    """Four threads on one pattern at different drives, one shared
+    backend: every result is byte-identical to a serial solve (the
+    ``ThreadPoolBackend`` path, where request threads meet at the
+    backend's lock)."""
     model = reduced_model_builder(64, "reference")
     row, cols = 40, (5, 37)
     serial = {v: fingerprint(model.solve_reset(row, cols, v)) for v in DRIVES}

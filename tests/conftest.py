@@ -3,7 +3,7 @@
 Also hosts the canonical network/array builders the circuit suites
 share — the resistor-ladder factory, deterministic RESET-vector
 generators, and per-backend reduced models — so individual test modules
-stop growing ad-hoc copies.
+stop growing ad-hoc copies — and the per-test wall-time budget.
 """
 
 from __future__ import annotations
@@ -15,6 +15,32 @@ from repro.config import default_config
 
 #: Every registered solver backend, in parity-suite order.
 ALL_SOLVERS = ("reference", "factor-cache", "batched")
+
+#: Longest a test's setup, call or teardown may run.  The slowest test
+#: takes about 6.5 s on a 2-vCPU host; a phase past this budget is
+#: sitting out a timeout rather than testing anything.
+WALL_TIME_BUDGET_S = 60.0
+
+
+def over_budget(duration: float, when: str) -> str | None:
+    """The failure message for a phase past the budget, else ``None``."""
+    if duration <= WALL_TIME_BUDGET_S:
+        return None
+    return (
+        f"{when} took {duration:.1f} s, over the "
+        f"{WALL_TIME_BUDGET_S:.0f} s per-test wall-time budget"
+    )
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail an otherwise passing phase that ran past the budget."""
+    outcome = yield
+    report = outcome.get_result()
+    message = over_budget(call.duration, call.when)
+    if message is not None and report.passed:
+        report.outcome = "failed"
+        report.longrepr = message
 
 
 @pytest.fixture(autouse=True)

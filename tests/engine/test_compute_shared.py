@@ -2,8 +2,9 @@
 
 Covers the shared-memory profile segment riding under
 :class:`~repro.engine.compute.ProcessPoolBackend`, the supervisor's
-group dispatch + worker-side coalescing, the worker-epoch guard against
-double-merged observations, and the ``shm.kill_in_lock`` crash mode.
+group dispatch, request-scoped solver counters on the thread plane,
+the worker-epoch guard against double-merged observations, and the
+``shm.kill_in_lock`` crash mode.
 """
 
 from __future__ import annotations
@@ -134,6 +135,41 @@ class TestParity:
         assert _plain(result) == _plain(expected)
 
 
+class TestRequestScopedCounters:
+    def test_thread_plane_solver_counters_match_inline(self):
+        """Solves run in their request's own obs scope, so the thread
+        plane's aggregate solver counters equal the inline totals."""
+        ensure_loaded()
+        seeds = (0, 1)
+        names = ("solver.solves", "solver.factorisations")
+
+        threads = ThreadPoolBackend(workers=2)
+        try:
+            futures = [
+                threads.submit(build_plan("fig04", _ctx(s)), _ctx(s))
+                for s in seeds
+            ]
+            for future in futures:
+                future.result(timeout=120)
+            threaded = threads.stats().counters
+        finally:
+            threads.close()
+
+        clear_warm_contexts()
+        profile_registry.clear()
+        _DEFAULT_CACHE.clear()
+        inline = InlineBackend()
+        local = obs.Collector()
+        with obs.collecting(local):
+            for s in seeds:
+                inline.run(build_plan("fig04", _ctx(s)), _ctx(s))
+        expected = local.counters
+        assert all(expected.get(name, 0) > 0 for name in names)
+        assert {n: threaded.get(n, 0) for n in names} == {
+            n: expected[n] for n in names
+        }
+
+
 class TestGroupDispatch:
     def test_surplus_jobs_stack_onto_one_worker(self, ok_probe):
         backend = ProcessPoolBackend(workers=1, group_limit=4)
@@ -175,8 +211,7 @@ class TestGroupDispatch:
             backend.close()
 
     def test_grouped_jobs_coalesce_their_solves(self):
-        """Same-config distinct-seed jobs stacked on one worker merge
-        their BL-profile solves through the worker's coalescer."""
+        """Same-config distinct-seed jobs stack onto one worker."""
         ensure_loaded()
         backend = ProcessPoolBackend(workers=1, group_limit=4)
         try:
@@ -200,9 +235,6 @@ class TestGroupDispatch:
         finally:
             backend.close()
         assert counters.get("compute.group_dispatches", 0) >= 1
-        # The worker-lifetime coalescer saw the grouped jobs' solves;
-        # its counter deltas shipped back inside the job snapshots.
-        assert counters.get("coalesce.jobs", 0) >= 1
 
 
 class TestWorkerEpochGuard:
@@ -281,32 +313,6 @@ class TestWorkerEpochGuard:
 
 
 class TestChaos:
-    def test_coalesce_stall_does_not_change_results(self):
-        ensure_loaded()
-        policy = ChaosPolicy(
-            seed=2, stall_dispatch_rate=1.0, stall_dispatch_ms=5
-        )
-        backend = ProcessPoolBackend(
-            workers=1, chaos_policy=policy, group_limit=4
-        )
-        try:
-            seeds = (0, 1)
-            futures = [
-                backend.submit(build_plan("fig04", _ctx(s)), _ctx(s))
-                for s in seeds
-            ]
-            stalled = [_plain(f.result(timeout=120)) for f in futures]
-        finally:
-            backend.close()
-        clear_warm_contexts()
-        profile_registry.clear()
-        inline = InlineBackend()
-        expected = [
-            _plain(inline.run(build_plan("fig04", _ctx(s)), _ctx(s)))
-            for s in seeds
-        ]
-        assert stalled == expected
-
     def test_kill_in_lock_degrades_to_shipback_and_converges(self):
         """A worker dying *while holding a stripe write lock* is the
         plane's worst case: the stripe stays locked forever, the retry

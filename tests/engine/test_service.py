@@ -110,7 +110,6 @@ class TestLifecycle:
             stats = (await service.submit({"op": "stats"}))["stats"]
             assert stats["counters"]["service.admitted"] == 1
             assert stats["counters"]["service.completed"] == 1
-            assert "coalesce_ratio" in stats
             bad = await service.submit({"op": "frobnicate"})
             assert not bad["ok"] and bad["error"]["code"] == "bad-request"
             not_dict = await service.submit("run please")
@@ -260,10 +259,10 @@ class TestSocket:
     def test_concurrent_requests_match_batch_payloads(self, solved):
         """Acceptance: >=8 concurrent requests, payloads identical to batch.
 
-        Baselines are computed *before* the service exists (no coalescer
-        installed), so this compares the coalesced service path against
-        the plain batch path; under the default ``reference`` solver the
-        payloads must be bit-identical.
+        Baselines are computed *before* the service exists, so this
+        compares the concurrent service path against the plain batch
+        path; under the default ``reference`` solver the payloads must
+        be bit-identical.
         """
         seeds = list(range(8))
         baselines = {
