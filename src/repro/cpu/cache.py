@@ -5,9 +5,10 @@ A functional write-back, write-allocate cache with LRU replacement.
 the fill — the victim write-backs are what become ReRAM main-memory
 writes once they fall out of the in-package DRAM L3.
 
-LRU is kept with an access stamp per way; sets are dictionaries keyed
-by set index so multi-gigabyte address spaces cost memory proportional
-to the cache, not the footprint.
+LRU is kept in each set's dict insertion order: a hit moves its tag to
+the end, so the first tag is the least recently used.  Sets are
+dictionaries keyed by set index so multi-gigabyte address spaces cost
+memory proportional to the cache, not the footprint.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ class AccessResult:
     writeback_address: int | None  # dirty victim evicted by the fill
 
 
+_HIT = AccessResult(hit=True, writeback_address=None)
+_CLEAN_MISS = AccessResult(hit=False, writeback_address=None)
+
+
 class SetAssociativeCache:
     """Write-back, write-allocate, LRU set-associative cache."""
 
@@ -40,9 +45,8 @@ class SetAssociativeCache:
         self.ways = ways
         self.line_bytes = line_bytes
         self.sets = size_bytes // (ways * line_bytes)
-        # set index -> {tag: (stamp, dirty)}
-        self._sets: dict[int, dict[int, tuple[int, bool]]] = {}
-        self._clock = 0
+        # set index -> {tag: dirty}, least recently used first
+        self._sets: dict[int, dict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -54,24 +58,26 @@ class SetAssociativeCache:
         """Read or write one line; allocate on miss."""
         if address < 0:
             raise ValueError(f"address must be >= 0, got {address}")
-        self._clock += 1
         set_index, tag = self._locate(address)
-        ways = self._sets.setdefault(set_index, {})
-        if tag in ways:
-            _, dirty = ways[tag]
-            ways[tag] = (self._clock, dirty or is_write)
+        ways = self._sets.get(set_index)
+        if ways is None:
+            ways = self._sets[set_index] = {}
+        dirty = ways.pop(tag, None)
+        if dirty is not None:
+            ways[tag] = dirty or is_write
             self.hits += 1
-            return AccessResult(hit=True, writeback_address=None)
+            return _HIT
         self.misses += 1
-        writeback = None
+        result = _CLEAN_MISS
         if len(ways) >= self.ways:
-            victim_tag = min(ways, key=lambda t: ways[t][0])
-            _, victim_dirty = ways.pop(victim_tag)
-            if victim_dirty:
+            victim_tag = next(iter(ways))
+            if ways.pop(victim_tag):
                 victim_line = victim_tag * self.sets + set_index
-                writeback = victim_line * self.line_bytes
-        ways[tag] = (self._clock, is_write)
-        return AccessResult(hit=False, writeback_address=writeback)
+                result = AccessResult(
+                    hit=False, writeback_address=victim_line * self.line_bytes
+                )
+        ways[tag] = is_write
+        return result
 
     def contains(self, address: int) -> bool:
         """Whether the line is currently cached (no LRU update)."""

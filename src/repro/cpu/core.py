@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 from ..config import CpuParams
 
-__all__ = ["CoreState"]
+__all__ = ["CoreState", "compute_seconds"]
+
+
+def compute_seconds(instructions, params: CpuParams):
+    """Seconds to retire ``instructions`` (an int or an int array) at the base CPI."""
+    return instructions * params.base_cpi * params.cycle_s
 
 
 @dataclass
@@ -36,7 +41,7 @@ class CoreState:
         if instructions < 0:
             raise ValueError(f"instructions must be >= 0, got {instructions}")
         self.instructions += instructions
-        self.time_s += instructions * self.params.base_cpi * self.params.cycle_s
+        self.time_s += compute_seconds(instructions, self.params)
 
     def stall_cycles(self, cycles: float) -> None:
         """Expose a fixed-cycle stall (e.g. a DRAM-L3 hit)."""

@@ -27,6 +27,15 @@ class HierarchyOutcome:
     writeback_address: int | None  # dirty L3 victim -> main-memory write
 
 
+_L1_HIT = HierarchyOutcome("L1", memory_read=False, writeback_address=None)
+_L2_HIT = HierarchyOutcome("L2", memory_read=False, writeback_address=None)
+_L3_HIT = HierarchyOutcome("L3", memory_read=False, writeback_address=None)
+_CLEAN_READ_MISS = HierarchyOutcome("MEM", memory_read=True, writeback_address=None)
+_CLEAN_WRITE_MISS = HierarchyOutcome(
+    "MEM", memory_read=False, writeback_address=None
+)
+
+
 class CoreCacheHierarchy:
     """Private L1 + L2 + DRAM-L3 stack of one core."""
 
@@ -46,12 +55,12 @@ class CoreCacheHierarchy:
         """
         l1 = self.l1.access(address, is_write)
         if l1.hit:
-            return HierarchyOutcome("L1", memory_read=False, writeback_address=None)
+            return _L1_HIT
         if l1.writeback_address is not None:
             self._spill_to_l2(l1.writeback_address)
         l2 = self.l2.access(address, is_write)
         if l2.hit:
-            return HierarchyOutcome("L2", memory_read=False, writeback_address=None)
+            return _L2_HIT
         if l2.writeback_address is not None:
             # The L2 victim dirties the L3 (it hits there by inclusion,
             # or allocates).
@@ -68,7 +77,9 @@ class CoreCacheHierarchy:
         """
         result = self.l3.access(address, is_write)
         if result.hit:
-            return HierarchyOutcome("L3", memory_read=False, writeback_address=None)
+            return _L3_HIT
+        if result.writeback_address is None:
+            return _CLEAN_WRITE_MISS if is_write else _CLEAN_READ_MISS
         return HierarchyOutcome(
             "MEM",
             memory_read=not is_write,

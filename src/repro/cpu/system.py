@@ -27,13 +27,13 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..mem.controller import ControllerStats, MemoryController
-from ..mem.dimm import AddressMapping, LineLocation
+from ..mem.dimm import AddressMapping
 from ..mem.line_codec import LineWriteModel, LineWriteResult
 from ..techniques.base import Scheme
 from ..workloads.benchmarks import BenchmarkSpec
 from ..workloads.datapatterns import WritePatternGenerator
 from ..workloads.synthetic import SyntheticStream
-from .core import CoreState
+from .core import CoreState, compute_seconds
 from .frontend import L3_HIT, WRITE, WRITEBACK, FrontEnd
 
 __all__ = ["SimulationResult", "SystemSimulator"]
@@ -126,21 +126,7 @@ class SystemSimulator:
             CoreState(params=config.cpu, core_id=core_id, effective_mlp=effective_mlp)
             for core_id in range(benchmark.cores)
         ]
-        # SCH places lines by popularity rank, a function of the stream
-        # parameters alone.
-        self._rankers = (
-            [SyntheticStream(params) for params in benchmark.streams]
-            if scheme.scheduling
-            else None
-        )
-        self._records = [
-            zip(core.gaps.tolist(), core.kinds.tolist(), core.addresses.tolist())
-            for core in frontend.cores
-        ]
-        self._victims = [
-            zip(core.victims.tolist(), core.resets, core.sets)
-            for core in frontend.cores
-        ]
+        self._l3_hit_s = config.cpu.l3_hit_cycles * config.cpu.cycle_s
         self._remaining = [accesses_per_core] * benchmark.cores
         # Maintenance draws follow the global event order, which depends
         # on the scheme, so they stay in the replay.
@@ -150,55 +136,94 @@ class SystemSimulator:
         self._maintenance_patterns = WritePatternGenerator(
             benchmark.patterns[0], line_bits=frontend.line_bits, seed=seed + 2000
         )
+        # Per-run replay state, set by ``run`` and dropped when it ends.
+        self._records: list | None = None
+        self._victims: list | None = None
+        self._issued: list[float] | None = None
+        self._steps: list | None = None
+        self._read_done: list | None = None
+
+    # -- replay tables ------------------------------------------------------------
+
+    def _replay_tables(self) -> tuple[list, list]:
+        """Per core, iterators over its access and victim records.
+
+        Accesses yield ``(compute seconds, kind, bank)``, victims
+        ``(bank, row, RESET mask, SET mask)``; every line is placed
+        once, with NumPy.
+        """
+        cpu = self.config.cpu
+        records, victims = [], []
+        for params, core in zip(self.benchmark.streams, self.frontend.cores):
+            # SCH places lines by popularity rank, a function of the
+            # stream parameters alone.
+            ranker = SyntheticStream(params) if self.scheme.scheduling else None
+            banks, _ = self._place(ranker, core.addresses)
+            records.append(
+                zip(
+                    compute_seconds(core.gaps, cpu).tolist(),
+                    core.kinds.tolist(),
+                    banks.tolist(),
+                )
+            )
+            banks, rows = self._place(ranker, core.victims)
+            victims.append(zip(banks.tolist(), rows.tolist(), core.resets, core.sets))
+        return records, victims
+
+    def _place(
+        self, ranker: SyntheticStream | None, addresses: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        hotness = None if ranker is None else ranker.hotness_ranks(addresses)
+        return self.mapping.locate_many(addresses, hotness)
 
     # -- event engine --------------------------------------------------------------
 
     def _run_heap(self) -> float:
+        heap = self._heap
+        pop = heapq.heappop
         last = 0.0
-        while self._heap:
-            time, _, callback = heapq.heappop(self._heap)
-            last = max(last, time)
+        while heap:
+            time, _, callback = pop(heap)
+            if time > last:
+                last = time
             callback(time)
         return last
 
     # -- core behaviour -----------------------------------------------------------------
 
-    def _core_step(self, now: float, core_id: int) -> None:
-        if self._remaining[core_id] <= 0:
-            return
+    def _core_step(self, core_id: int, now: float) -> None:
         self._remaining[core_id] -= 1
         core = self.cores[core_id]
-        gap, kind, address = next(self._records[core_id])
-        core.advance_compute(gap)
+        compute_s, kind, bank = next(self._records[core_id])
+        core.time_s += compute_s
         if kind & L3_HIT:
             if not kind & WRITE:
-                core.stall_cycles(self.config.cpu.l3_hit_cycles)
+                core.time_s += self._l3_hit_s
+                core.stall_s += self._l3_hit_s
             self._schedule_next(core_id)
             return
         # L3 read miss: fetch the line from main memory (write misses
         # are L2 write-backs carrying the full line -- no fetch).
-        issue = core.time_s
-        blocked = False
-        if not kind & WRITE:
-            location = self._locate(core_id, address)
-
-            def on_read_done(completion: float, c=core, t=issue, cid=core_id) -> None:
-                c.stall_for_read(t, completion)
-                self._schedule_next(cid)
-
-            self.controller.submit_read(issue, location, on_read_done)
-            blocked = True
+        blocked = not kind & WRITE
+        if blocked:
+            self._issued[core_id] = core.time_s
+            self.controller.submit_read(
+                core.time_s, bank, self._read_done[core_id]
+            )
         # ... and a dirty victim, if any, is written back to ReRAM.
         if kind & WRITEBACK:
             self._submit_write(core_id, blocked)
         elif not blocked:
             self._schedule_next(core_id)
 
+    def _read_complete(self, core_id: int, completion: float) -> None:
+        self.cores[core_id].stall_for_read(self._issued[core_id], completion)
+        self._schedule_next(core_id)
+
     def _submit_write(self, core_id: int, read_blocked: bool) -> None:
         core = self.cores[core_id]
-        address, resets, sets = next(self._victims[core_id])
-        location = self._locate(core_id, address)
-        result = self.write_model.write(resets, sets, location.row)
+        bank, row, resets, sets = next(self._victims[core_id])
+        result = self.write_model.write(resets, sets, row)
         now = core.time_s
         # Wear-leveling swaps (or SCH/RBDL migrations) add background
         # line writes proportional to demand writes.
@@ -206,21 +231,21 @@ class SystemSimulator:
             extra_resets, extra_sets = self._maintenance_patterns.masks()
             extra_row = int(self._maintenance_rng.integers(self.config.array.size))
             extra = self.write_model.write(extra_resets, extra_sets, extra_row)
-            self.controller.try_submit_write(now, location, extra)
+            self.controller.try_submit_write(now, bank, extra)
 
-        self._attempt_write(core_id, location, result, read_blocked, now)
+        self._attempt_write(core_id, bank, result, read_blocked, now)
 
     def _attempt_write(
         self,
         core_id: int,
-        location: LineLocation,
+        bank: int,
         result: LineWriteResult,
         read_blocked: bool,
         time: float,
     ) -> None:
         core = self.cores[core_id]
         core.stall_until(time)
-        if self.controller.try_submit_write(core.time_s, location, result):
+        if self.controller.try_submit_write(core.time_s, bank, result):
             if not read_blocked:
                 self._schedule_next(core_id)
         else:
@@ -229,33 +254,50 @@ class SystemSimulator:
             # outlives the write.)
             self.controller.notify_write_space(
                 functools.partial(
-                    self._attempt_write, core_id, location, result, read_blocked
+                    self._attempt_write, core_id, bank, result, read_blocked
                 )
             )
 
-    def _locate(self, core_id: int, address: int) -> LineLocation:
-        hotness = (
-            self._rankers[core_id].hotness_rank(address)
-            if self._rankers is not None
-            else None
-        )
-        return self.mapping.locate(address, hotness)
-
     def _schedule_next(self, core_id: int) -> None:
         if self._remaining[core_id] > 0:
-            self._schedule(
-                self.cores[core_id].time_s,
-                lambda now, cid=core_id: self._core_step(now, cid),
-            )
+            self._schedule(self.cores[core_id].time_s, self._steps[core_id])
 
     # -- driving --------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
         """Replay the recorded trace and return the aggregated result."""
+        cores = range(len(self.cores))
+        self._records, self._victims = self._replay_tables()
+        self._issued = [0.0] * len(self.cores)
+        self._steps = [functools.partial(self._core_step, c) for c in cores]
+        self._read_done = [functools.partial(self._read_complete, c) for c in cores]
+        try:
+            self._replay()
+        finally:
+            # The callables are bound to this simulator: dropping them
+            # leaves no reference cycle, so a finished simulator (and the
+            # front end it replayed) is freed as soon as it is unused.
+            self._records = self._victims = self._issued = None
+            self._steps = self._read_done = None
+        elapsed = max(core.time_s for core in self.cores)
+        for core, records in zip(self.cores, self.frontend.cores):
+            core.instructions = int(records.gaps.sum())
+        return SimulationResult(
+            benchmark=self.benchmark.name,
+            scheme=self.scheme.name,
+            instructions=sum(core.instructions for core in self.cores),
+            elapsed_s=elapsed,
+            per_core_ipc=[core.ipc for core in self.cores],
+            stats=self.controller.stats,
+            l3_miss_rate=self.frontend.l3_miss_rate,
+            memory_reads=self.controller.stats.reads,
+            memory_writes=self.controller.stats.writes,
+        )
+
+    def _replay(self) -> None:
+        """Play every core's records through the controller."""
         for core_id in range(len(self.cores)):
-            self._schedule(
-                0.0, lambda now, cid=core_id: self._core_step(now, cid)
-            )
+            self._schedule_next(core_id)
         last = self._run_heap()
         # Cores can be parked waiting for a write-queue slot while the
         # event heap is empty (reads stopped arriving, so queued writes
@@ -271,15 +313,3 @@ class SystemSimulator:
             raise RuntimeError(
                 f"simulation deadlock: {self._remaining} accesses unconsumed"
             )
-        elapsed = max(core.time_s for core in self.cores)
-        return SimulationResult(
-            benchmark=self.benchmark.name,
-            scheme=self.scheme.name,
-            instructions=sum(core.instructions for core in self.cores),
-            elapsed_s=elapsed,
-            per_core_ipc=[core.ipc for core in self.cores],
-            stats=self.controller.stats,
-            l3_miss_rate=self.frontend.l3_miss_rate,
-            memory_reads=self.controller.stats.reads,
-            memory_writes=self.controller.stats.writes,
-        )

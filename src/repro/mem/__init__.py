@@ -2,7 +2,7 @@
 NVDIMM-P geometry, the read-priority controller with write bursts,
 wear leveling, ECP, and the lifetime / energy models."""
 
-from .controller import ControllerStats, MemoryController, PendingRead, PendingWrite
+from .controller import ControllerStats, MemoryController
 from .dimm import AddressMapping, LineLocation
 from .ecp import EcpLine, ecp_lifetime_factor
 from .energy import EnergyModel, EnergyReport
@@ -16,8 +16,6 @@ from .wear_sim import WearSimParams, WearSimResult, WearSimulator
 __all__ = [
     "ControllerStats",
     "MemoryController",
-    "PendingRead",
-    "PendingWrite",
     "AddressMapping",
     "LineLocation",
     "EcpLine",

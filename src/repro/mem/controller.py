@@ -21,31 +21,18 @@ read completions through per-request callbacks.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from ..config import SystemConfig
 from ..techniques.base import Scheme
-from .dimm import LineLocation
 from .line_codec import LineWriteResult
 from .timing import MemoryTiming
 
-__all__ = ["PendingRead", "PendingWrite", "ControllerStats", "MemoryController"]
-
-
-@dataclass
-class PendingRead:
-    arrival: float
-    location: LineLocation
-    on_complete: Callable[[float], None]
-
-
-@dataclass
-class PendingWrite:
-    arrival: float
-    location: LineLocation
-    result: LineWriteResult
+__all__ = ["ControllerStats", "MemoryController"]
 
 
 @dataclass
@@ -69,8 +56,25 @@ class ControllerStats:
     write_latency_sum: float = 0.0
 
 
+def _free_bank(controller: weakref.ref, bank: int, now: float) -> None:
+    """Bank-free event: the bank goes idle and issues its next command."""
+    owner = controller()
+    owner._bank_busy[bank] = False
+    owner._dispatch(bank, now)
+
+
+def _wake_bank(controller: weakref.ref, bank: int, now: float) -> None:
+    """Wake event: an idle bank issues its next command."""
+    controller()._dispatch(bank, now)
+
+
 class MemoryController:
-    """One channel's controller over all its ranks and banks."""
+    """One channel's controller over all its ranks and banks.
+
+    Banks are keyed by :attr:`~repro.mem.dimm.LineLocation.bank_index`,
+    ``(channel * ranks + rank) * banks + bank``; a bank's rank (and
+    charge pump) is ``bank_index // banks``.
+    """
 
     def __init__(
         self,
@@ -83,25 +87,26 @@ class MemoryController:
         self.schedule = schedule
         self.timing = MemoryTiming.from_params(config.memory, config.cpu)
         memory = config.memory
-        self._bank_free: dict[tuple[int, int, int], float] = {}
-        self._bank_read_q: dict[tuple[int, int, int], deque[PendingRead]] = {}
-        self._bank_busy: dict[tuple[int, int, int], bool] = {}
-        for channel in range(memory.channels):
-            for rank in range(memory.ranks_per_channel):
-                for bank in range(memory.banks_per_rank):
-                    key = (channel, rank, bank)
-                    self._bank_free[key] = 0.0
-                    self._bank_read_q[key] = deque()
-                    self._bank_busy[key] = False
+        banks = memory.total_banks
+        self._banks_per_rank = memory.banks_per_rank
+        self._bank_free = [0.0] * banks
+        self._bank_busy = [False] * banks
+        # Per bank, waiting reads as (arrival, on_complete).
+        self._bank_read_q: list[deque] = [deque() for _ in range(banks)]
+        # The bank events' callbacks, built once.  They reach the
+        # controller through a weak reference: a strong one would make a
+        # controller -> callback -> controller cycle.
+        this = weakref.ref(self)
+        self._on_free = [functools.partial(_free_bank, this, b) for b in range(banks)]
+        self._wake = [functools.partial(_wake_bank, this, b) for b in range(banks)]
         # Pump constraint: per rank, the outstanding write phases'
         # concurrent RESETs may not exceed the current budget (23 mA /
         # 90 uA = 256 bit-RESETs).  Each entry is (end_time, resets).
-        self._pump_active: dict[tuple[int, int], list[tuple[float, int]]] = {
-            (c, r): []
-            for c in range(memory.channels)
-            for r in range(memory.ranks_per_channel)
-        }
-        self._write_q: deque[PendingWrite] = deque()
+        self._pump_active: list[list[tuple[float, int]]] = [
+            [] for _ in range(memory.channels * memory.ranks_per_channel)
+        ]
+        # Queued writes as (arrival, bank, result).
+        self._write_q: deque[tuple[float, int, LineWriteResult]] = deque()
         self._write_capacity = memory.write_queue_entries
         self._burst = False
         self._waiting_reads = 0
@@ -118,38 +123,32 @@ class MemoryController:
     # -- public interface ---------------------------------------------------------
 
     def submit_read(
-        self,
-        now: float,
-        location: LineLocation,
-        on_complete: Callable[[float], None],
+        self, now: float, bank: int, on_complete: Callable[[float], None]
     ) -> None:
-        """Queue a line read; ``on_complete(finish_time)`` fires later."""
-        request = PendingRead(arrival=now, location=location, on_complete=on_complete)
-        self._bank_read_q[location.global_bank].append(request)
+        """Queue a line read on ``bank``; ``on_complete(finish_time)`` fires later."""
+        self._bank_read_q[bank].append((now, on_complete))
         self._waiting_reads += 1
-        self._dispatch(location.global_bank, now + self.timing.mc_to_bank)
+        self._dispatch(bank, now + self.timing.mc_to_bank)
 
     def try_submit_write(
-        self, now: float, location: LineLocation, result: LineWriteResult
+        self, now: float, bank: int, result: LineWriteResult
     ) -> bool:
-        """Queue a line write; False if the queue is full (backpressure).
+        """Queue a line write on ``bank``; False if the queue is full (backpressure).
 
         A rejected caller may register with :meth:`notify_write_space`.
         """
         if len(self._write_q) >= self._write_capacity:
             return False
-        self._write_q.append(
-            PendingWrite(arrival=now, location=location, result=result)
-        )
+        self._write_q.append((now, bank, result))
         if len(self._write_q) >= self._write_capacity:
             # Queue just filled: enter write-burst mode and push every
             # bank to start draining [35].
             self._burst = True
             self.stats.write_bursts += 1
-            for key in self._bank_free:
+            for key in range(len(self._bank_free)):
                 self._dispatch(key, now)
         elif self._waiting_reads == 0:
-            self._dispatch(location.global_bank, now + self.timing.mc_to_bank)
+            self._dispatch(bank, now + self.timing.mc_to_bank)
         return True
 
     def notify_write_space(self, waiter: Callable[[float], None]) -> None:
@@ -159,7 +158,7 @@ class MemoryController:
     def drain(self, now: float) -> None:
         """Force all queued writes to issue (end of simulation)."""
         self._burst = bool(self._write_q)
-        for key in self._bank_free:
+        for key in range(len(self._bank_free)):
             self._dispatch(key, now)
 
     @property
@@ -168,56 +167,54 @@ class MemoryController:
 
     # -- scheduling core --------------------------------------------------------------
 
-    def _dispatch(self, bank_key: tuple[int, int, int], now: float) -> None:
-        """Issue the next command for a bank if it is idle."""
-        if self._bank_busy[bank_key]:
+    def _dispatch(self, bank: int, now: float) -> None:
+        """Issue the next command for a bank if it is idle.
+
+        Reads waiting out a write burst stay queued; the bank-free event
+        of the last burst write re-dispatches them.
+        """
+        if self._bank_busy[bank]:
             return
-        start_floor = max(now, self._bank_free[bank_key])
-        read_q = self._bank_read_q[bank_key]
+        start_floor = max(now, self._bank_free[bank])
+        read_q = self._bank_read_q[bank]
         if read_q and not self._burst:
-            self._issue_read(bank_key, read_q.popleft(), start_floor)
+            self._issue_read(bank, read_q.popleft(), start_floor)
             return
         if self._write_q and (self._burst or self._waiting_reads == 0):
-            write = self._next_write_for(bank_key)
+            write = self._next_write_for(bank)
             if write is not None:
-                self._issue_write(bank_key, write, start_floor)
-                return
-        if read_q and self._burst:
-            # Reads wait out the burst; the bank-free event of the last
-            # burst write re-dispatches them.
-            return
+                self._issue_write(bank, write, start_floor)
 
-    def _next_write_for(
-        self, bank_key: tuple[int, int, int]
-    ) -> PendingWrite | None:
+    def _next_write_for(self, bank: int) -> tuple[float, int, LineWriteResult] | None:
         for index, write in enumerate(self._write_q):
-            if write.location.global_bank == bank_key:
+            if write[1] == bank:
                 del self._write_q[index]
                 return write
         return None
 
     def _issue_read(
-        self, bank_key: tuple[int, int, int], request: PendingRead, start: float
+        self, bank: int, request: tuple[float, Callable[[float], None]], start: float
     ) -> None:
+        arrival, on_complete = request
         self._waiting_reads -= 1
-        begin = max(start, request.arrival + self.timing.mc_to_bank)
+        begin = max(start, arrival + self.timing.mc_to_bank)
         finish_bank = begin + self.timing.read_service
         completion = finish_bank + self.timing.bus_transfer
-        self._occupy(bank_key, begin, finish_bank)
+        self._occupy(bank, begin, finish_bank)
         stats = self.stats
         stats.reads += 1
-        stats.read_latency_sum += completion - request.arrival
-        request.on_complete(completion)
+        stats.read_latency_sum += completion - arrival
+        on_complete(completion)
 
     def _issue_write(
-        self, bank_key: tuple[int, int, int], write: PendingWrite, start: float
+        self, bank: int, write: tuple[float, int, LineWriteResult], start: float
     ) -> None:
-        pump_key = bank_key[:2]
-        result = write.result
+        arrival, _, result = write
+        pump_key = bank // self._banks_per_rank
         phases = max(
             1, -(-result.concurrent_resets // max(1, self._reset_budget))
         )
-        begin = max(start, write.arrival + self.timing.mc_to_bank)
+        begin = max(start, arrival + self.timing.mc_to_bank)
         begin = self._pump_admission(
             pump_key, begin, min(result.concurrent_resets, self._reset_budget)
         )
@@ -229,7 +226,7 @@ class MemoryController:
         self._pump_active[pump_key].append(
             (finish, min(result.concurrent_resets, self._reset_budget))
         )
-        self._occupy(bank_key, begin, finish + self.timing.write_to_read)
+        self._occupy(bank, begin, finish + self.timing.write_to_read)
         stats = self.stats
         stats.writes += 1
         stats.pump_charges += 1
@@ -245,18 +242,14 @@ class MemoryController:
             # Burst over: banks that parked their reads during the burst
             # may be idle with nothing scheduled -- wake them all.
             self._burst = False
-            for key in self._bank_free:
-                if key != bank_key and not self._bank_busy[key]:
-                    self.schedule(
-                        begin, lambda now, k=key: self._dispatch(k, now)
-                    )
+            for key, busy in enumerate(self._bank_busy):
+                if key != bank and not busy:
+                    self.schedule(begin, self._wake[key])
         if self._write_waiters:
             # A queue slot freed the moment this write left the queue.
             self._write_waiters.popleft()(begin)
 
-    def _pump_admission(
-        self, pump_key: tuple[int, int], begin: float, resets: int
-    ) -> float:
+    def _pump_admission(self, pump_key: int, begin: float, resets: int) -> float:
         """Earliest time the rank's pump can source ``resets`` more bits.
 
         Completed phases are retired; while the active phases' RESET
@@ -272,15 +265,8 @@ class MemoryController:
                 return begin
             begin = max(begin, min(end for end, _ in active))
 
-    def _occupy(
-        self, bank_key: tuple[int, int, int], begin: float, until: float
-    ) -> None:
-        self._bank_busy[bank_key] = True
-        self._bank_free[bank_key] = until
+    def _occupy(self, bank: int, begin: float, until: float) -> None:
+        self._bank_busy[bank] = True
+        self._bank_free[bank] = until
         self.stats.busy_time += until - begin
-
-        def on_free(now: float, key=bank_key) -> None:
-            self._bank_busy[key] = False
-            self._dispatch(key, now)
-
-        self.schedule(until, on_free)
+        self.schedule(until, self._on_free[bank])

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import MemoryParams
-from ..techniques.sch import scheduled_row
+from ..techniques.sch import scheduled_rows
 
 __all__ = ["LineLocation", "AddressMapping"]
 
@@ -31,10 +33,18 @@ class LineLocation:
     rank: int
     bank: int
     row: int  # MAT row (0..A-1), the DRVR section selector
+    bank_index: int  # flat (channel, rank, bank) index, the controller's key
 
-    @property
-    def global_bank(self) -> tuple[int, int, int]:
-        return (self.channel, self.rank, self.bank)
+
+def _mix(values: np.ndarray) -> np.ndarray:
+    """64-bit multiplicative hash (splitmix64 finaliser) of ``uint64`` values.
+
+    ``uint64`` products wrap modulo 2**64, which is the finaliser's own
+    arithmetic.
+    """
+    values = (values ^ (values >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    values = (values ^ (values >> 27)) * np.uint64(0x94D049BB133111EB)
+    return values ^ (values >> 31)
 
 
 class AddressMapping:
@@ -47,11 +57,38 @@ class AddressMapping:
         self.array_rows = array_rows
         self.scheduling = scheduling
 
-    def _mix(self, value: int) -> int:
-        """64-bit multiplicative hash (splitmix64 finaliser)."""
-        value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
-        value = (value ^ (value >> 27)) * 0x94D049BB133111EB % (1 << 64)
-        return value ^ (value >> 31)
+    def locate_many(
+        self, addresses, hotness: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Map byte addresses to ``(bank_index, row)`` ``int64`` arrays.
+
+        ``bank_index`` is ``(channel * ranks + rank) * banks + bank``;
+        ``hotness`` (popularity ranks in [0, 1), one per address) steers
+        row placement when SCH scheduling is active (0 = hottest line,
+        fastest row).
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if np.any(addresses < 0):
+            raise ValueError(
+                f"address must be >= 0, got {int(addresses.min())}"
+            )
+        memory = self.memory
+        line = addresses // memory.line_bytes
+        channel = line % memory.channels
+        line //= memory.channels
+        bank = line % memory.banks_per_rank
+        line //= memory.banks_per_rank
+        rank = line % memory.ranks_per_channel
+        line //= memory.ranks_per_channel
+        bank_index = (
+            channel * memory.ranks_per_channel + rank
+        ) * memory.banks_per_rank + bank
+        if self.scheduling and hotness is not None:
+            row = scheduled_rows(hotness, self.array_rows)
+        else:
+            mixed = _mix(line.astype(np.uint64)) % np.uint64(self.array_rows)
+            row = mixed.astype(np.int64)
+        return bank_index, row
 
     def locate(
         self, address: int, hotness_rank: float | None = None
@@ -61,20 +98,15 @@ class AddressMapping:
         ``hotness_rank`` in [0, 1) steers row placement when SCH
         scheduling is active (0 = hottest line, fastest row).
         """
-        if address < 0:
-            raise ValueError(f"address must be >= 0, got {address}")
-        line = address // self.memory.line_bytes
-        channel = line % self.memory.channels
-        line //= self.memory.channels
-        bank = line % self.memory.banks_per_rank
-        line //= self.memory.banks_per_rank
-        rank = line % self.memory.ranks_per_channel
-        line //= self.memory.ranks_per_channel
-        if self.scheduling and hotness_rank is not None:
-            row = scheduled_row(hotness_rank, self.array_rows)
-        else:
-            row = self._mix(line) % self.array_rows
-        return LineLocation(channel=channel, rank=rank, bank=bank, row=row)
+        hotness = None if hotness_rank is None else [hotness_rank]
+        bank_index, row = self.locate_many([address], hotness)
+        index = int(bank_index[0])
+        memory = self.memory
+        rank_index, bank = divmod(index, memory.banks_per_rank)
+        channel, rank = divmod(rank_index, memory.ranks_per_channel)
+        return LineLocation(
+            channel=channel, rank=rank, bank=bank, row=int(row[0]), bank_index=index
+        )
 
     @property
     def total_banks(self) -> int:

@@ -21,7 +21,7 @@ from .dummy_bl import DummyBitlinePartitioner, make_dbl
 from .oracle import make_oracle, oracle_bias
 from .partition_reset import PartitionResetPartitioner
 from .rbdl import make_rbdl
-from .sch import make_sch, scheduled_row
+from .sch import make_sch, scheduled_row, scheduled_rows
 from .stacks import make_drvr_pr, make_hard, make_hard_sys, standard_schemes
 from .udrvr import make_udrvr_high_voltage, make_udrvr_pr, udrvr_col_deltas
 
@@ -50,6 +50,7 @@ __all__ = [
     "make_rbdl",
     "make_sch",
     "scheduled_row",
+    "scheduled_rows",
     "make_drvr_pr",
     "make_hard",
     "make_hard_sys",

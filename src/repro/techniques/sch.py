@@ -19,19 +19,27 @@ import numpy as np
 from ..config import SystemConfig
 from .base import Scheme
 
-__all__ = ["make_sch", "scheduled_row"]
+__all__ = ["make_sch", "scheduled_row", "scheduled_rows"]
 
 
-def scheduled_row(hotness_rank: float, array_size: int) -> int:
-    """Map a line's write-hotness rank in [0, 1) to an array row.
+def scheduled_rows(hotness_ranks, array_size: int) -> np.ndarray:
+    """Map write-hotness ranks in [0, 1) to array rows (``int64``).
 
     Rank 0 (hottest) lands on row 0 (fastest, nearest the WD); rank ~1
     (coldest) on the top row.  With scheduling disabled, rows are
     assigned uniformly by the wear-leveled address instead.
     """
-    if not 0.0 <= hotness_rank < 1.0:
-        raise ValueError(f"hotness rank must be in [0, 1), got {hotness_rank}")
-    return int(np.floor(hotness_rank * array_size))
+    ranks = np.asarray(hotness_ranks, dtype=np.float64)
+    in_range = (ranks >= 0.0) & (ranks < 1.0)
+    if not np.all(in_range):
+        bad = ranks[~in_range][0]
+        raise ValueError(f"hotness rank must be in [0, 1), got {bad}")
+    return np.floor(ranks * array_size).astype(np.int64)
+
+
+def scheduled_row(hotness_rank: float, array_size: int) -> int:
+    """:func:`scheduled_rows` of one rank."""
+    return int(scheduled_rows([hotness_rank], array_size)[0])
 
 
 def make_sch(config: SystemConfig) -> Scheme:

@@ -95,9 +95,6 @@ class SyntheticStream:
     def _rank_to_line(self, rank: int) -> int:
         return (rank * self._mult) % self._n
 
-    def _line_to_rank(self, line: int) -> int:
-        return (line * self._mult_inv) % self._n
-
     def _draw_rank(self) -> int:
         u = self._rng.random()
         alpha = self.params.zipf_alpha
@@ -110,11 +107,20 @@ class SyntheticStream:
             ) ** (1.0 / power) - self._q
         return min(self._n - 1, max(0, int(rank)))
 
-    def hotness_rank(self, address: int) -> float:
-        """Popularity percentile of a line: 0.0 = hottest."""
-        line = (address - self.params.address_base) // self.LINE_BYTES
+    def hotness_ranks(self, addresses) -> np.ndarray:
+        """Popularity percentile of each address's line: 0.0 = hottest."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        line = (addresses - self.params.address_base) // self.LINE_BYTES
         line %= self._n
-        return float(self._line_to_rank(line)) / self._n
+        # line, _mult_inv < n: the product fits uint64 below 2**32 lines;
+        # larger working sets multiply exactly as Python ints.
+        wide = np.uint64 if self._n <= 1 << 32 else object
+        rank = (line.astype(wide) * self._mult_inv) % self._n
+        return rank.astype(np.float64) / self._n
+
+    def hotness_rank(self, address: int) -> float:
+        """:meth:`hotness_ranks` of one address."""
+        return float(self.hotness_ranks([address])[0])
 
     # -- generation ----------------------------------------------------------------
 

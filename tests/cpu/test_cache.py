@@ -123,3 +123,59 @@ class TestPropertyBased:
                 assert result.writeback_address in written
             if is_write:
                 written.add(address)
+
+
+class StampLRU:
+    """Oracle: LRU by a per-way access stamp, the victim the minimum stamp."""
+
+    def __init__(self, size_bytes, ways, line_bytes):
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.sets = size_bytes // (ways * line_bytes)
+        self.lines = {}  # set index -> {tag: [stamp, dirty]}
+        self.clock = 0
+        self.hits = self.misses = 0
+
+    def access(self, address, is_write):
+        self.clock += 1
+        line = address // self.line_bytes
+        set_index, tag = line % self.sets, line // self.sets
+        ways = self.lines.setdefault(set_index, {})
+        if tag in ways:
+            ways[tag] = [self.clock, ways[tag][1] or is_write]
+            self.hits += 1
+            return True, None
+        self.misses += 1
+        writeback = None
+        if len(ways) >= self.ways:
+            victim = min(ways, key=lambda t: ways[t][0])
+            if ways.pop(victim)[1]:
+                writeback = (victim * self.sets + set_index) * self.line_bytes
+        ways[tag] = [self.clock, is_write]
+        return False, writeback
+
+
+class TestStampOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sets=st.sampled_from([1, 2, 4, 8]),
+        ways=st.integers(min_value=1, max_value=6),
+        line_bytes=st.sampled_from([32, 64]),
+        accesses=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=95), st.booleans()),
+            min_size=1,
+            max_size=400,
+        ),
+    )
+    def test_matches_stamp_lru(self, sets, ways, line_bytes, accesses):
+        size = sets * ways * line_bytes
+        cache_, oracle = SetAssociativeCache(size, ways, line_bytes), StampLRU(
+            size, ways, line_bytes
+        )
+        for line, is_write in accesses:
+            address = line * line_bytes + line % line_bytes
+            result = cache_.access(address, is_write)
+            assert (result.hit, result.writeback_address) == oracle.access(
+                address, is_write
+            )
+            assert (cache_.hits, cache_.misses) == (oracle.hits, oracle.misses)

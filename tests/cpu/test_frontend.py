@@ -1,5 +1,8 @@
 """Front-end sharing: one recorded front end replays identically per scheme."""
 
+import gc
+import hashlib
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -145,6 +148,47 @@ class TestSharedEqualsPrivate:
         assert stats.write_bursts == 3
         assert stats.write_phases == 360
         assert (stats.reset_bits, stats.extra_resets) == (8047, 5455)
+
+
+#: sha256 of ``every_field`` per shared cell, recorded with the
+#: dict-keyed controller and stamp-LRU L3 the flat replay replaced.
+GOLDEN = {
+    "Base": "44ead89b96c33424625896a5180ab64987a5f846b3a827487eff0d756cab09f5",
+    "Hard+Sys": "aff74e439f6911edf042ec12a828958f89c06dd1fc91d9482e5b04d03abdb2e0",
+    "UDRVR+PR": "f2bd8e07587999d807ac44a17ee632ae520d09c46d384ec8f83f7a3b0cc06e9b",
+    "ora-64x64": "cc42ab371a96953ca3cb725a20b7d2624b39becb9082fa06ccb9f623a3110b35",
+    "D-BL": "82af022fc73767fb5791e85685a3cb8b7306558f4c10f6876d1bc345768a5855",
+    "Base-maintenance-0.5": "aec9b655a509d5c642160384f13d4dd245c3e6479084181cbcc3c0da87b513f4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_field_pinned(config, bench, frontend, schemes, models, name):
+    result = shared_cell(config, schemes[name], bench, frontend, models[name])
+    digest = hashlib.sha256("\n".join(every_field(result)).encode()).hexdigest()
+    assert digest == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["Hard+Sys", "Base-maintenance-0.5"])
+def test_finished_simulator_is_freed(config, bench, frontend, schemes, models, name):
+    """No reference cycle keeps a run simulator alive past its last reference."""
+    gc.disable()
+    try:
+        simulator = SystemSimulator(
+            config,
+            schemes[name],
+            bench,
+            **SIZING,
+            frontend=frontend,
+            write_model=models[name],
+        )
+        alive = [weakref.ref(simulator), weakref.ref(simulator.controller)]
+        result = simulator.run()
+        del simulator
+        assert [ref() for ref in alive] == [None, None]
+        assert result.memory_reads > 0
+    finally:
+        gc.enable()
 
 
 class TestRunnerSharing:

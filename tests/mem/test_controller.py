@@ -49,7 +49,7 @@ class TestReads:
     def test_unloaded_read_latency(self, setup):
         engine, controller, mapping, _ = setup
         done = []
-        controller.submit_read(0.0, mapping.locate(0), done.append)
+        controller.submit_read(0.0, mapping.locate(0).bank_index, done.append)
         engine.run()
         assert len(done) == 1
         assert done[0] == pytest.approx(controller.timing.read_latency, rel=1e-6)
@@ -58,8 +58,8 @@ class TestReads:
         engine, controller, mapping, _ = setup
         loc = mapping.locate(0)
         done = []
-        controller.submit_read(0.0, loc, done.append)
-        controller.submit_read(0.0, loc, done.append)
+        controller.submit_read(0.0, loc.bank_index, done.append)
+        controller.submit_read(0.0, loc.bank_index, done.append)
         engine.run()
         assert done[1] - done[0] == pytest.approx(
             controller.timing.read_service, rel=1e-6
@@ -68,14 +68,14 @@ class TestReads:
     def test_different_banks_overlap(self, setup, small_config):
         engine, controller, mapping, _ = setup
         done = []
-        controller.submit_read(0.0, mapping.locate(0), done.append)
-        controller.submit_read(0.0, mapping.locate(64), done.append)
+        controller.submit_read(0.0, mapping.locate(0).bank_index, done.append)
+        controller.submit_read(0.0, mapping.locate(64).bank_index, done.append)
         engine.run()
         assert done[0] == pytest.approx(done[1], rel=1e-6)
 
     def test_read_latency_stat(self, setup):
         engine, controller, mapping, _ = setup
-        controller.submit_read(0.0, mapping.locate(0), lambda t: None)
+        controller.submit_read(0.0, mapping.locate(0).bank_index, lambda t: None)
         engine.run()
         assert controller.stats.reads == 1
         assert controller.stats.read_latency_sum > 0
@@ -85,7 +85,7 @@ class TestWrites:
     def test_write_drains_when_no_reads(self, setup, small_config):
         engine, controller, mapping, writer = setup
         result = make_write(writer, small_config)
-        assert controller.try_submit_write(0.0, mapping.locate(0), result)
+        assert controller.try_submit_write(0.0, mapping.locate(0).bank_index, result)
         engine.run()
         controller.drain(0.0)
         engine.run()
@@ -96,11 +96,11 @@ class TestWrites:
         engine, controller, mapping, writer = setup
         loc = mapping.locate(0)
         result = make_write(writer, small_config)
-        controller.try_submit_write(0.0, loc, result)
+        controller.try_submit_write(0.0, loc.bank_index, result)
         done = []
         # The write was already dispatched (no reads were waiting);
         # a read arriving right after waits for the bank.
-        controller.submit_read(1e-9, loc, done.append)
+        controller.submit_read(1e-9, loc.bank_index, done.append)
         engine.run()
         assert done[0] > result.latency
 
@@ -112,7 +112,8 @@ class TestWrites:
         # queue faster than banks drain by submitting at time 0.
         accepted = 0
         for i in range(capacity * 3):
-            if controller.try_submit_write(0.0, mapping.locate(64 * i), result):
+            bank = mapping.locate(64 * i).bank_index
+            if controller.try_submit_write(0.0, bank, result):
                 accepted += 1
         assert accepted <= capacity * 3
         assert controller.write_queue_depth <= capacity
@@ -122,9 +123,10 @@ class TestWrites:
         result = make_write(writer, small_config)
         # Reads waiting everywhere keep writes queued.
         for i in range(64):
-            controller.submit_read(0.0, mapping.locate(64 * i), lambda t: None)
+            bank = mapping.locate(64 * i).bank_index
+            controller.submit_read(0.0, bank, lambda t: None)
         filled = 0
-        while controller.try_submit_write(0.0, mapping.locate(0), result):
+        while controller.try_submit_write(0.0, mapping.locate(0).bank_index, result):
             filled += 1
         assert controller.stats.write_bursts >= 1
         engine.run()
@@ -135,7 +137,7 @@ class TestWrites:
     def test_write_stats_accumulate(self, setup, small_config):
         engine, controller, mapping, writer = setup
         result = make_write(writer, small_config, bits=(7, 15))
-        controller.try_submit_write(0.0, mapping.locate(0), result)
+        controller.try_submit_write(0.0, mapping.locate(0).bank_index, result)
         engine.run()
         controller.drain(0.0)
         engine.run()
@@ -150,8 +152,9 @@ class TestWrites:
         woken = []
         # Fill the queue while reads block draining.
         for i in range(64):
-            controller.submit_read(0.0, mapping.locate(64 * i), lambda t: None)
-        while controller.try_submit_write(0.0, mapping.locate(0), result):
+            bank = mapping.locate(64 * i).bank_index
+            controller.submit_read(0.0, bank, lambda t: None)
+        while controller.try_submit_write(0.0, mapping.locate(0).bank_index, result):
             pass
         controller.notify_write_space(woken.append)
         engine.run()

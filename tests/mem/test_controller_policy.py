@@ -47,14 +47,14 @@ class TestWriteBurst:
         loc = mapping.locate(0)
         result = line_write(writer, small_config, (7,))
         # Park a read on a *different* bank so writes stay queued.
-        controller.submit_read(0.0, mapping.locate(64), lambda t: None)
+        controller.submit_read(0.0, mapping.locate(64).bank_index, lambda t: None)
         filled = 0
-        while controller.try_submit_write(0.0, loc, result):
+        while controller.try_submit_write(0.0, loc.bank_index, result):
             filled += 1
         assert controller.stats.write_bursts == 1
         # A read to the write-target bank arrives during the burst.
         read_done = []
-        controller.submit_read(0.0, loc, read_done.append)
+        controller.submit_read(0.0, loc.bank_index, read_done.append)
         engine.run()
         controller.drain(0.0)
         engine.run()
@@ -66,7 +66,7 @@ class TestWriteBurst:
         engine, controller, mapping, writer = build(small_config)
         result = line_write(writer, small_config, (0,))
         for i in range(small_config.memory.write_queue_entries - 1):
-            controller.try_submit_write(0.0, mapping.locate(64 * i), result)
+            controller.try_submit_write(0.0, mapping.locate(64 * i).bank_index, result)
         assert controller.stats.write_bursts == 0
 
 
@@ -95,8 +95,8 @@ class TestPumpAdmission:
                 and loc_b.bank != loc_a.bank
             ):
                 break
-        controller.try_submit_write(0.0, loc_a, heavy)
-        controller.try_submit_write(0.0, loc_b, heavy)
+        controller.try_submit_write(0.0, loc_a.bank_index, heavy)
+        controller.try_submit_write(0.0, loc_b.bank_index, heavy)
         engine.run()
         controller.drain(0.0)
         engine.run()
@@ -115,8 +115,8 @@ class TestPumpAdmission:
             if loc.rank == loc_a.rank and loc.bank != loc_a.bank:
                 locs.append(loc)
                 break
-        controller.try_submit_write(0.0, loc_a, light)
-        controller.try_submit_write(0.0, locs[0], light)
+        controller.try_submit_write(0.0, loc_a.bank_index, light)
+        controller.try_submit_write(0.0, locs[0].bank_index, light)
         engine.run()
         controller.drain(0.0)
         engine.run()

@@ -1,5 +1,7 @@
 """Address mapping and DIMM geometry tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,89 @@ class TestTiming:
         assert timing.bus_transfer == pytest.approx(
             8 / (1066e6 * 2), rel=1e-6
         )
+
+
+def splitmix64(value):
+    """The splitmix64 finaliser on Python ints."""
+    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    value = (value ^ (value >> 27)) * 0x94D049BB133111EB % (1 << 64)
+    return value ^ (value >> 31)
+
+
+def oracle_place(memory, rows, address, hotness=None):
+    """``(bank_index, row)`` of one address, in Python ints."""
+    line = address // memory.line_bytes
+    channel = line % memory.channels
+    line //= memory.channels
+    bank = line % memory.banks_per_rank
+    line //= memory.banks_per_rank
+    rank = line % memory.ranks_per_channel
+    line //= memory.ranks_per_channel
+    index = (channel * memory.ranks_per_channel + rank) * memory.banks_per_rank + bank
+    row = int(math.floor(hotness * rows)) if hotness is not None else (
+        splitmix64(line) % rows
+    )
+    return index, row
+
+
+class TestLocateMany:
+    @pytest.fixture(scope="class")
+    def addresses(self, paper_config):
+        rng = np.random.default_rng(1)
+        capacity = paper_config.memory.capacity_bytes
+        return np.concatenate(
+            [
+                rng.integers(0, capacity, 3000),
+                rng.integers(0, 1 << 62, 3000),  # beyond any DIMM, as traces use
+                [0, 63, 64, (1 << 63) - 1],
+            ]
+        )
+
+    def test_matches_python_formulas(self, paper_config, addresses):
+        memory, rows = paper_config.memory, paper_config.array.size
+        banks, placed_rows = AddressMapping(memory, rows).locate_many(addresses)
+        expected = [oracle_place(memory, rows, a) for a in addresses.tolist()]
+        assert list(zip(banks.tolist(), placed_rows.tolist())) == expected
+        assert banks.dtype == placed_rows.dtype == np.int64
+
+    def test_sch_matches_python_formulas(self, paper_config, addresses):
+        memory, rows = paper_config.memory, paper_config.array.size
+        hotness = np.random.default_rng(2).random(addresses.size)
+        hotness[:3] = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        mapping = AddressMapping(memory, rows, scheduling=True)
+        banks, placed_rows = mapping.locate_many(addresses, hotness)
+        expected = [
+            oracle_place(memory, rows, a, h)
+            for a, h in zip(addresses.tolist(), hotness.tolist())
+        ]
+        assert list(zip(banks.tolist(), placed_rows.tolist())) == expected
+        # Without SCH the hotness is ignored.
+        plain = AddressMapping(memory, rows).locate_many(addresses, hotness)
+        assert np.array_equal(plain[1], AddressMapping(memory, rows).locate_many(
+            addresses
+        )[1])
+
+    def test_scalar_locate_agrees(self, paper_config, addresses):
+        memory, rows = paper_config.memory, paper_config.array.size
+        mapping = AddressMapping(memory, rows)
+        banks, placed_rows = mapping.locate_many(addresses[:200])
+        for address, bank, row in zip(addresses[:200].tolist(), banks, placed_rows):
+            loc = mapping.locate(address)
+            assert (loc.bank_index, loc.row) == (bank, row)
+            rank_index = loc.channel * memory.ranks_per_channel + loc.rank
+            assert loc.bank_index == rank_index * memory.banks_per_rank + loc.bank
+
+    def test_rejects_negative_addresses(self, paper_config):
+        mapping = AddressMapping(paper_config.memory, paper_config.array.size)
+        with pytest.raises(ValueError, match="address"):
+            mapping.locate_many(np.array([0, 64, -64]))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan")])
+    def test_rejects_out_of_range_hotness(self, paper_config, bad):
+        mapping = AddressMapping(
+            paper_config.memory, paper_config.array.size, scheduling=True
+        )
+        with pytest.raises(ValueError, match="hotness"):
+            mapping.locate_many(np.array([0, 64]), np.array([0.2, bad]))
+        with pytest.raises(ValueError, match="hotness"):
+            mapping.locate(0, hotness_rank=bad)

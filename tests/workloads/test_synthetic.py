@@ -1,5 +1,8 @@
 """Synthetic stream generation tests."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.workloads.synthetic import StreamParams, SyntheticStream
@@ -114,3 +117,23 @@ class TestValidation:
     def test_take_validation(self, params):
         with pytest.raises(ValueError):
             SyntheticStream(params).take(-1)
+
+
+class TestHotnessRanksOracle:
+    @pytest.mark.parametrize("lines", [1024, 1000, 27 << 14, (1 << 33) + 2])
+    def test_matches_python_int_formula(self, lines):
+        params = StreamParams(
+            rpki=1.0, wpki=1.0, working_set_lines=lines, address_base=3 << 40
+        )
+        stream = SyntheticStream(params, seed=2)
+        addresses = [stream.next_access().address for _ in range(500)]
+        addresses += [params.address_base, params.address_base - 64]
+        # The odd multiplier's inverse modulo the working set, per line.
+        mult = SyntheticStream._PERM_MULTIPLIER
+        inverse = pow(mult, -1, lines) if math.gcd(mult, lines) == 1 else 1
+        expected = [
+            float((a - params.address_base) // 64 % lines * inverse % lines) / lines
+            for a in addresses
+        ]
+        assert stream.hotness_ranks(np.array(addresses)).tolist() == expected
+        assert [stream.hotness_rank(a) for a in addresses[:20]] == expected[:20]
