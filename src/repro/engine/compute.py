@@ -493,15 +493,16 @@ class ProcessPoolBackend(ComputeBackend):
     everywhere, and the pipe ship-back path degrades into a fallback
     for whatever the segment declines.  Creation failure (no
     ``/dev/shm``, permissions) silently keeps the PR-9 ship-back
-    behaviour.  With ``group_dispatch`` (default on) the dispatcher
-    stacks up to ``group_limit`` queued jobs of equal (config, solver,
-    fault-set) identity onto one worker — unconditionally, because a
-    group-mate stacked behind its head job costs a registry lookup
-    while the same job raced on a spare worker re-solves the whole
-    profile grid.  The stacked jobs run in order: the head job solves
-    and publishes the group's profiles, the rest collapse to registry
-    hits (see :func:`_pool_worker_main` for why sequential beats
-    concurrent here).
+    behaviour.
+
+    The dispatcher stacks up to ``group_limit`` queued jobs of equal
+    (config, solver, fault-set) identity onto one worker —
+    unconditionally, because a group-mate stacked behind its head job
+    costs a registry lookup while the same job raced on a spare worker
+    re-solves the whole profile grid.  The stacked jobs run in order:
+    the head job solves and publishes the group's profiles, the rest
+    collapse to registry hits (see :func:`_pool_worker_main` for why
+    sequential beats concurrent here).
     """
 
     #: Supervisor wake-up interval: bounds dispatch latency and the
@@ -519,7 +520,6 @@ class ProcessPoolBackend(ComputeBackend):
         restart_policy: "RetryPolicy | None" = None,
         chaos_policy: "chaos.ChaosPolicy | None" = None,
         shared_plane: bool = True,
-        group_dispatch: bool = True,
         group_limit: int = 4,
     ) -> None:
         if workers < 1:
@@ -566,7 +566,6 @@ class ProcessPoolBackend(ComputeBackend):
         self._closed = False
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
-        self.group_dispatch = group_dispatch
         self.group_limit = max(1, group_limit)
         self._shm = None
         if shared_plane:
@@ -978,8 +977,7 @@ class ProcessPoolBackend(ComputeBackend):
     def _dispatch(self) -> None:
         if not self._queue:
             return
-        if self.group_dispatch:
-            self._dispatch_affinity()
+        self._dispatch_affinity()
         idle = [
             w
             for w in self._pool.values()
@@ -999,7 +997,7 @@ class ProcessPoolBackend(ComputeBackend):
             # dispatched anywhere else it re-solves the whole grid in
             # lockstep with the head, so even with idle workers to
             # spare, duplicates belong behind their head job.
-            if self.group_dispatch and batch[0].group is not None:
+            if batch[0].group is not None:
                 group = batch[0].group
                 scan = 0
                 while (

@@ -83,7 +83,13 @@ _LADDER = ("process", "thread", "inline")
 
 @dataclass(frozen=True)
 class ServeOptions:
-    """Tunables of one service instance (all have serving defaults)."""
+    """Tunables of one service instance (all have serving defaults).
+
+    The process rung always stacks queued jobs of equal (config,
+    solver, fault-set) identity onto one worker behind their head job;
+    of its data plane only the shared segment (``shared_plane``) can be
+    switched off.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is printed/exposed
@@ -94,9 +100,6 @@ class ServeOptions:
     #: Deadline applied to requests that do not carry their own
     #: ``deadline_s``; ``None`` means unbounded.
     default_deadline_s: float | None = None
-    #: Process rung: stack queued jobs of equal (config, solver,
-    #: fault-set) identity onto one worker behind their head job.
-    group_dispatch: bool = True
     #: Disk cache shared by every request (``None`` disables caching).
     cache_dir: str | None = DEFAULT_CACHE_DIR
     #: Default solver for requests that do not name one.
@@ -191,7 +194,6 @@ class EngineService:
                 job_deadline_s=options.job_deadline_s,
                 chaos_policy=options.chaos,
                 shared_plane=options.shared_plane,
-                group_dispatch=options.group_dispatch,
             )
         if kind == "thread":
             return ThreadPoolBackend(workers=options.compute_workers)

@@ -18,8 +18,9 @@ sweet spot — the whole ensemble's missing quanta go through
 :meth:`~repro.xpoint.vmap.ArrayIRModel.ensemble_bl_profiles` as one
 flat ``solve_ensemble`` batch, amortizing each factorisation across
 every instance instead of paying it per instance (the per-instance
-``reference`` path re-solves its own grid per instance; the schema-7
-``mc_matrix`` bench gate holds the ratio at >= 5x for K = 64).
+``reference`` path re-solves its own grid per instance;
+``tests/mc/test_amortisation.py`` holds the solves per sample to
+<= 1/5 of the solves per instance for K = 64).
 The fault layering on top is the same analytic algebra as
 :meth:`~repro.xpoint.vmap.ArrayIRModel.v_eff_map`, evaluated
 per instance, so a K=1 ensemble is in 1e-9 V parity with the

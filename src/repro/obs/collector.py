@@ -87,7 +87,7 @@ class Snapshot:
         return bool(self.counters or self.gauges or self.spans)
 
     def to_plain(self) -> dict:
-        """JSON-exportable document (what ``--json`` / bench embed)."""
+        """JSON-exportable document (what ``--json`` / ``stats`` embed)."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),

@@ -2,8 +2,8 @@
 
 ``python -m repro <exp> --profile`` prints :func:`format_profile`;
 the same plain-dict form (:meth:`Snapshot.to_plain`) is what ``--json``
-and ``scripts/bench.py`` embed, so the table and the machine-readable
-block always agree.
+embeds and the service's ``stats`` op returns, so the table and the
+machine-readable block always agree.
 """
 
 from __future__ import annotations

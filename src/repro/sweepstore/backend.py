@@ -11,7 +11,7 @@ row travelled through.
 
 pyarrow is an *optional* dependency: nothing in this module imports it
 at module scope, and :func:`parquet_available` is the single gate every
-caller (store, CLI, bench, tests) consults.
+caller (store, CLI, tests) consults.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ class ProfileRegistry:
         hash, solver, fault token, quantum/bias tail): registry eviction
         churn inside one plan can queue the same artefact repeatedly,
         and re-pickling it once per task is pure pipe traffic.  The
-        bytes the dedupe saves are counted so the bench can see them.
+        bytes the dedupe saves are counted so profiles can show them.
         """
         if not self._exports:
             return ()

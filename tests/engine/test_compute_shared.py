@@ -9,6 +9,7 @@ the worker-epoch guard against double-merged observations, and the
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import time
@@ -17,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import ChaosPolicy
+from repro.circuit.solvers import reset_backend_state
 from repro.engine.compute import (
     InlineBackend,
     ProcessPoolBackend,
@@ -26,6 +28,7 @@ from repro.engine.compute import (
 )
 from repro.engine.plan import build_plan
 from repro.engine.registry import _REGISTRY, Experiment, ensure_loaded, register
+from repro.engine.service import EngineService, ServeOptions
 from repro.engine.warm import clear_warm_contexts, warm_context
 from repro.faults.model import FaultModel
 from repro.xpoint.vmap import _DEFAULT_CACHE, profile_registry
@@ -235,6 +238,66 @@ class TestGroupDispatch:
         finally:
             backend.close()
         assert counters.get("compute.group_dispatches", 0) >= 1
+
+    def test_duplicate_bursts_solve_once_per_identity(self):
+        """Bursts of concurrent duplicate requests through the service
+        cost one request's solves per identity, not one per request."""
+        ensure_loaded()
+        reset_backend_state()
+        workers, identities, duplicates = 4, 3, 4
+
+        def request(seed):
+            return {
+                "op": "run", "experiment": "fig07b",
+                "seed": seed, "fault_rate": 1e-3,
+            }
+
+        async def counters_of(service, *bursts):
+            before = service.stats()["counters"]
+            for burst in bursts:
+                docs = await asyncio.gather(
+                    *(service.submit(request(seed)) for seed in burst)
+                )
+                assert all(doc.get("ok") for doc in docs), docs
+            after = service.stats()["counters"]
+            return {k: v - before.get(k, 0) for k, v in after.items()}
+
+        async def drive():
+            service = EngineService(
+                ServeOptions(
+                    cache_dir=None, compute_plane="process",
+                    compute_workers=workers, solver="factor-cache",
+                )
+            )
+            try:
+                # Warm every worker on identities of its own, so the
+                # probe and the bursts meet workers past their one-off
+                # first-request solves.
+                await counters_of(
+                    service, [1000 + i for i in range(workers)]
+                )
+                probe = await counters_of(service, [999])
+                # One identity per burst, its duplicates concurrent;
+                # each burst drains before the next starts.
+                timed = await counters_of(
+                    service,
+                    *([seed] * duplicates for seed in range(identities)),
+                )
+            finally:
+                await service.close(drain=True)
+            return probe, timed
+
+        probe, timed = asyncio.run(drive())
+        one_request = probe.get("solver.solves", 0)
+        assert one_request > 0
+        requests = identities * duplicates
+        # At least 2x fewer solves than every request solving alone.
+        assert timed.get("solver.solves", 0) <= requests * one_request / 2
+        assert timed.get("profile_cache.duplicate_solves", 0) <= 2
+        assert timed.get("profile_cache.shared_stores", 0) >= 1
+        dispatches = timed.get("compute.group_dispatches", 0)
+        assert dispatches >= 1
+        assert timed.get("compute.grouped_jobs", 0) / dispatches >= 2
 
 
 class TestWorkerEpochGuard:
