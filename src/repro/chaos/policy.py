@@ -62,8 +62,8 @@ class ChaosPolicy:
         Probability that a worker publishing a profile block to the
         shared-memory data plane ``os._exit``\\ s *while holding the
         stripe write lock* — the nastiest crash the plane must survive
-        (that stripe's lock is never released; writers degrade to the
-        ship-back path, readers are unaffected).
+        (that stripe's lock is never released; writers keep their
+        profiles local, readers are unaffected).
     """
 
     seed: int = 0

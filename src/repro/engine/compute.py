@@ -36,23 +36,22 @@ Worker threads each collect observability into a per-request
 collector (activation is thread-local, see :mod:`repro.obs.collector`)
 and merge the snapshot into the backend's aggregate under a lock, so
 service-wide counters survive request interleaving.  Pool workers ship
-picklable snapshots (and solved profile artefacts) back with each
-result, exactly like :class:`~repro.engine.executor.ParallelExecutor`
-workers do.
+a picklable snapshot back with each result, exactly like
+:class:`~repro.engine.executor.ParallelExecutor` workers do.
 
 The process pool additionally runs a **shared-memory solver data
 plane** (:mod:`repro.engine.shm`): the supervisor creates one
 lock-striped segment, hands every worker a reattachable handle at
-spawn, and wires the segment into the process-global profile registry
-on both sides — so a BL profile or WL calibration solved by any worker
-is zero-copy readable by all siblings instead of being re-solved or
-pickled back through the result pipes.  The PR-9 ship-back path stays
-as the strict fallback whenever shared memory is unavailable or a
-stripe declines a write.  On top of it, the supervisor's dispatcher
-*groups* queued jobs with equal (config, solver, fault-set) identity
-onto one worker, where the head job solves the group's profile grids
-once and its group-mates collapse to registry hits — one solve stream
-serving the whole stack.
+spawn, and each worker wires the segment into its process-global
+profile registry — so a BL profile or WL calibration solved by any
+worker is zero-copy readable by all siblings instead of being
+re-solved.  Whenever shared memory is unavailable or a stripe declines
+a write, the profile stays with its worker and reaches siblings only
+through the disk cache, when the job carries one.  On top of it, the
+supervisor's dispatcher *groups* queued jobs with equal (config,
+solver, fault-set) identity onto one worker, where the head job solves
+the group's profile grids once and its group-mates collapse to
+registry hits — one solve stream serving the whole stack.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .. import chaos, obs
-from .executor import RetryPolicy, _drain_profile_exports
+from .executor import RetryPolicy
 from .plan import execute_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -272,7 +271,7 @@ def _spec_for(
 
 def _execute_spec(spec: _JobSpec) -> tuple:
     """Run one job spec in this (worker) process; returns
-    ``(result, obs_snapshot, profile_exports)``."""
+    ``(result, obs_snapshot)``."""
     from .plan import build_plan
     from .registry import ensure_loaded
     from .warm import warm_context
@@ -291,11 +290,7 @@ def _execute_spec(spec: _JobSpec) -> tuple:
     with obs.collecting(local):
         with obs.span("compute.plan", name=plan.name):
             result = execute_plan(plan, context)
-        # Drain *inside* the collecting scope: the registry counts
-        # ship-back dedupe (and the bytes it saves) on drain, and those
-        # counters must land in this job's snapshot to ever be seen.
-        profiles = _drain_profile_exports()
-    return result, local.snapshot(), profiles
+    return result, local.snapshot()
 
 
 def _pool_worker_main(
@@ -328,12 +323,12 @@ def _pool_worker_main(
     handshake: the worker attaches (or, after a restart, *re*attaches —
     the handle is the same) and wires the segment into its profile
     registry, so artefacts flow to siblings zero-copy.  Attach failure
-    degrades silently to the ship-back path.  Task messages are lists
-    of ``(job_id, spec)`` pairs stacked by group identity.  A group
-    runs *sequentially*, in dispatch order: the head job solves the
-    group's profile grids once and publishes them (process-local
-    registry + shared plane), and every group-mate's solves collapse to
-    registry hits.  Running group-mates concurrently instead would be
+    degrades silently to a worker-local registry (plus the disk cache).
+    Task messages are lists of ``(job_id, spec)`` pairs stacked by group
+    identity.  A group runs *sequentially*, in dispatch order: the head
+    job solves the group's profile grids once and publishes them
+    (process-local registry + shared plane), and every group-mate's
+    solves collapse to registry hits.  Running group-mates concurrently instead would be
     strictly worse: duplicate streams re-solve every quantum N times
     and break the warm-start continuation chain.  Solves run on the
     job's own thread, inside its ``obs.collecting`` scope, so their
@@ -368,11 +363,6 @@ def _pool_worker_main(
     if shm_handle is not None:
         from .shm import SharedProfilePlane
 
-        # Forget any attachment forked in from the supervisor before
-        # attaching by name: the handle-based path is what a restarted
-        # worker (or a spawn-method child) exercises, so every worker
-        # takes it.
-        profile_registry.detach_shared()
         try:
             plane = SharedProfilePlane.attach(shm_handle)
         except Exception:  # noqa: BLE001 - plane optional by contract
@@ -383,7 +373,7 @@ def _pool_worker_main(
     def run_one(job_id: int, spec: _JobSpec) -> None:
         kill_timer = chaos.kill_point(spec.chaos_token)
         try:
-            result, snapshot, profiles = _execute_spec(spec)
+            result, snapshot = _execute_spec(spec)
         except BaseException as exc:  # noqa: BLE001 - shipped to supervisor
             tb = "".join(
                 traceback_module.format_exception(
@@ -394,7 +384,7 @@ def _pool_worker_main(
                 ("error", worker_id, (job_id, type(exc).__name__, str(exc), tb))
             )
         else:
-            post(("done", worker_id, (job_id, (result, snapshot, profiles))))
+            post(("done", worker_id, (job_id, (result, snapshot))))
         finally:
             # Disarm a kill aimed at this job once it is over: a stale
             # timer firing during the *next* job would charge an
@@ -460,8 +450,8 @@ class ProcessPoolBackend(ComputeBackend):
     ``workers`` is the pool size the supervisor maintains.  Each worker
     keeps its own warm-context table, so repeated requests with equal
     parameters reuse one model cache *per worker*; profiles cross
-    workers through the shared plane (below), or through the ship-back
-    path where the plane declines them.
+    workers through the shared plane (below), or through the disk
+    cache where the plane declines them.
 
     Failure containment, in escalation order:
 
@@ -486,14 +476,13 @@ class ProcessPoolBackend(ComputeBackend):
     the ``worker.kill`` site inside the job execution path) and armed
     in the supervisor for the ``future.drop`` / ``future.delay`` sites.
 
-    ``shared_plane`` (default on) creates one shared-memory profile
-    segment (:class:`~repro.engine.shm.SharedProfilePlane`) that the
-    supervisor and every worker attach to the process-global profile
-    registry: profiles solved anywhere become zero-copy readable
-    everywhere, and the pipe ship-back path degrades into a fallback
-    for whatever the segment declines.  Creation failure (no
-    ``/dev/shm``, permissions) silently keeps the PR-9 ship-back
-    behaviour.
+    The pool creates one shared-memory profile segment
+    (:class:`~repro.engine.shm.SharedProfilePlane`) that every worker
+    attaches to its process-global profile registry: a profile solved
+    in any worker becomes zero-copy readable in all of them.  Creation
+    failure (no ``/dev/shm``, permissions) is counted as
+    ``compute.shared_plane_unavailable`` and the pool runs without a
+    segment; profiles then cross workers only through the disk cache.
 
     The dispatcher stacks up to ``group_limit`` queued jobs of equal
     (config, solver, fault-set) identity onto one worker —
@@ -519,7 +508,6 @@ class ProcessPoolBackend(ComputeBackend):
         job_deadline_s: "float | None" = None,
         restart_policy: "RetryPolicy | None" = None,
         chaos_policy: "chaos.ChaosPolicy | None" = None,
-        shared_plane: bool = True,
         group_limit: int = 4,
     ) -> None:
         if workers < 1:
@@ -568,29 +556,21 @@ class ProcessPoolBackend(ComputeBackend):
         self._collector_lock = threading.Lock()
         self.group_limit = max(1, group_limit)
         self._shm = None
-        if shared_plane:
-            from .shm import (
-                SharedPlaneUnavailable,
-                SharedProfilePlane,
-                reap_stale_segments,
-            )
+        from .shm import (
+            SharedPlaneUnavailable,
+            SharedProfilePlane,
+            reap_stale_segments,
+        )
 
-            # Sweep segments leaked by crashed earlier processes before
-            # claiming new shm space, then create this pool's segment —
-            # *before* any worker spawns, so every worker's handle is
-            # valid from its first job.
-            reap_stale_segments()
-            try:
-                self._shm = SharedProfilePlane.create()
-            except SharedPlaneUnavailable:
-                self._note("compute.shared_plane_unavailable")
-            if self._shm is not None:
-                from ..xpoint.vmap import profile_registry
-
-                # Supervisor side: absorbed ship-backs re-publish into
-                # the segment, and local lookups see worker-solved
-                # profiles without any pipe traffic.
-                profile_registry.attach_shared(self._shm)
+        # Sweep segments leaked by crashed earlier processes before
+        # claiming new shm space, then create this pool's segment —
+        # *before* any worker spawns, so every worker's handle is valid
+        # from its first job.
+        reap_stale_segments()
+        try:
+            self._shm = SharedProfilePlane.create()
+        except SharedPlaneUnavailable:
+            self._note("compute.shared_plane_unavailable")
         with self._lock:
             for _ in range(workers):
                 self._spawn_worker()
@@ -758,13 +738,7 @@ class ProcessPoolBackend(ComputeBackend):
                 return
             del self._jobs[job_id]
         if kind == "done":
-            result, snapshot, profiles = body[1]
-            if profiles:
-                from ..xpoint.vmap import profile_registry
-
-                absorbed = profile_registry.absorb(profiles)
-                if absorbed:
-                    self._note("profile_cache.shipped", absorbed)
+            result, snapshot = body[1]
             if snapshot is not None:
                 self.merge_observations(snapshot)
             self._resolve(job, result)
@@ -1080,10 +1054,5 @@ class ProcessPoolBackend(ComputeBackend):
         else:
             self._supervisor.join(timeout=self._TICK_S)
         if self._shm is not None:
-            from ..xpoint.vmap import profile_registry
-
-            # Owner-checked detach: if a breaker trip already installed
-            # a successor backend's plane, leave it alone.
-            profile_registry.detach_shared(self._shm)
             self._shm.close()  # owner close unlinks the segment
             self._shm = None

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import random
-import sys
 import threading
 import time
 import traceback
@@ -135,11 +134,7 @@ class TaskResult:
     carries a :class:`TaskError` and a ``None`` value.  ``obs`` holds
     the worker-side observability snapshot when the task ran in a pool
     worker while the parent was collecting (the executor merges it back
-    into the parent's collector).  ``profiles`` carries the profile
-    artefacts (BL drop profiles, WL calibrations) the task solved in a
-    pool worker; the executor absorbs them into the parent's
-    :data:`~repro.xpoint.vmap.profile_registry` so later tasks — and the
-    parent's own models — skip those solves.
+    into the parent's collector).
     """
 
     index: int
@@ -148,24 +143,10 @@ class TaskResult:
     attempts: int = 1
     error: TaskError | None = None
     obs: "Snapshot | None" = None
-    profiles: "tuple | None" = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def _drain_profile_exports() -> "tuple | None":
-    """Profile artefacts this process solved since the last drain.
-
-    Checked via ``sys.modules`` rather than imported: a worker whose
-    tasks never touched the IR-drop stack must not pay for (or trigger)
-    the import, and an unimported vmap cannot have anything to ship.
-    """
-    vmap = sys.modules.get("repro.xpoint.vmap")
-    if vmap is None:
-        return None
-    return vmap.profile_registry.drain_exports() or None
 
 
 def _timed_call(
@@ -173,37 +154,28 @@ def _timed_call(
     index: int,
     item: Any,
     collect: bool = False,
-    ship: bool = False,
 ) -> TaskResult:
     """Run one task under timing (top-level so it pickles to workers).
 
     ``collect`` is set by parallel executors when the parent process is
     collecting observability data: the task runs under a fresh local
     collector (worker processes do not share the parent's) whose
-    snapshot rides back on the :class:`TaskResult`.  ``ship`` (pool
-    workers only) additionally drains the worker's profile-registry
-    exports onto the result so the parent can absorb them.
+    snapshot rides back on the :class:`TaskResult`.
     """
     start = time.perf_counter()
     if collect:
         local = obs.Collector()
         with obs.collecting(local):
             value = fn(item)
-            # Drain *inside* the collecting scope: the registry counts
-            # ship-back dedupe (and bytes saved) on drain, and those
-            # counters must land in this task's snapshot to be seen.
-            profiles = _drain_profile_exports() if ship else None
         snapshot = local.snapshot()
     else:
         value = fn(item)
         snapshot = None
-        profiles = _drain_profile_exports() if ship else None
     return TaskResult(
         index=index,
         value=value,
         wall_s=time.perf_counter() - start,
         obs=snapshot,
-        profiles=profiles,
     )
 
 
@@ -230,21 +202,12 @@ def _failed(index: int, exc: BaseException, attempts: int) -> TaskResult:
 
 
 def _note_batch(results: "list[TaskResult]") -> list[TaskResult]:
-    """Record batch-level executor counters and absorb worker payloads.
+    """Record batch-level executor counters and merge worker snapshots.
 
-    Worker-side observability snapshots and shipped profile artefacts
-    are merged into the parent exactly once, here, whatever path
-    produced the results (pool drain, pool rebuild, or serial fallback).
+    Worker-side observability snapshots are merged into the parent
+    exactly once, here, whatever path produced the results (pool drain,
+    pool rebuild, or serial fallback).
     """
-    if any(result.profiles for result in results):
-        from ..xpoint.vmap import profile_registry
-
-        absorbed = 0
-        for result in results:
-            if result.profiles:
-                absorbed += profile_registry.absorb(result.profiles)
-        if absorbed:
-            obs.count("profile_cache.shipped", absorbed)
     collector = obs.active_collector()
     if collector is None:
         return results
@@ -448,7 +411,7 @@ class ParallelExecutor:
             max_workers=min(self.workers, len(items))
         ) as pool:
             futures = [
-                pool.submit(_timed_call, fn, i, item, collect, True)
+                pool.submit(_timed_call, fn, i, item, collect)
                 for i, item in enumerate(items)
             ]
             results = [future.result() for future in futures]
@@ -525,7 +488,7 @@ class ParallelExecutor:
                     index = queue.pop()
                     attempts[index] += 1
                     future = pool.submit(
-                        _timed_call, fn, index, items[index], collect, True
+                        _timed_call, fn, index, items[index], collect
                     )
                     in_flight[future] = index
                     if policy.timeout_s is not None:

@@ -86,9 +86,9 @@ class ServeOptions:
     """Tunables of one service instance (all have serving defaults).
 
     The process rung always stacks queued jobs of equal (config,
-    solver, fault-set) identity onto one worker behind their head job;
-    of its data plane only the shared segment (``shared_plane``) can be
-    switched off.
+    solver, fault-set) identity onto one worker behind their head job,
+    and always shares solved profiles through its shared-memory segment
+    when the host provides one.
     """
 
     host: str = "127.0.0.1"
@@ -109,9 +109,6 @@ class ServeOptions:
     compute_plane: str = "thread"
     #: Restart budget handed to the process rung (``None`` = its default).
     restart_budget: int | None = None
-    #: Shared-memory profile plane on the process rung (zero-copy
-    #: cross-worker profile sharing; off falls back to pipe ship-back).
-    shared_plane: bool = True
     #: Per-plan wall deadline on the process rung (wedged-worker reap).
     job_deadline_s: float | None = None
     #: Circuit breaker: this many infrastructure failures within
@@ -193,7 +190,6 @@ class EngineService:
                 restart_budget=options.restart_budget,
                 job_deadline_s=options.job_deadline_s,
                 chaos_policy=options.chaos,
-                shared_plane=options.shared_plane,
             )
         if kind == "thread":
             return ThreadPoolBackend(workers=options.compute_workers)
@@ -794,11 +790,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         help="process-plane worker restarts before the pool is broken",
     )
     parser.add_argument(
-        "--no-shared-plane", action="store_true",
-        help="disable the process-plane shared-memory profile segment "
-        "(workers fall back to pipe ship-back of solved profiles)",
-    )
-    parser.add_argument(
         "--breaker-threshold", type=int, default=3, metavar="N",
         help="infrastructure failures in the window that trip the breaker",
     )
@@ -840,7 +831,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         solver=args.solver,
         compute_plane=args.compute_plane,
         restart_budget=args.restart_budget,
-        shared_plane=not args.no_shared_plane,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         chaos=chaos_policy,

@@ -1,11 +1,11 @@
 """Shared-memory profile plane: zero-copy solver artifacts across workers.
 
 The process compute plane (:mod:`repro.engine.compute`) runs solves in
-worker processes.  Before this module existed, a BL-drop profile or WL
-calibration solved by one worker reached its siblings only by being
-pickled back through the result pipe and re-shipped on the next job —
-or not at all, so siblings re-solved it.  At Monte Carlo ensemble scale
-that duplicated the single hottest artifact class in the stack.
+worker processes.  Without a shared segment, a BL-drop profile or WL
+calibration solved by one worker reaches its siblings only through the
+disk cache — or not at all, so siblings re-solve it.  At Monte Carlo
+ensemble scale that duplicates the single hottest artifact class in the
+stack.
 
 :class:`SharedProfilePlane` is a cross-process, append-mostly key/value
 segment over :mod:`multiprocessing.shared_memory`:
@@ -26,8 +26,8 @@ segment over :mod:`multiprocessing.shared_memory`:
   with a short timeout; readers take no locks at all (they scan up to
   the published offset and keep a per-process index of what they have
   already parsed).  A writer that cannot get the lock — including the
-  worst case, a sibling that died *while holding it* — degrades to the
-  PR-9 ship-back path and reports ``"unavailable"``; that stripe
+  worst case, a sibling that died *while holding it* — reports
+  ``"unavailable"`` and keeps the artefact to itself; that stripe
   becomes effectively read-only but every published block stays
   readable forever.
 * **Lifecycle.**  The supervisor creates the segment and unlinks it on
@@ -295,8 +295,8 @@ class SharedProfilePlane:
         ``"duplicate"``   — some process already published this key;
                             nothing was written.
         ``"unavailable"`` — lock timeout, stripe full, or serialization
-                            failure: the caller must fall back to the
-                            ship-back path.
+                            failure: nothing was written, and the
+                            artefact stays with its caller.
         """
         stripe = self._stripe_for(key)
         if key in self:

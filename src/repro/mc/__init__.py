@@ -1,7 +1,7 @@
-"""Monte Carlo variability engine (ensembles, bands, surrogate).
+"""Monte Carlo variability engine (ensembles and percentile bands).
 
-See ``docs/montecarlo.md`` for the seeding scheme, the amortization
-model behind ``solve_ensemble``, and the surrogate's validity region.
+See ``docs/montecarlo.md`` for the seeding scheme and the amortization
+model behind ``solve_ensemble``.
 """
 
 from .ensemble import (
@@ -11,17 +11,13 @@ from .ensemble import (
     run_ensemble,
 )
 from .experiment import DEFAULT_MC_RATES, DEFAULT_MC_SAMPLES, mc_sweep
-from .surrogate import DEFAULT_ERROR_BUDGET, LatencySurrogate, SurrogatePoint
 
 __all__ = [
-    "DEFAULT_ERROR_BUDGET",
     "DEFAULT_MC_RATES",
     "DEFAULT_MC_SAMPLES",
     "EnsembleResult",
     "InstanceResult",
-    "LatencySurrogate",
     "PercentileBand",
-    "SurrogatePoint",
     "mc_sweep",
     "run_ensemble",
 ]

@@ -20,7 +20,7 @@ DRVR sections).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -59,30 +59,25 @@ class ProfileRegistry:
     this process is visible to every later model with an equal key, even
     across distinct :class:`ModelCache` instances.
 
-    The export buffer records entries first *computed* here (as opposed
-    to absorbed or loaded): pool workers drain it after each task so the
-    parent executor can ship worker-solved profiles back and absorb them
-    (see :mod:`repro.engine.executor`), closing the loop that otherwise
-    makes every worker re-solve the same profiles.
-
-    When a :class:`~repro.engine.shm.SharedProfilePlane` is attached
-    (:meth:`attach_shared`), locally solved entries publish straight
-    into the shared segment instead of queuing for ship-back — siblings
-    read them zero-copy — and the export buffer only fills when the
-    plane declines a write (lock timeout, stripe full), preserving the
-    ship-back path as the strict fallback.
+    Profiles cross processes only through the two layers beneath this
+    one.  When a :class:`~repro.engine.shm.SharedProfilePlane` is
+    attached (:meth:`attach_shared`), locally solved entries publish
+    straight into the shared segment, where siblings read them
+    zero-copy; an entry the plane declines (lock timeout, stripe full)
+    stays local, and reaches other processes only through the disk
+    :class:`~repro.engine.cache.ProfileStore` the solving model writes
+    it through to.
     """
 
-    def __init__(self, maxsize: int = 512, max_exports: int = 256) -> None:
+    def __init__(self, maxsize: int = 512) -> None:
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._exports: deque[tuple[tuple, Any]] = deque(maxlen=max_exports)
         self._shared = None  # SharedProfilePlane | None
         self._digests: dict[tuple, str] = {}  # parts -> shared-plane key
         #: Monotonic count of locally *computed* artefacts registered
-        #: here (``export=True`` inserts).  Promotions — disk hits,
-        #: shared-plane hits, absorbed ship-backs — don't count, so a
-        #: before/after delta measures real solver work, which is what
+        #: here (``computed=True`` inserts).  Promotions — disk hits and
+        #: shared-plane hits — don't count, so a before/after delta
+        #: measures real solver work, which is what
         #: :func:`repro.mc.ensemble.run_ensemble` reports as
         #: ``quanta_solved``.
         self.stores = 0
@@ -93,20 +88,6 @@ class ProfileRegistry:
         """Route puts/gets through ``plane`` (a ``SharedProfilePlane``)."""
         self._shared = plane
         self._digests.clear()
-
-    def detach_shared(self, plane: Any = None) -> None:
-        """Drop the shared plane (only if it is ``plane``, when given).
-
-        The owner-check keeps a backend that closes late from
-        detaching a plane a newer backend attached.
-        """
-        if plane is None or self._shared is plane:
-            self._shared = None
-            self._digests.clear()
-
-    @property
-    def shared_plane(self) -> Any:
-        return self._shared
 
     def _digest(self, parts: tuple) -> str:
         """The shared-plane key for ``parts`` (the ProfileStore digest)."""
@@ -139,28 +120,29 @@ class ProfileRegistry:
         obs.count("profile_cache.shared_hit")
         # Promote without re-publishing: the block already lives in the
         # segment, and republishing would misread as a duplicate solve.
-        self.put(parts, value, export=False, publish=False)
+        self.put(parts, value, computed=False, publish=False)
         return value
 
     def put(
         self,
         parts: tuple,
         value: Any,
-        export: bool = True,
+        computed: bool = True,
         publish: bool = True,
     ) -> None:
+        """Register ``value``; ``computed`` marks it solved in this process."""
         if parts in self._entries:
             self._entries.move_to_end(parts)
             return
         self._entries[parts] = value
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        if export:
+        if computed:
             self.stores += 1
         shared = self._shared
         if shared is not None and publish:
             status = shared.put(self._digest(parts), value)
-            if export:
+            if computed:
                 if status == "duplicate":
                     # This process solved an artefact a sibling had
                     # already published — exactly the wasted Newton
@@ -170,66 +152,17 @@ class ProfileRegistry:
                     obs.count("profile_cache.shared_stores")
                 else:
                     obs.count("profile_cache.shm_fallbacks")
-                    self._exports.append((parts, value))
-            return
-        if export:
-            self._exports.append((parts, value))
-
-    def drain_exports(self) -> tuple[tuple[tuple, Any], ...]:
-        """Hand over (and clear) the entries computed since last drain.
-
-        Ship-back payloads are deduped by their full part tuple (config
-        hash, solver, fault token, quantum/bias tail): registry eviction
-        churn inside one plan can queue the same artefact repeatedly,
-        and re-pickling it once per task is pure pipe traffic.  The
-        bytes the dedupe saves are counted so profiles can show them.
-        """
-        if not self._exports:
-            return ()
-        exports: list[tuple[tuple, Any]] = []
-        seen: set[tuple] = set()
-        duplicates = 0
-        bytes_saved = 0
-        for parts, value in self._exports:
-            if parts in seen:
-                duplicates += 1
-                nbytes = getattr(value, "nbytes", None)
-                bytes_saved += int(nbytes) if nbytes is not None else 64
-                continue
-            seen.add(parts)
-            exports.append((parts, value))
-        self._exports.clear()
-        if duplicates:
-            obs.count("profile_cache.shipback_deduped", duplicates)
-            obs.count("profile_cache.shipback_bytes_saved", bytes_saved)
-        return tuple(exports)
-
-    def absorb(self, items: "tuple[tuple[tuple, Any], ...]") -> int:
-        """Merge shipped-back entries; absorbed entries never re-export.
-
-        With a shared plane attached (the supervisor's side of the
-        process pool), absorbed entries are also published into the
-        segment: a profile that arrived via the fallback pipe still
-        becomes zero-copy readable to every sibling.
-        """
-        absorbed = 0
-        for parts, value in items:
-            if parts not in self._entries:
-                self.put(parts, value, export=False)
-                absorbed += 1
-        return absorbed
 
     def clear(self) -> None:
-        """Drop local entries and pending exports (shared plane stays)."""
+        """Drop local entries (shared plane stays)."""
         self._entries.clear()
-        self._exports.clear()
         self._digests.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-#: Per-process singleton (one per pool worker; the executor merges).
+#: Per-process singleton (one per pool worker).
 profile_registry = ProfileRegistry()
 
 
@@ -316,10 +249,10 @@ class ArrayIRModel:
     def _lookup_artefact(self, parts: tuple) -> Any:
         """Registry -> shared plane -> disk lookup; validated by caller.
 
-        A shared-plane or disk hit is promoted into the registry
-        (without re-export); a registry hit is lazily written through to
-        the disk store, which is how worker-shipped profiles reach the
-        persistent layer.
+        A shared-plane or disk hit is promoted into the registry (not
+        counted as computed); a registry or shared-plane hit is lazily
+        written through to the disk store, which is how a profile solved
+        by a store-less model reaches the persistent layer.
         """
         value = profile_registry.get(parts)
         if value is not None:
@@ -337,7 +270,7 @@ class ArrayIRModel:
         if value is None:
             return None
         obs.count("profile_cache.disk_hit")
-        profile_registry.put(parts, value, export=False)
+        profile_registry.put(parts, value, computed=False)
         return value
 
     # -- calibration ------------------------------------------------------------

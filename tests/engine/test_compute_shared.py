@@ -122,18 +122,42 @@ class TestParity:
         assert threaded == expected
         assert _leftover_segments() == []
 
-    def test_shared_plane_off_matches_shipback_path(self):
-        """shared_plane=False is the PR-9 pipe path, results unchanged."""
+    def test_plane_unavailable_falls_back_to_disk_cache(
+        self, monkeypatch, tmp_path
+    ):
+        """Without a segment, worker-solved profiles stay local and are
+        written through to the disk cache; payloads are unchanged."""
+        from repro.engine import shm
+
+        def _unavailable(*args, **kwargs):
+            raise shm.SharedPlaneUnavailable("no /dev/shm in this test")
+
+        monkeypatch.setattr(
+            shm.SharedProfilePlane, "create", staticmethod(_unavailable)
+        )
         ensure_loaded()
-        backend = ProcessPoolBackend(workers=1, shared_plane=False)
+
+        def ctx():
+            return warm_context(
+                seed=3,
+                faults=FaultModel.at_rate(1e-3, seed=3),
+                cache_dir=tmp_path,
+            )
+
+        backend = ProcessPoolBackend(workers=2)
         try:
-            result = backend.run(build_plan("fig04", _ctx(3)), _ctx(3))
+            result = backend.run(build_plan("fig04", ctx()), ctx())
             counters = backend.stats().counters
         finally:
             backend.close()
+        assert counters.get("compute.shared_plane_unavailable", 0) == 1
         assert "profile_cache.shared_stores" not in counters
+        assert counters.get("profile_cache.disk_store", 0) >= 1
+        # Profiles no longer ride back on results in any form.
+        assert not [n for n in counters if n.startswith("profile_cache.ship")]
         clear_warm_contexts()
         profile_registry.clear()
+        _DEFAULT_CACHE.clear()
         expected = InlineBackend().run(build_plan("fig04", _ctx(3)), _ctx(3))
         assert _plain(result) == _plain(expected)
 
@@ -321,7 +345,7 @@ class TestWorkerEpochGuard:
             live_wid = next(iter(backend._pool))
             backend._handle_message(
                 ("done", live_wid,
-                 (job.id, ({"seed": -1}, stale_obs.snapshot(), None)))
+                 (job.id, ({"seed": -1}, stale_obs.snapshot())))
             )
             counters = backend.stats().counters
             assert counters.get("compute.stale_results", 0) == 1
@@ -335,7 +359,7 @@ class TestWorkerEpochGuard:
             fresh_obs.count("epoch.probe")
             backend._handle_message(
                 ("done", 7,
-                 (job.id, ({"seed": 42}, fresh_obs.snapshot(), None)))
+                 (job.id, ({"seed": 42}, fresh_obs.snapshot())))
             )
             assert job.future.result(timeout=5) == {"seed": 42}
             counters = backend.stats().counters
@@ -376,10 +400,10 @@ class TestWorkerEpochGuard:
 
 
 class TestChaos:
-    def test_kill_in_lock_degrades_to_shipback_and_converges(self):
+    def test_kill_in_lock_keeps_profiles_local_and_converges(self):
         """A worker dying *while holding a stripe write lock* is the
         plane's worst case: the stripe stays locked forever, the retry
-        times out on it and degrades to ship-back — results unchanged.
+        times out on it and keeps its profiles local — results unchanged.
         """
         ensure_loaded()
         policy = ChaosPolicy(seed=0, kill_in_lock_rate=1.0)
@@ -392,8 +416,8 @@ class TestChaos:
         finally:
             backend.close()
         assert counters.get("compute.worker_deaths", 0) >= 1
-        # The retry could not publish (corpse holds the lock) and used
-        # the ship-back fallback instead.
+        # The retry could not publish (corpse holds the lock) and kept
+        # the profiles in its own registry instead.
         assert counters.get("profile_cache.shm_fallbacks", 0) >= 1
         clear_warm_contexts()
         profile_registry.clear()

@@ -75,8 +75,8 @@ class TestRoundtrip:
 class TestDegradation:
     def test_dead_lock_holder_makes_stripe_unavailable(self, plane):
         # Simulate a sibling that died holding the stripe write lock:
-        # the stripe's put degrades to "unavailable" (ship-back path),
-        # published blocks stay readable.
+        # the stripe's put degrades to "unavailable" (the artefact stays
+        # with its caller), published blocks stay readable.
         plane.put("pre", np.arange(2.0))
         stripe = plane._stripe_for("pre")
         plane._locks[stripe].acquire()

@@ -5,9 +5,7 @@ The Monte Carlo engine re-routes profile solves through
 K=1 ensemble must therefore land exactly where the established
 single-instance path lands — at the solver level (identical node
 voltages), the profile level (identical BL drop profiles to 1e-9 V)
-and the metric level (a faulted model's map-derived margins).  The
-surrogate rides on the same ensembles and must stay inside its
-declared error budget on held-out (voltage, rate) queries.
+and the metric level (a faulted model's map-derived margins).
 """
 
 import numpy as np
@@ -16,7 +14,7 @@ import pytest
 from repro.circuit.crosspoint import BASELINE_BIAS
 from repro.engine import RunContext
 from repro.faults import FaultModel
-from repro.mc import DEFAULT_ERROR_BUDGET, LatencySurrogate, run_ensemble
+from repro.mc import run_ensemble
 from repro.xpoint.vmap import _VOLTAGE_QUANTUM, ArrayIRModel, ModelCache
 
 pytestmark = pytest.mark.faults
@@ -161,51 +159,3 @@ class TestEnsembleMetricParity:
         # K=1 bands collapse onto the single instance.
         assert result.latency_us.p1 == result.latency_us.p99 == instance.latency_us
 
-
-class TestSurrogateParity:
-    def test_held_out_queries_stay_inside_the_budget(self, mini_config):
-        context = _context(mini_config)
-        surrogate = LatencySurrogate.fit(
-            context,
-            voltages=(2.8, 3.0, 3.2),
-            rates=(1e-3, 1e-2),
-            samples=8,
-            spot_check_every=1,  # every in-hull query checks against exact
-        )
-        checked = 0
-        for v in (2.9, 3.1):
-            for rate in (1e-3, 5e-3, 1e-2):
-                predicted = surrogate.predict(v, rate)
-                assert predicted["exact"] is False
-                assert surrogate.last_rel_error <= DEFAULT_ERROR_BUDGET
-                checked += 1
-        assert checked == 6
-
-    def test_out_of_hull_falls_back_to_exact(self, mini_config):
-        surrogate = LatencySurrogate.fit(
-            _context(mini_config),
-            voltages=(2.9, 3.1),
-            rates=(1e-3,),
-            samples=4,
-            spot_check_every=0,
-        )
-        assert not surrogate.in_hull(3.5, 1e-3)
-        predicted = surrogate.predict(3.5, 1e-3)
-        assert predicted["exact"] is True
-        assert predicted["latency_us_p50"] > 0
-
-    def test_grid_corners_reproduce_exactly(self, mini_config):
-        """On-grid queries interpolate to the corner values themselves."""
-        context = _context(mini_config)
-        surrogate = LatencySurrogate.fit(
-            context,
-            voltages=(2.9, 3.1),
-            rates=(1e-3, 1e-2),
-            samples=4,
-            spot_check_every=0,
-        )
-        corner = surrogate.points[(0, 0)]
-        predicted = surrogate.predict(2.9, 1e-3)
-        assert predicted["latency_us_p50"] == pytest.approx(
-            corner.latency_us_p50, rel=1e-9
-        )

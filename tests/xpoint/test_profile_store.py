@@ -1,12 +1,13 @@
-"""Profile sharing layers: registry, persistent store, ship-back, seeds.
+"""Profile sharing layers: registry, persistent store, seeds.
 
 ``ArrayIRModel`` resolves a BL drop profile through four layers — the
 per-model memo, the process-wide :data:`profile_registry`, the
 checksummed disk :class:`~repro.engine.cache.ProfileStore`, and finally
 a live (continuation-seeded) solve.  These tests pin the lookup order,
-the validation that guards every shared layer, the corruption fallback
-inherited from :class:`~repro.engine.cache.ResultCache`, and the
-executor ship-back that returns worker-solved profiles to the parent.
+the validation that guards every shared layer, and the corruption
+fallback inherited from :class:`~repro.engine.cache.ResultCache`.
+Cross-process sharing through the shared-memory segment is covered in
+``tests/engine/test_compute_shared.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.circuit.crosspoint import BASELINE_BIAS
 from repro.config import default_config
 from repro.engine.cache import NullCache, ProfileStore, ResultCache
 from repro.engine.context import RunContext
-from repro.engine.executor import ParallelExecutor
 from repro.xpoint.vmap import ArrayIRModel, profile_registry
 
 #: Seeded (continuation) and cold solves may land on different points
@@ -209,29 +209,3 @@ class TestPersistentStore:
     def test_run_context_without_cache_has_no_store(self):
         assert RunContext(config=default_config(size=16)).profile_store is None
 
-
-def _solve_profile_in_worker(v_applied):
-    """Pool task: solve one BL profile inside a worker process."""
-    from repro.config import default_config
-    from repro.xpoint.vmap import ArrayIRModel
-
-    model = ArrayIRModel(default_config(size=16), solver="factor-cache")
-    return float(model.bl_drop_profile(v_applied)[0])
-
-
-class TestExecutorShipBack:
-    def test_worker_profiles_reach_parent_registry(self):
-        def run():
-            return ParallelExecutor(2).map(
-                _solve_profile_in_worker, [3.3, 3.2]
-            )
-
-        results, counters = _collected(run)
-        assert [r.error for r in results] == [None, None]
-        assert any(r.profiles for r in results)
-        assert counters.get("profile_cache.shipped", 0) >= 2
-        assert len(profile_registry) >= 2
-
-        # The shipped profiles satisfy later lookups without a solve.
-        _, counters = _collected(lambda: _model(size=16).bl_drop_profile(3.3))
-        assert counters.get("profile_cache.registry_hit") == 1
