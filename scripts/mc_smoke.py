@@ -90,7 +90,7 @@ def main() -> int:
     assert f"{SCHEME}@{DEFAULT_MC_RATES[-1]:g}#i0" in cells, sorted(cells)[:4]
 
     with tempfile.TemporaryDirectory(prefix="mc-smoke-") as root:
-        store = SweepStore(root, backend="npz", grace_s=0.0)
+        store = SweepStore(root, grace_s=0.0)
         store.append(rows)
         report = store.combine()
         assert report.rows == len(rows), report

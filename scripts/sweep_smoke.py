@@ -3,8 +3,8 @@
 
 Pushes a small scripted fault-sweep (2 configs x 3 seeds x 2 solvers
 x 4 techniques x 5 fault rates = 240 rows) through the full ETL path
-— ingest, combine, filtered query, cross-solver join — once per
-available storage backend, with golden assertions at every step:
+— ingest, combine, filtered query, cross-solver join — with golden
+assertions at every step:
 
 * combine commits exactly one generation holding every ingested row;
 * re-ingesting the identical sweep and re-combining is idempotent
@@ -12,10 +12,7 @@ available storage backend, with golden assertions at every step:
 * a filtered projection returns the exact expected row count;
 * the cross-run join matches every reference-solver design point to
   its batched-solver twin, and the latency delta equals the scripted
-  solver offset on every joined row;
-* when both backends are installed (CI reruns this script after
-  ``pip install pyarrow``), their canonical fingerprints are equal —
-  parquet and npz stores answer queries byte-identically.
+  solver offset on every joined row.
 
 Usage::
 
@@ -33,7 +30,6 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.sweepstore import (  # noqa: E402
     SweepStore,
-    available_backends,
     join_tables,
     rows_from_result,
 )
@@ -92,10 +88,10 @@ def _ingest_all(store: SweepStore) -> int:
     return rows
 
 
-def _smoke_backend(backend: str) -> str:
-    """Run the full ETL path on one backend; returns its fingerprint."""
-    with tempfile.TemporaryDirectory(prefix=f"sweep-smoke-{backend}-") as root:
-        store = SweepStore(root, backend=backend, grace_s=0.0)
+def _smoke() -> str:
+    """Run the full ETL path; returns the canonical fingerprint."""
+    with tempfile.TemporaryDirectory(prefix="sweep-smoke-") as root:
+        store = SweepStore(root, grace_s=0.0)
         ingested = _ingest_all(store)
         assert ingested == ROWS, (ingested, ROWS)
 
@@ -143,22 +139,14 @@ def _smoke_backend(backend: str) -> str:
         assert worst < 1e-9, worst
 
         print(
-            f"sweep-smoke:{backend:8s} {ingested} rows, "
+            f"sweep-smoke: {ingested} rows, "
             f"join {matches} matches, fingerprint {fingerprint[:16]}..."
         )
         return fingerprint
 
 
 def main() -> int:
-    backends = available_backends()
-    assert "npz" in backends, backends  # the fallback is always present
-    fingerprints = {backend: _smoke_backend(backend) for backend in backends}
-    if len(fingerprints) > 1:
-        unique = set(fingerprints.values())
-        assert len(unique) == 1, fingerprints
-        print(f"sweep-smoke: backend parity OK across {sorted(fingerprints)}")
-    else:
-        print("sweep-smoke: single backend (npz fallback); parity not checked")
+    _smoke()
     print("sweep smoke OK")
     return 0
 

@@ -19,7 +19,8 @@ The engine turns "one figure = one function call" into a pipeline:
   the service) that execute plans;
 * :mod:`repro.engine.executor` — serial and process-pool executors with
   deterministic result ordering and per-task timing (cell-level fan-out
-  *within* an experiment; sits underneath the compute plane);
+  *within* an experiment; each parallel map runs on its own short-lived
+  supervised process pool);
 * :mod:`repro.engine.cache` — opt-in on-disk result cache under
   ``.repro_cache/`` keyed by config/params/code-version hashes;
 * :mod:`repro.engine.artifact` — :class:`ExperimentResult`, the typed
@@ -36,6 +37,7 @@ from .compute import (
     ComputeBackend,
     ComputeJobError,
     InlineBackend,
+    JobDeadlineError,
     PoolBrokenError,
     ProcessPoolBackend,
     ThreadPoolBackend,
@@ -72,6 +74,7 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "InlineBackend",
+    "JobDeadlineError",
     "NullCache",
     "ParallelExecutor",
     "PoolBrokenError",

@@ -36,8 +36,15 @@ Worker threads each collect observability into a per-request
 collector (activation is thread-local, see :mod:`repro.obs.collector`)
 and merge the snapshot into the backend's aggregate under a lock, so
 service-wide counters survive request interleaving.  Pool workers ship
-a picklable snapshot back with each result, exactly like
-:class:`~repro.engine.executor.ParallelExecutor` workers do.
+a picklable snapshot back with each plan result, which the supervisor
+merges when it resolves the plan's future.
+
+The process pool's job wire is generic: a worker runs ``fn(*args)``
+for each job it is handed.  :meth:`ProcessPoolBackend.submit` is one
+use of it (a plan spec run by :func:`_execute_spec`);
+:meth:`ProcessPoolBackend.call` is the other, and
+:class:`~repro.engine.executor.ParallelExecutor` runs its ``--workers``
+fan-out on it, one short-lived pool per ``map``.
 
 The process pool additionally runs a **shared-memory solver data
 plane** (:mod:`repro.engine.shm`): the supervisor creates one
@@ -61,14 +68,15 @@ import multiprocessing
 import os
 import random
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 import threading
 import time
 import traceback as traceback_module
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from .. import chaos, obs
 from .executor import RetryPolicy
@@ -87,6 +95,7 @@ __all__ = [
     "ComputeBackend",
     "ComputeJobError",
     "InlineBackend",
+    "JobDeadlineError",
     "PoolBrokenError",
     "ProcessPoolBackend",
     "ThreadPoolBackend",
@@ -102,6 +111,14 @@ class PoolBrokenError(RuntimeError):
     times than the resubmission budget allows.  Plans failed this way
     were never *computed* wrong — resubmitting them elsewhere (the
     service's thread/inline fallback rungs) is always safe.
+    """
+
+
+class JobDeadlineError(PoolBrokenError):
+    """A job was lost because its worker overran ``job_deadline_s``.
+
+    Still a :class:`PoolBrokenError` (the worker was terminated), but a
+    distinct type so callers can tell a timeout from a death.
     """
 
 
@@ -245,15 +262,9 @@ class _JobSpec:
     cache_dir: "str | None"
     settings: "PerfSettings | None"
     strict: bool
-    #: Chaos identity of this execution: (plan name, seed, attempt).
-    #: The attempt is part of the token so a resubmitted plan draws a
-    #: *fresh* kill decision — deterministic, but convergent.
-    chaos_token: "tuple | None" = None
 
 
-def _spec_for(
-    plan: "ExperimentPlan", context: "RunContext", attempt: int = 0
-) -> _JobSpec:
+def _spec_for(plan: "ExperimentPlan", context: "RunContext") -> _JobSpec:
     cache = context.cache
     cache_dir = str(cache.root) if getattr(cache, "enabled", False) else None
     return _JobSpec(
@@ -265,7 +276,6 @@ def _spec_for(
         cache_dir=cache_dir,
         settings=plan.settings,
         strict=context.strict,
-        chaos_token=(plan.name, context.seed, attempt),
     )
 
 
@@ -301,7 +311,7 @@ def _pool_worker_main(
     chaos_policy,
     shm_handle=None,
 ) -> None:
-    """Worker process loop: execute job specs until the ``None`` sentinel.
+    """Worker process loop: run jobs until the ``None`` sentinel.
 
     A daemon heartbeat thread proves the interpreter is still
     scheduling threads — a worker wedged in a C loop (or paused by the
@@ -324,15 +334,19 @@ def _pool_worker_main(
     the handle is the same) and wires the segment into its profile
     registry, so artefacts flow to siblings zero-copy.  Attach failure
     degrades silently to a worker-local registry (plus the disk cache).
-    Task messages are lists of ``(job_id, spec)`` pairs stacked by group
-    identity.  A group runs *sequentially*, in dispatch order: the head
-    job solves the group's profile grids once and publishes them
-    (process-local registry + shared plane), and every group-mate's
-    solves collapse to registry hits.  Running group-mates concurrently instead would be
-    strictly worse: duplicate streams re-solve every quantum N times
-    and break the warm-start continuation chain.  Solves run on the
-    job's own thread, inside its ``obs.collecting`` scope, so their
-    counters land in the job's snapshot.
+
+    Task messages are lists of pickled ``(job_id, fn, args,
+    chaos_token)`` jobs; the worker runs ``fn(*args)`` for each and
+    posts the return value (or the exception's type, message and
+    traceback).  Plan jobs stacked by group identity run
+    *sequentially*, in dispatch order: the head job solves the group's
+    profile grids once and publishes them (process-local registry +
+    shared plane), and every group-mate's solves collapse to registry
+    hits.  Running group-mates concurrently instead would be strictly
+    worse: duplicate streams re-solve every quantum N times and break
+    the warm-start continuation chain.  Solves run on the job's own
+    thread, inside its ``obs.collecting`` scope, so their counters land
+    in the job's snapshot.
     """
     if chaos_policy is not None:
         chaos.install(chaos_policy)
@@ -370,45 +384,65 @@ def _pool_worker_main(
         if plane is not None:
             profile_registry.attach_shared(plane)
 
-    def run_one(job_id: int, spec: _JobSpec) -> None:
-        kill_timer = chaos.kill_point(spec.chaos_token)
+    def failure(job_id: int, exc: BaseException) -> tuple:
+        tb = "".join(
+            traceback_module.format_exception(
+                type(exc), exc, exc.__traceback__, limit=8
+            )
+        )
+        return ("error", worker_id, (job_id, type(exc).__name__, str(exc), tb))
+
+    def run_one(job_id: int, fn, args: tuple, chaos_token) -> None:
+        kill_timer = chaos.kill_point(chaos_token)
         try:
-            result, snapshot = _execute_spec(spec)
+            message = ("done", worker_id, (job_id, fn(*args)))
         except BaseException as exc:  # noqa: BLE001 - shipped to supervisor
-            tb = "".join(
-                traceback_module.format_exception(
-                    type(exc), exc, exc.__traceback__, limit=8
-                )
-            )
-            post(
-                ("error", worker_id, (job_id, type(exc).__name__, str(exc), tb))
-            )
-        else:
-            post(("done", worker_id, (job_id, (result, snapshot))))
+            message = failure(job_id, exc)
         finally:
             # Disarm a kill aimed at this job once it is over: a stale
             # timer firing during the *next* job would charge an
-            # innocent plan's resubmission budget.
+            # innocent job's resubmission budget.
             if kill_timer is not None:
                 kill_timer.cancel()
+        try:
+            post(message)
+        except Exception as exc:  # noqa: BLE001 - an unpicklable return value
+            post(failure(job_id, exc))
 
     post(("ready", worker_id, None))
     while True:
         message = task_queue.get()
         if message is None:
             break
-        for job_id, spec in message:
-            run_one(job_id, spec)
+        for wire in message:
+            run_one(*ForkingPickler.loads(wire))
     post(("bye", worker_id, None))
 
 
 class _Job:
-    __slots__ = ("id", "spec", "future", "attempts", "dispatched",
-                 "group", "wid")
+    __slots__ = ("id", "fn", "args", "name", "chaos_token", "finish",
+                 "future", "attempts", "dispatched", "group", "wid")
 
-    def __init__(self, job_id: int, spec: _JobSpec) -> None:
+    def __init__(
+        self,
+        job_id: int,
+        fn: "Callable",
+        args: tuple,
+        name: str,
+        chaos_token: "tuple | None" = None,
+        finish: "Callable | None" = None,
+    ) -> None:
         self.id = job_id
-        self.spec = spec
+        self.fn = fn
+        self.args = args
+        self.name = name  # for error messages: "plan 'fig15'", "call f"
+        #: Chaos identity of this execution: (plan name, seed, attempt).
+        #: The attempt is part of the token so a resubmitted plan draws
+        #: a *fresh* kill decision — deterministic, but convergent.
+        self.chaos_token = chaos_token
+        #: Supervisor-side step turning the worker's return value into
+        #: the future's result (a plan job merges its obs snapshot).
+        self.finish = finish
         self.future: Future = Future()
         self.attempts = 0  # resubmissions consumed by worker deaths
         self.dispatched = False
@@ -431,7 +465,9 @@ class _PoolWorker:
         self.process = process
         self.task_queue = task_queue
         self.conn = conn  # supervisor's end of the worker's result pipe
-        self.job_ids: set[int] = set()  # in-flight jobs (grouped batches)
+        #: In-flight jobs in dispatch order (a dict as an ordered set):
+        #: the worker runs them in this order, so the first is running.
+        self.job_ids: dict[int, None] = {}
         self.started_at = 0.0
         self.last_beat = time.monotonic()
         #: Group identity of the last batch dispatched here.  While jobs
@@ -455,17 +491,20 @@ class ProcessPoolBackend(ComputeBackend):
 
     Failure containment, in escalation order:
 
-    * **Worker death** (crash, OOM kill, chaos ``os._exit``): the
-      in-flight plan is requeued — at most ``resubmit_limit`` times,
-      after which its future fails with :class:`PoolBrokenError` — and
-      the worker is replaced while ``restart_budget`` lasts, with
+    * **Worker death** (crash, OOM kill, chaos ``os._exit``): the job
+      the worker was running is charged the death and requeued — at
+      most ``resubmit_limit`` times, after which its future fails with
+      :class:`PoolBrokenError`; group-mates stacked behind it never
+      started, so they are requeued uncharged — and the worker is
+      replaced while ``restart_budget`` lasts, with
       jittered exponential backoff between restarts
       (:class:`~repro.engine.executor.RetryPolicy`), so a crash loop
       cannot hot-spin the supervisor.
     * **Wedged solve**: a worker holding one plan past
       ``job_deadline_s`` — or one whose heartbeat goes silent for
       ``heartbeat_s * heartbeat_misses`` — is terminated and handled as
-      a death.
+      a death; a job that overran its deadline past its resubmission
+      budget fails with :class:`JobDeadlineError`.
     * **Budget exhausted**: with no live workers left and no restarts
       remaining, the pool is *broken*: every queued/in-flight future
       fails with :class:`PoolBrokenError` and further submits raise it.
@@ -598,6 +637,38 @@ class ProcessPoolBackend(ComputeBackend):
     def submit(
         self, plan: "ExperimentPlan", context: "RunContext"
     ) -> "Future[ExperimentResult]":
+        spec = _spec_for(plan, context)
+        job = _Job(
+            next(self._next_job),
+            _execute_spec,
+            (spec,),
+            name=f"plan {plan.name!r}",
+            chaos_token=(plan.name, context.seed, 0),
+            finish=self._finish_plan,
+        )
+        # Seed is deliberately *not* part of the group key: distinct
+        # seeds of one configuration share every profile grid, so a
+        # stacked seed still rides its head job's solves.
+        job.group = (
+            plan.cfg_hash, plan.solver, plan.fault_set, spec.cache_dir,
+            spec.strict,
+        )
+        return self._admit(job)
+
+    def call(self, fn: "Callable[..., Any]", *args: Any) -> Future:
+        """Run ``fn(*args)`` on a pool worker; the future holds its value.
+
+        ``fn`` and ``args`` must be picklable.  Calls are never grouped
+        and carry no chaos token.  An exception raised by ``fn`` fails
+        the future with :class:`ComputeJobError`; a worker lost while
+        running the call fails it with :class:`PoolBrokenError` (or
+        :class:`JobDeadlineError` for an overrun deadline) once the
+        resubmission budget is spent.
+        """
+        name = f"call {getattr(fn, '__qualname__', fn)}"
+        return self._admit(_Job(next(self._next_job), fn, args, name=name))
+
+    def _admit(self, job: _Job) -> Future:
         with self._lock:
             if self._closed or self._closing:
                 raise RuntimeError("compute backend is closed")
@@ -605,21 +676,16 @@ class ProcessPoolBackend(ComputeBackend):
                 raise PoolBrokenError(
                     "process pool is broken (restart budget exhausted)"
                 )
-            job = _Job(next(self._next_job), _spec_for(plan, context))
-            # Seed is deliberately *not* part of the group key: distinct
-            # seeds of one configuration share every profile grid, so a
-            # stacked seed still rides its head job's solves.
-            job.group = (
-                plan.cfg_hash,
-                plan.solver,
-                plan.fault_set,
-                job.spec.cache_dir,
-                job.spec.strict,
-            )
             self._jobs[job.id] = job
             self._queue.append(job)
             self._note("compute.jobs")
         return job.future
+
+    def _finish_plan(self, value: tuple) -> "ExperimentResult":
+        result, snapshot = value
+        if snapshot is not None:
+            self.merge_observations(snapshot)
+        return result
 
     def _note(self, name: str, n: int = 1) -> None:
         with self._collector_lock:
@@ -726,7 +792,7 @@ class ProcessPoolBackend(ComputeBackend):
             job_id = body[0]
             job = self._jobs.get(job_id)
             if worker is not None:
-                worker.job_ids.discard(job_id)
+                worker.job_ids.pop(job_id, None)
             if job is None or job.future.done():
                 return
             if job.wid != wid:
@@ -738,10 +804,10 @@ class ProcessPoolBackend(ComputeBackend):
                 return
             del self._jobs[job_id]
         if kind == "done":
-            result, snapshot = body[1]
-            if snapshot is not None:
-                self.merge_observations(snapshot)
-            self._resolve(job, result)
+            value = body[1]
+            if job.finish is not None:
+                value = job.finish(value)
+            self._resolve(job, value)
         elif kind == "error":
             _, error_type, message_text, tb = body
             self._note("compute.job_errors")
@@ -770,6 +836,7 @@ class ProcessPoolBackend(ComputeBackend):
         stale_after = self.heartbeat_s * self.heartbeat_misses
         for wid, worker in list(self._pool.items()):
             dead = not worker.process.is_alive()
+            wedged = False
             if not dead and wid in self._conn_failed:
                 # The pipe broke but the corpse is not reaped yet (or a
                 # live process sent a corrupt frame): finish the job.
@@ -805,7 +872,7 @@ class ProcessPoolBackend(ComputeBackend):
                 if now - self._last_death > 5.0:
                     self._restart_streak = 0
                 self._last_death = now
-                self._requeue_or_fail(worker)
+                self._requeue_or_fail(worker, wedged)
                 worker.task_queue.close()
         while (
             len(self._pool) < self.workers
@@ -827,45 +894,55 @@ class ProcessPoolBackend(ComputeBackend):
         if not self._pool and self._restarts_used >= self.restart_budget:
             self._mark_broken()
 
-    def _requeue_or_fail(self, worker: _PoolWorker) -> None:
-        """Requeue every plan the dead worker held (a grouped batch may
-        hold several); each charges its own resubmission budget."""
-        in_flight = sorted(worker.job_ids)
+    def _requeue_or_fail(self, worker: _PoolWorker, wedged: bool) -> None:
+        """Requeue every job the dead worker held (a grouped batch may
+        hold several).
+
+        Only the job the worker was running — the first still in
+        flight, since a batch runs in dispatch order — is charged the
+        death; the jobs stacked behind it never started, so they keep
+        their resubmission budget and their chaos token.
+        """
+        held = [
+            job
+            for job in map(self._jobs.get, worker.job_ids)
+            if job is not None and not job.future.done()
+        ]
         worker.job_ids.clear()
-        for job_id in in_flight:
-            job = self._jobs.get(job_id)
-            if job is None or job.future.done():
-                continue
+        for job in held:
             job.wid = None
-            # Retry isolation: a batch dies as a unit, so any of its
-            # jobs may be the poison one.  Requeued jobs run alone —
-            # a repeatedly-crashing plan then only ever charges its own
+            # Retry isolation: requeued jobs run alone, so a
+            # repeatedly-crashing plan only ever charges its own
             # resubmission budget, never its group-mates'.
             job.group = None
-            job.attempts += 1
-            if job.future.cancelled():
-                del self._jobs[job.id]
-                continue
-            if job.attempts <= self.resubmit_limit:
-                # Idempotent resubmission: the spec re-keys the same
+        if held:
+            head = held[0]
+            head.attempts += 1
+            if head.attempts > self.resubmit_limit:
+                held.pop(0)
+                del self._jobs[head.id]
+                self._note("compute.job_losses")
+                if wedged:
+                    error: PoolBrokenError = JobDeadlineError(
+                        f"{head.name} overran job_deadline_s="
+                        f"{self.job_deadline_s}; resubmission budget exhausted"
+                    )
+                else:
+                    error = PoolBrokenError(
+                        f"{head.name} lost to {head.attempts} worker death(s); "
+                        "resubmission budget exhausted"
+                    )
+                head.future.set_exception(error)
+            elif head.chaos_token is not None:
+                # Idempotent resubmission: the job re-keys the same
                 # cache entry and deterministic drivers; only the chaos
                 # token advances so an injected kill draws a fresh
                 # decision.
-                job.spec = replace(
-                    job.spec,
-                    chaos_token=(job.spec.name, job.spec.seed, job.attempts),
-                )
-                self._queue.appendleft(job)
-                self._note("compute.requeues")
-                continue
-            del self._jobs[job.id]
-            self._note("compute.job_losses")
-            job.future.set_exception(
-                PoolBrokenError(
-                    f"plan {job.spec.name!r} lost to {job.attempts} worker "
-                    "death(s); resubmission budget exhausted"
-                )
-            )
+                head.chaos_token = (*head.chaos_token[:-1], head.attempts)
+        # Requeued jobs go to the front, in their dispatch order.
+        self._queue.extendleft(reversed(held))
+        if held:
+            self._note("compute.requeues", len(held))
 
     def _mark_broken(self) -> None:
         if self._broken:
@@ -881,8 +958,8 @@ class ProcessPoolBackend(ComputeBackend):
             if not job.future.done():
                 job.future.set_exception(
                     PoolBrokenError(
-                        "process pool restart budget exhausted; plan "
-                        f"{job.spec.name!r} was not executed"
+                        "process pool restart budget exhausted; "
+                        f"{job.name} was not executed"
                     )
                 )
 
@@ -935,10 +1012,6 @@ class ProcessPoolBackend(ComputeBackend):
                 room -= 1
             if not batch:
                 continue
-            worker.started_at = time.monotonic()
-            for job in batch:
-                job.wid = worker.wid
-                worker.job_ids.add(job.id)
             self._note("compute.affinity_dispatches")
             self._note("compute.grouped_jobs", len(batch))
             if not worker.grouped:
@@ -946,7 +1019,7 @@ class ProcessPoolBackend(ComputeBackend):
                 # into a group dispatch (head + followers).
                 self._note("compute.group_dispatches")
                 worker.grouped = True
-            worker.task_queue.put([(job.id, job.spec) for job in batch])
+            self._send(worker, batch)
 
     def _dispatch(self) -> None:
         if not self._queue:
@@ -999,18 +1072,37 @@ class ProcessPoolBackend(ComputeBackend):
                 idle[0],
             )
             idle.remove(worker)
-            worker.started_at = time.monotonic()
             worker.group = batch[0].group
             worker.grouped = len(batch) > 1
-            for job in batch:
-                job.wid = worker.wid
-                worker.job_ids.add(job.id)
             if len(batch) > 1:
                 self._note("compute.group_dispatches")
                 self._note("compute.grouped_jobs", len(batch))
-            worker.task_queue.put([(job.id, job.spec) for job in batch])
+            self._send(worker, batch)
             if not self._queue:
                 return
+
+    def _send(self, worker: _PoolWorker, batch: "list[_Job]") -> None:
+        """Hand ``batch`` to ``worker``, pickling each job here.
+
+        Pickling in the supervisor (rather than in the task queue's
+        feeder thread, which only logs a failure) turns an unpicklable
+        job into a failed future instead of one that never resolves.
+        """
+        wire = []
+        for job in batch:
+            try:
+                wire.append(bytes(ForkingPickler.dumps(
+                    (job.id, job.fn, job.args, job.chaos_token)
+                )))
+            except Exception as exc:  # noqa: BLE001 - the future carries it
+                del self._jobs[job.id]
+                job.future.set_exception(exc)
+                continue
+            job.wid = worker.wid
+            worker.job_ids[job.id] = None
+        if wire:
+            worker.started_at = time.monotonic()
+            worker.task_queue.put(wire)
 
     # -- lifecycle -----------------------------------------------------------------
 

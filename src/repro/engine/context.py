@@ -120,21 +120,6 @@ class RunContext:
         # silently reassign failures across payloads.
         self._diagnostics = threading.local()
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release run-owned resources (the executor's worker pools).
-
-        Idempotent.  Only what this context *owns* is released: the
-        model cache and profile registry are process-wide shared state
-        and must survive any one context's retirement (the warm-context
-        registry closes evicted contexts while their siblings keep
-        serving from the same shared caches).
-        """
-        close = getattr(self.executor, "close", None)
-        if callable(close):
-            close()
-
     # -- failure bookkeeping ----------------------------------------------------
 
     def _diag(self) -> "threading.local":

@@ -17,25 +17,26 @@ Failure semantics (see docs/engine.md "Failure semantics"):
   :class:`TaskError` record, while every surviving task keeps its
   result — the caller receives a *partial* batch, in input order.
 * ``strict=True`` restores fail-fast: the first task exception
-  propagates unchanged and in-flight results are discarded.
-* :class:`ParallelExecutor` additionally survives worker-process
-  deaths (``BrokenProcessPool``): finished results are preserved and
-  only the failed/orphaned tasks are re-run in a fresh pool.  After
-  ``RetryPolicy.max_pool_deaths`` pool rebuilds the remaining tasks run
-  serially in the parent process.  A per-task ``timeout_s`` bounds hung
-  workers; an expired task is charged a ``TimeoutError`` attempt and
-  the pool (which still holds the hung worker) is recycled.
+  propagates with its original type (a hung task raises
+  ``TimeoutError``, a lost worker
+  :class:`~repro.engine.compute.PoolBrokenError`).
+* :class:`ParallelExecutor` runs each ``map`` on its own supervised
+  :class:`~repro.engine.compute.ProcessPoolBackend`, closed before
+  ``map`` returns, so no executor owns a process between calls.  A
+  worker death costs only the task that worker held one attempt; after
+  ``RetryPolicy.max_pool_deaths`` deaths the unfinished tasks run
+  serially in the parent process.  ``RetryPolicy.timeout_s`` is the
+  pool's job deadline: the hung worker is terminated and the task is
+  charged a ``TimeoutError`` attempt, and is never re-run in the parent.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -68,9 +69,10 @@ class RetryPolicy:
     retry schedules never synchronise across tasks yet stay
     reproducible.  ``timeout_s`` bounds one task's wall time (parallel
     executors only — a serial executor cannot preempt the task).
-    ``max_pool_deaths`` bounds how many times a broken or hung process
-    pool is rebuilt before the remaining tasks fall back to serial
-    execution in the parent process.
+    ``max_pool_deaths`` bounds how many pool workers may die within one
+    parallel ``map`` before the unfinished tasks fall back to serial
+    execution in the parent process (``0`` runs non-strict maps
+    serially from the start).
     """
 
     retries: int = 2
@@ -179,34 +181,57 @@ def _timed_call(
     )
 
 
-def _task_error(index: int, exc: BaseException, attempts: int) -> TaskError:
-    return TaskError(
-        index=index,
-        error_type=type(exc).__name__,
-        message=str(exc),
-        attempts=attempts,
-        traceback="".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
-        ),
+def _format_traceback(exc: BaseException) -> str:
+    return "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
     )
 
 
-def _failed(index: int, exc: BaseException, attempts: int) -> TaskResult:
+def _failed(
+    index: int, exc: BaseException, attempts: int, tb: str | None = None
+) -> TaskResult:
+    """A failed task's result; ``tb`` overrides the exception's own
+    traceback (which does not survive the trip back from a worker)."""
     return TaskResult(
         index=index,
         value=None,
         wall_s=0.0,
         attempts=attempts,
-        error=_task_error(index, exc, attempts),
+        error=TaskError(
+            index=index,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            attempts=attempts,
+            traceback=_format_traceback(exc) if tb is None else tb,
+        ),
     )
+
+
+@dataclass(frozen=True)
+class _Raised:
+    """A task's exception, returned (not raised) from a pool worker so
+    its original type reaches the parent, with the worker traceback."""
+
+    exc: Exception
+    traceback: str
+
+
+def _pool_task(
+    fn: Callable[[Any], Any], index: int, item: Any, collect: bool
+) -> "TaskResult | _Raised":
+    """One parallel task, as run in a pool worker."""
+    try:
+        return _timed_call(fn, index, item, collect)
+    except Exception as exc:  # noqa: BLE001 - shipped back to the parent
+        return _Raised(exc, _format_traceback(exc))
 
 
 def _note_batch(results: "list[TaskResult]") -> list[TaskResult]:
     """Record batch-level executor counters and merge worker snapshots.
 
     Worker-side observability snapshots are merged into the parent
-    exactly once, here, whatever path produced the results (pool drain,
-    pool rebuild, or serial fallback).
+    exactly once, here, whatever path produced the results (pool
+    worker or serial fallback).
     """
     collector = obs.active_collector()
     if collector is None:
@@ -237,14 +262,6 @@ class SerialExecutor:
     def label(self) -> str:
         return "serial"
 
-    def close(self) -> None:
-        """Lifecycle no-op: a serial executor owns no worker processes.
-
-        Exists so every executor honours the same close contract —
-        context owners (:meth:`repro.engine.context.RunContext.close`,
-        the warm-context registry) call it unconditionally.
-        """
-
     def map(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> list[TaskResult]:
@@ -260,20 +277,6 @@ class SerialExecutor:
                     for i, item in enumerate(items)
                 ]
         return _note_batch(results)
-
-
-def _next_wait_timeout(deadlines: "dict[Any, float]") -> float | None:
-    """Seconds until the nearest task deadline, or ``None`` without one.
-
-    ``deadlines`` is legitimately empty while tasks are in flight — a
-    timeout-less policy, or timed tasks that have all expired while
-    retries of clean failures are still queued — and ``min()`` over an
-    empty mapping would raise ``ValueError`` mid-drain, so the empty
-    case must degrade to an unbounded wait instead of being computed.
-    """
-    if not deadlines:
-        return None
-    return max(0.0, min(deadlines.values()) - time.monotonic())
 
 
 def _retrying_call(
@@ -302,14 +305,17 @@ def _retrying_call(
 
 
 class ParallelExecutor:
-    """Fan tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+    """Fan tasks out over worker processes, one supervised pool per map.
 
     ``fn`` and every item must be picklable (module-level functions and
-    frozen dataclasses are).  Results come back in input order whatever
-    the completion order, so a parallel run is a drop-in replacement for
-    a serial one.  Worker failures are retried and contained per the
-    :class:`RetryPolicy` unless ``strict`` is set (see the module
-    docstring).
+    frozen dataclasses are).  Each ``map`` starts a
+    :class:`~repro.engine.compute.ProcessPoolBackend` of
+    ``min(workers, len(items))`` workers — forked from the caller's
+    state at that moment — and closes it before returning.  Results come
+    back in input order whatever the completion order, so a parallel run
+    is a drop-in replacement for a serial one.  Worker failures are
+    retried and contained per the :class:`RetryPolicy` unless ``strict``
+    is set (see the module docstring).
     """
 
     def __init__(
@@ -323,261 +329,119 @@ class ParallelExecutor:
         self.workers = workers or os.cpu_count() or 1
         self.policy = policy or RetryPolicy()
         self.strict = strict
-        # Pools whose shutdown was issued without waiting: map() must
-        # return promptly, but the executor still *owns* those worker
-        # processes until close() joins them.  Without this registry a
-        # discarded executor (warm-context eviction, a losing
-        # construction racer) leaks children for the OS to reap.  Each
-        # entry keeps the pool's worker-process map alongside it:
-        # ``shutdown(wait=False)`` nulls ``pool._processes``, so the
-        # registry's reference is the only handle left to join on.
-        self._pools: "list[tuple[ProcessPoolExecutor, dict]]" = []
-        self._managers: "list[threading.Thread]" = []  # see _release_pool
-        self._pools_lock = threading.Lock()
 
     @property
     def label(self) -> str:
         return f"parallel[{self.workers}]"
 
-    def _register_pool(self, pool: ProcessPoolExecutor) -> None:
-        with self._pools_lock:
-            # Opportunistic pruning keeps the registry bounded across a
-            # long-lived executor's many map() calls: a pool whose
-            # worker processes have all exited needs no further join.
-            self._pools = [
-                entry
-                for entry in self._pools
-                if any(proc.is_alive() for proc in tuple(entry[1].values()))
-            ]
-            self._pools.append((pool, pool._processes))
-            self._managers = [t for t in self._managers if t.is_alive()]
-
-    def _release_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Shut ``pool`` down without waiting; close() still reaps it.
-
-        The pool's manager thread pops each exiting worker from
-        ``pool._processes`` *before* joining it, so the registry keeps a
-        copy of that map, and close() joins the manager thread first:
-        when two threads reap one child, the one that loses the
-        ``waitpid`` race reports the exiting worker as still alive.
-        """
-        with self._pools_lock:
-            self._pools = [
-                (entry, dict(processes) if entry is pool else processes)
-                for entry, processes in self._pools
-            ]
-            if pool._executor_manager_thread is not None:
-                self._managers.append(pool._executor_manager_thread)
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Join every worker process this executor ever started.
-
-        Idempotent and safe concurrently with (or after) ``map``;
-        subsequent ``map`` calls still work — close() is a reaping
-        point, not a poison pill — but owners are expected to drop the
-        executor afterwards.
-        """
-        with self._pools_lock:
-            pools, self._pools = self._pools, []
-            managers, self._managers = self._managers, []
-        for pool, _processes in pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-        for manager in managers:
-            manager.join()
-        for _pool, processes in pools:
-            for proc in tuple(processes.values()):
-                proc.join()
-
     def map(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> list[TaskResult]:
-        if self.workers == 1 or len(items) <= 1:
+        # A zero death budget means no pool at all (see RetryPolicy).
+        pooled = self.strict or self.policy.max_pool_deaths > 0
+        if self.workers == 1 or len(items) <= 1 or not pooled:
             return SerialExecutor(self.policy, self.strict).map(fn, items)
         with obs.span("executor.map", executor=self.label):
-            if self.strict:
-                results = self._map_fail_fast(fn, items)
-            else:
-                results = self._map_resilient(fn, items)
+            results = self._map_pool(fn, items)
         return _note_batch(results)
 
-    # -- strict (historical) path ------------------------------------------------
-
-    def _map_fail_fast(
+    def _map_pool(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> list[TaskResult]:
-        collect = obs.active_collector() is not None
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(items))
-        ) as pool:
-            futures = [
-                pool.submit(_timed_call, fn, i, item, collect)
-                for i, item in enumerate(items)
-            ]
-            results = [future.result() for future in futures]
-        results.sort(key=lambda result: result.index)
-        return results
+        from .compute import JobDeadlineError, PoolBrokenError, ProcessPoolBackend
 
-    # -- resilient path ----------------------------------------------------------
-
-    def _map_resilient(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> list[TaskResult]:
-        policy = self.policy
+        policy, strict = self.policy, self.strict
         rng = random.Random(len(items))  # deterministic backoff jitter
+        collect = obs.active_collector() is not None
         results: dict[int, TaskResult] = {}
         attempts = [0] * len(items)
-        pending = list(range(len(items)))
-        pool_deaths = pool_lifetimes = 0
-        while pending and pool_deaths < policy.max_pool_deaths:
-            pool_lifetimes += 1
-            pending, died = self._drain_pool(
-                fn, items, pending, attempts, results, rng
-            )
-            if died:
-                pool_deaths += 1
-                obs.count("executor.pool_deaths")
-        if pool_lifetimes > 1:
-            obs.count("executor.pool_restarts", pool_lifetimes - 1)
-        # Too many pool deaths (or a zero-death budget): finish serially.
-        if pending:
-            obs.count("executor.serial_fallback_tasks", len(pending))
-        for index in pending:
+        running: dict[Any, int] = {}  # future -> task index
+        serial: list[int] = []  # tasks owed a run in this process
+        timed_out: set[int] = set()  # never re-run in this process
+        deaths = 0
+        expired = f"task exceeded timeout_s={policy.timeout_s}"
+        pool = ProcessPoolBackend(
+            workers=min(self.workers, len(items)),
+            # Each attempt can cost at most one worker, so the pool
+            # never runs out of restarts before this map runs out of
+            # attempts; the executor does its own death accounting.
+            restart_budget=len(items) * policy.max_attempts,
+            resubmit_limit=0,
+            job_deadline_s=policy.timeout_s,
+        )
+
+        def launch(index: int) -> None:
+            if deaths < policy.max_pool_deaths or strict:
+                try:
+                    future = pool.call(_pool_task, fn, index, items[index], collect)
+                except PoolBrokenError:
+                    pass  # the pool refuses work: run it here instead
+                else:
+                    attempts[index] += 1
+                    running[future] = index
+                    return
+            if index in timed_out:
+                results[index] = _failed(
+                    index, TimeoutError(expired), attempts[index]
+                )
+            else:
+                serial.append(index)
+
+        def charge(index: int, exc: Exception, tb: str | None = None) -> None:
+            """One failed attempt: raise (strict), retry, or record."""
+            if strict:
+                raise exc
+            if attempts[index] < policy.max_attempts:
+                time.sleep(policy.delay(attempts[index], rng))
+                launch(index)
+            else:
+                results[index] = _failed(index, exc, attempts[index], tb)
+
+        try:
+            for index in range(len(items)):
+                launch(index)
+            while running:
+                done, _ = wait(tuple(running), return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = running.pop(future)
+                    try:
+                        outcome = future.result()
+                    except JobDeadlineError:
+                        obs.count("executor.timeouts")
+                        timed_out.add(index)
+                        charge(index, TimeoutError(expired))
+                    except PoolBrokenError as exc:
+                        deaths += 1
+                        obs.count("executor.worker_deaths")
+                        charge(index, exc)
+                    except Exception as exc:  # noqa: BLE001 - ComputeJobError
+                        charge(index, exc)
+                    else:
+                        if isinstance(outcome, _Raised):
+                            charge(index, outcome.exc, outcome.traceback)
+                        else:
+                            results[index] = replace(
+                                outcome, attempts=attempts[index]
+                            )
+                if deaths >= policy.max_pool_deaths and not strict:
+                    # Death budget spent: tasks still queued in the pool
+                    # run here; tasks already on a worker finish there.
+                    for future, index in tuple(running.items()):
+                        if future.cancel():
+                            del running[future]
+                            attempts[index] -= 1
+                            launch(index)
+        finally:
+            for future in running:
+                future.cancel()
+            pool.close()
+        if serial:
+            obs.count("executor.serial_fallback_tasks", len(serial))
+        for index in serial:
             results[index] = _retrying_call(
                 fn, index, items[index], policy, rng, attempts=attempts[index]
             )
         return [results[index] for index in sorted(results)]
-
-    def _drain_pool(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        pending: list[int],
-        attempts: list[int],
-        results: dict[int, TaskResult],
-        rng: random.Random,
-    ) -> tuple[list[int], bool]:
-        """Run ``pending`` tasks through one pool lifetime.
-
-        Returns the tasks still owed a run plus whether the pool died
-        (``BrokenProcessPool``).  A per-task timeout also ends the pool
-        lifetime — the hung worker cannot be reclaimed any other way —
-        but does not count as a pool death: each recycle consumes the
-        expired task's attempt, so recycles are bounded.
-        """
-        policy = self.policy
-        queue = list(reversed(pending))  # pop() preserves input order
-        in_flight: dict[Any, int] = {}
-        deadlines: dict[Any, float] = {}
-        retry: list[int] = []
-
-        def harvest_or_retry(index: int, exc: BaseException) -> None:
-            if attempts[index] < policy.max_attempts:
-                time.sleep(policy.delay(attempts[index], rng))
-                retry.append(index)
-            else:
-                results[index] = _failed(index, exc, attempts[index])
-
-        collect = obs.active_collector() is not None
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
-        self._register_pool(pool)
-        died = False
-        try:
-            while queue or in_flight:
-                while queue and len(in_flight) < self.workers:
-                    index = queue.pop()
-                    attempts[index] += 1
-                    future = pool.submit(
-                        _timed_call, fn, index, items[index], collect
-                    )
-                    in_flight[future] = index
-                    if policy.timeout_s is not None:
-                        deadlines[future] = time.monotonic() + policy.timeout_s
-                done, _ = wait(
-                    tuple(in_flight), timeout=_next_wait_timeout(deadlines),
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    index = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        # The pool is gone: every unfinished task is
-                        # orphaned.  Charge them all the attempt (the
-                        # culprit is unknowable) and hand them back.
-                        died = True
-                        harvest_or_retry(index, BrokenProcessPool(
-                            "worker process died unexpectedly"
-                        ))
-                        for other_future, other in tuple(in_flight.items()):
-                            if other_future.done():
-                                try:
-                                    ok = other_future.result()
-                                except Exception as exc:  # noqa: BLE001
-                                    harvest_or_retry(other, exc)
-                                else:
-                                    results[other] = replace(
-                                        ok, attempts=attempts[other]
-                                    )
-                            else:
-                                harvest_or_retry(other, BrokenProcessPool(
-                                    "worker process died unexpectedly"
-                                ))
-                        in_flight.clear()
-                        deadlines.clear()
-                        queue_left = list(reversed(queue))
-                        queue.clear()
-                        return [
-                            i for i in queue_left + retry if i not in results
-                        ], True
-                    except Exception as exc:  # noqa: BLE001 - contained
-                        harvest_or_retry(index, exc)
-                    else:
-                        results[index] = replace(result, attempts=attempts[index])
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, deadline in deadlines.items()
-                    if deadline <= now and not future.done()
-                ]
-                if expired:
-                    # The workers running these tasks are hung; the only
-                    # recovery is recycling the pool.  Tasks merely
-                    # waiting in flight are refunded their attempt.
-                    obs.count("executor.timeouts", len(expired))
-                    for future in expired:
-                        index = in_flight.pop(future)
-                        del deadlines[future]
-                        harvest_or_retry(index, TimeoutError(
-                            f"task exceeded timeout_s={policy.timeout_s}"
-                        ))
-                    for future, index in in_flight.items():
-                        if future.done():
-                            try:
-                                ok = future.result()
-                            except Exception as exc:  # noqa: BLE001
-                                harvest_or_retry(index, exc)
-                                continue
-                            results[index] = replace(ok, attempts=attempts[index])
-                        else:
-                            attempts[index] -= 1  # interrupted, not failed
-                            retry.append(index)
-                    in_flight.clear()
-                    deadlines.clear()
-                    queue_left = list(reversed(queue))
-                    queue.clear()
-                    for proc in tuple((pool._processes or {}).values()):
-                        proc.terminate()  # reclaim the hung workers
-                    return [
-                        i for i in queue_left + retry if i not in results
-                    ], False
-                # Retries of tasks that failed cleanly rejoin this pool.
-                queue[:0] = reversed(retry)
-                retry.clear()
-        finally:
-            self._release_pool(pool)
-        return [i for i in retry if i not in results], died
 
 
 def make_executor(

@@ -101,9 +101,8 @@ def warm_context(
             return context
     # Construction happens outside the lock (it may import solver
     # backends); a racing builder of the same key is harmless — the
-    # first insert wins and the loser is *closed* below, so an executor
-    # it may have spun worker processes up for is reaped rather than
-    # left for the OS.
+    # first insert wins and the loser is dropped (a context owns no
+    # processes: a parallel executor's pool lives only inside one map).
     context = RunContext(
         config=config,
         seed=seed,
@@ -113,22 +112,14 @@ def warm_context(
         strict=strict,
         solver=solver,
     )
-    evicted: "list[RunContext]" = []
     with _LOCK:
         existing = _CONTEXTS.get(key)
         if existing is not None:
             _CONTEXTS.move_to_end(key)
-        else:
-            _CONTEXTS[key] = context
-            while len(_CONTEXTS) > _MAX_WARM:
-                _, old = _CONTEXTS.popitem(last=False)
-                evicted.append(old)
-    # close() may join worker processes — never under the registry lock.
-    for old in evicted:
-        old.close()
-    if existing is not None:
-        context.close()  # the losing racer's resources, not its caller's
-        return existing
+            return existing
+        _CONTEXTS[key] = context
+        while len(_CONTEXTS) > _MAX_WARM:
+            _CONTEXTS.popitem(last=False)  # least recently used
     return context
 
 
@@ -144,17 +135,14 @@ def default_context() -> RunContext:
 
 
 def clear_warm_contexts() -> None:
-    """Drop and close every memoised context (next calls build cold ones).
+    """Drop every memoised context (next calls build cold ones).
 
-    Closing releases each context's executor worker pools; a caller
-    still holding one of the dropped contexts can keep using it — its
-    executor transparently builds fresh pools on the next ``map``.
+    A caller still holding one of the dropped contexts can keep using
+    it; contexts own no worker processes, so dropping one releases
+    nothing but memory.
     """
     with _LOCK:
-        dropped = list(_CONTEXTS.values())
         _CONTEXTS.clear()
-    for context in dropped:
-        context.close()
 
 
 def warm_context_count() -> int:

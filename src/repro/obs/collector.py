@@ -4,9 +4,10 @@ The collector is *opt-in*: module-level helpers (:func:`count`,
 :func:`gauge`, :func:`span`) are no-ops — one ``None`` check, no
 allocation — until a :class:`Collector` is activated, so instrumented
 hot paths cost nothing in normal runs.  Activation is process-local;
-worker processes of a :class:`~repro.engine.executor.ParallelExecutor`
-run their own collector per task and ship a picklable
-:class:`Snapshot` back for the parent to :meth:`Collector.merge`.
+the pool workers a :class:`~repro.engine.executor.ParallelExecutor`
+map runs on (:class:`~repro.engine.compute.ProcessPoolBackend`) run
+their own collector per task and ship a picklable :class:`Snapshot`
+back for the parent to :meth:`Collector.merge`.
 
 Spans nest: a span opened while another is active is recorded under the
 joined path (``"experiment[name=fig04]/solve.reduced"``), so the

@@ -8,7 +8,6 @@ extraction from experiment artifacts, and ``docs/sweepstore.md`` for
 the operational story.
 """
 
-from .backend import available_backends, parquet_available
 from .ingest import SweepSpill, rows_from_result
 from .schema import (
     COLUMNS,
@@ -30,10 +29,8 @@ __all__ = [
     "SweepStore",
     "Table",
     "apply_filters",
-    "available_backends",
     "concat_tables",
     "join_tables",
-    "parquet_available",
     "parse_predicate",
     "rows_from_result",
 ]

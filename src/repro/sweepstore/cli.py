@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 
-from .backend import available_backends
 from .ingest import rows_from_result
 from .schema import COLUMNS, parse_predicate
 from .store import SweepStore
@@ -29,12 +28,6 @@ __all__ = ["sweep_main"]
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("store", help="sweep store directory")
-    parser.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *available_backends()),
-        help="shard serialisation for writes (reads auto-detect; "
-        "default: auto = parquet when pyarrow is installed, else npz)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +120,7 @@ def _load_document(path: str) -> dict:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    store = SweepStore(args.store, backend=args.backend)
+    store = SweepStore(args.store)
     extra = _parse_extra(args.extra)
     rows: list[dict] = []
     for path in args.results:
@@ -149,7 +142,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_combine(args: argparse.Namespace) -> int:
-    store = SweepStore(args.store, backend=args.backend, grace_s=args.grace)
+    store = SweepStore(args.store, grace_s=args.grace)
     report = store.combine()
     print(
         f"generation {report.generation}: {report.rows} rows "
@@ -168,7 +161,7 @@ def _format_cell(value) -> str:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    store = SweepStore(args.store, backend=args.backend)
+    store = SweepStore(args.store)
     where = [parse_predicate(text) for text in args.where]
     columns = (
         [name.strip() for name in args.columns.split(",") if name.strip()]
@@ -206,7 +199,7 @@ def _plain_row(row: dict) -> dict:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    store = SweepStore(args.store, backend=args.backend)
+    store = SweepStore(args.store)
     stats = store.stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -226,6 +219,6 @@ def sweep_main(argv: "list[str] | None" = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # incl. unreadable data files
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,16 +231,11 @@ class SweepSpill:
     def __init__(
         self,
         store: "SweepStore | str",
-        backend: str = "auto",
         flush_rows: int = 256,
     ) -> None:
         if flush_rows < 1:
             raise ValueError(f"flush_rows must be >= 1, got {flush_rows}")
-        self.store = (
-            store
-            if isinstance(store, SweepStore)
-            else SweepStore(store, backend=backend)
-        )
+        self.store = store if isinstance(store, SweepStore) else SweepStore(store)
         self.flush_rows = flush_rows
         self._rows: list[dict] = []
         self._lock = threading.Lock()

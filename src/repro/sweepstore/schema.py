@@ -3,9 +3,9 @@
 One sweep **row** is one experiment cell: the value of one measured
 quantity for one (config-hash, experiment, technique, solver,
 fault-set, seed, cell) identity.  The schema is deliberately fixed and
-typed — every backend (parquet or the npz fallback) serialises exactly
-these columns in exactly this order, which is what makes cross-backend
-query results byte-comparable.
+typed — the npz backend serialises exactly these columns in exactly
+this order, which is what makes query results byte-comparable across
+stores.
 
 Wide metrics (latency, endurance, fail fraction...) get their own
 columns because the dominant producer — the fault-sweep experiment —
@@ -14,11 +14,11 @@ emits all of them per cell; anything else lands in the generic
 
 :class:`Table` is the in-memory exchange format: a dict of NumPy
 columns (``object`` dtype holding ``str`` for string columns, so
-values survive any backend round-trip unchanged).  It knows how to
+values survive the npz round-trip unchanged).  It knows how to
 canonicalise itself — last-writer-wins dedup over the identity key
 followed by a total-order sort — so a combined table's byte
 fingerprint is a pure function of its logical content, independent of
-ingest order or storage backend.
+ingest order.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ class Table:
 
         The result is a pure function of logical content: any
         permutation of the same rows canonicalises to the same table,
-        which is what makes combine idempotent and backend fingerprints
+        which is what makes combine idempotent and store fingerprints
         comparable.
         """
         if not self.num_rows:
@@ -219,9 +219,9 @@ class Table:
         """SHA-256 of the canonical byte serialisation of this table.
 
         Equal fingerprints mean byte-identical query results whatever
-        backend the rows travelled through: strings are hashed as
-        UTF-8, ints and floats as little-endian fixed-width bytes (a
-        float64 survives both parquet and npz round-trips bit-exactly).
+        store the rows travelled through: strings are hashed as UTF-8,
+        ints and floats as little-endian fixed-width bytes (a float64
+        survives the npz round-trip bit-exactly).
         """
         table = self.canonical()
         digest = hashlib.sha256()

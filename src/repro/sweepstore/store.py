@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .backend import backend_for, backend_for_data_file
+from .backend import NpzBackend
 from .schema import Table, apply_filters, concat_tables
 
 __all__ = ["CombineReport", "CorruptShard", "SweepStore"]
@@ -119,25 +119,23 @@ def _write_json_atomic(path: Path, document: dict) -> None:
 class SweepStore:
     """Columnar sweep-result store rooted at one directory.
 
-    ``backend`` selects the shard serialisation for *writes* ("auto"
-    prefers parquet when pyarrow is installed); reads always dispatch
-    on each file's recorded backend, so mixed stores just work.
-    ``grace_s`` is how old an invalid/incomplete artefact must be
-    before :meth:`combine` treats it as crash debris rather than an
-    ingest in progress.
+    Shards and combined tables are compressed ``.npz`` files
+    (:class:`~repro.sweepstore.backend.NpzBackend`).  ``grace_s`` is
+    how old an invalid/incomplete artefact must be before
+    :meth:`combine` treats it as crash debris rather than an ingest in
+    progress.
     """
 
     def __init__(
         self,
         root: "str | os.PathLike",
-        backend: str = "auto",
         grace_s: float = 60.0,
     ) -> None:
         self.root = Path(root)
         self.shards_dir = self.root / "shards"
         self.combined_dir = self.root / "combined"
         self.quarantine_dir = self.root / "quarantine"
-        self.backend = backend_for(backend)
+        self.backend = NpzBackend()
         self.grace_s = grace_s
         # One-generation read cache: (table name, size, mtime_ns) -> the
         # loaded canonical Table.  Million-row stores answer repeated
@@ -265,9 +263,7 @@ class SweepStore:
             raise CorruptShard(
                 f"checksum mismatch in sweep shard {shard.name}"
             )
-        table = backend_for_data_file(shard.data_path.name).read(
-            str(shard.data_path)
-        )
+        table = self.backend.read(str(shard.data_path))
         if table.num_rows != shard.rows:
             raise CorruptShard(
                 f"row count mismatch in sweep shard {shard.name}: "
@@ -364,7 +360,7 @@ class SweepStore:
             try:
                 table = self._load_shard(shard)
             except (CorruptShard, ValueError):
-                # Checksum/backend failures are definitive — no grace.
+                # Checksum/decode failures are definitive — no grace.
                 for path in (shard.data_path, shard.manifest_path):
                     moved = self._quarantine(path)
                     if moved:

@@ -212,11 +212,7 @@ class TestRunnerSharing:
 
     def test_parallel_cells_equal_serial(self):
         serial = self.cells(RunContext())
-        executor = ParallelExecutor(2)
-        try:
-            parallel = self.cells(RunContext(executor=executor))
-        finally:
-            executor.close()
+        parallel = self.cells(RunContext(executor=ParallelExecutor(2)))
         assert parallel == serial
 
     def test_one_front_end_resident(self):

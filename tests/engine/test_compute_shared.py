@@ -23,6 +23,7 @@ from repro.engine.compute import (
     InlineBackend,
     ProcessPoolBackend,
     ThreadPoolBackend,
+    _execute_spec,
     _Job,
     _spec_for,
 )
@@ -334,7 +335,10 @@ class TestWorkerEpochGuard:
             plan = build_plan(ok_probe, ctx)
             # Manufacture an in-flight job pinned to epoch 7 (a worker
             # that was declared dead and replaced).
-            job = _Job(9999, _spec_for(plan, ctx))
+            job = _Job(
+                9999, _execute_spec, (_spec_for(plan, ctx),),
+                name=f"plan {plan.name!r}", finish=backend._finish_plan,
+            )
             job.dispatched = True
             job.future.set_running_or_notify_cancel()
             job.wid = 7

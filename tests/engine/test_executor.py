@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pathlib
 import random
+import threading
 import time
 
 import pytest
@@ -43,6 +44,11 @@ def _exit_on_three(x):
         time.sleep(0.3)  # let the innocent in-flight tasks finish first
         os._exit(1)
     return x
+
+
+def _lock_on_three(x):
+    """Returns a value no pipe can carry for ``x == 3``."""
+    return threading.Lock() if x == 3 else x
 
 
 def _counted_square(x):
@@ -169,6 +175,17 @@ class TestFailureContainment:
             ParallelExecutor(2, FAST).map(_fail_on_three, [1, 2, 3, 4])
         )
 
+    def test_unpicklable_item_or_value_is_a_task_error(self):
+        """Neither an item nor a return value that cannot be pickled
+        hangs the map or kills a worker: each is that task's failure."""
+        items = [1, 2, threading.Lock(), 4]
+        results = ParallelExecutor(2, FAST).map(_square, items)
+        assert [r.ok for r in results] == [True, True, False, True]
+        assert "pickle" in results[2].error.message
+        results = ParallelExecutor(2, FAST).map(_lock_on_three, [1, 2, 3, 4])
+        assert [r.value for r in results] == [1, 2, None, 4]
+        assert "pickle" in results[2].error.message
+
     def test_task_error_to_plain(self):
         results = SerialExecutor(FAST).map(_fail_on_three, [3])
         record = results[0].error.to_plain()
@@ -207,6 +224,16 @@ class TestTimeout:
         assert hung.error.error_type == "TimeoutError"
         assert "timeout_s=0.75" in hung.error.message
 
+    def test_strict_hung_task_raises_timeout(self):
+        """Strict maps honour the deadline too, and raise TimeoutError."""
+        policy = RetryPolicy(retries=0, timeout_s=0.75)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="timeout_s=0.75"):
+            ParallelExecutor(2, policy, strict=True).map(
+                _hang_on_three, [1, 2, 3, 4]
+            )
+        assert time.monotonic() - start < 15.0  # did not wait out the hang
+
 
 class TestPoolDeath:
     def test_worker_death_preserves_survivors(self):
@@ -219,7 +246,7 @@ class TestPoolDeath:
         assert [r.index for r in results] == list(range(8))
         poisoned = results[2]
         assert poisoned.error is not None
-        assert poisoned.error.error_type == "BrokenProcessPool"
+        assert poisoned.error.error_type == "PoolBrokenError"
         assert poisoned.error.attempts == 2  # one per pool death
         survivors = [r for r in results if r.index != 2]
         assert [r.value for r in survivors] == [1, 2, 4, 5, 6, 7, 8]
@@ -240,29 +267,7 @@ class TestPoolDeath:
 
 
 class TestDrainDeadlines:
-    """Regression: the drain loop must tolerate an empty deadline map.
-
-    When no task carries a timeout (``timeout_s=None``) the deadline map
-    stays empty for the whole drain; taking ``min()`` over it would
-    raise ``ValueError`` mid-batch.
-    """
-
-    def test_empty_deadlines_wait_forever(self):
-        from repro.engine.executor import _next_wait_timeout
-
-        assert _next_wait_timeout({}) is None
-
-    def test_expired_deadline_clamps_to_zero(self):
-        from repro.engine.executor import _next_wait_timeout
-
-        assert _next_wait_timeout({0: time.monotonic() - 5.0}) == 0.0
-
-    def test_future_deadline_is_positive(self):
-        from repro.engine.executor import _next_wait_timeout
-
-        value = _next_wait_timeout({0: time.monotonic() + 60.0})
-        assert value is not None
-        assert 0.0 < value <= 60.0
+    """Regression: a timeout-less policy must drain without deadlines."""
 
     def test_retry_drain_without_any_timeout(self, tmp_path):
         """A timeout-less policy with retries drains to completion."""
@@ -271,50 +276,64 @@ class TestDrainDeadlines:
         assert [r.value for r in results] == ["ok"] * 3
 
 
+def _shm_segments():
+    return {f for f in os.listdir("/dev/shm") if f.startswith("repro-shm-")}
+
+
 class TestCloseLifecycle:
-    """close() must join every worker process the executor started."""
+    """Each map closes its own pool: nothing outlives a map."""
+
+    def _assert_nothing_left(self, segments_before):
+        assert multiprocessing.active_children() == []
+        assert _shm_segments() <= segments_before
 
     def test_close_joins_worker_processes(self):
+        before = _shm_segments()
         executor = ParallelExecutor(2)
         assert [r.value for r in executor.map(_square, [1, 2, 3, 4])] == [
             1, 4, 9, 16,
         ]
-        procs = [
-            proc
-            for _, processes in executor._pools
-            for proc in processes.values()
-        ]
-        assert procs  # the map really did fan out
-        executor.close()
-        assert executor._pools == []
-        assert all(not proc.is_alive() for proc in procs)
+        self._assert_nothing_left(before)
 
     def test_close_is_idempotent_and_map_still_works(self):
+        # The pool a map closes on its way out is that map's alone: the
+        # executor stays usable, and the next map starts a fresh pool.
+        before = _shm_segments()
         executor = ParallelExecutor(2)
         executor.map(_square, [1, 2, 3, 4])
-        executor.close()
-        executor.close()  # a second close is a no-op, not an error
-        # close() is a reaping point, not a poison pill.
+        self._assert_nothing_left(before)
         assert [r.value for r in executor.map(_square, [5, 6, 7, 8])] == [
             25, 36, 49, 64,
         ]
-        executor.close()
-        assert executor._pools == []
-
-    def test_close_before_any_map_is_a_noop(self):
-        ParallelExecutor(2).close()
+        self._assert_nothing_left(before)
 
     def test_registry_prunes_dead_pools_across_maps(self):
+        # No finished pool, worker or segment accumulates across maps.
+        before = _shm_segments()
         executor = ParallelExecutor(2)
         for batch in range(3):
-            executor.map(_square, [1, 2, 3, 4])
-            executor.close()  # everything joined -> nothing left to track
-            assert executor._pools == []
+            assert [r.value for r in executor.map(_square, [5, 6, 7])] == [
+                25, 36, 49,
+            ]
+            self._assert_nothing_left(before)
 
-    def test_serial_close_is_a_noop(self):
-        executor = SerialExecutor()
-        executor.close()
-        assert [r.value for r in executor.map(_square, [3])] == [9]
+    def test_idle_executor_owns_no_process(self):
+        ParallelExecutor(2)
+        SerialExecutor().map(_square, [3])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_map_leaves_nothing(self):
+        before = _shm_segments()
+        policy = RetryPolicy(retries=1, backoff_s=0.001, jitter=0.0)
+        results = ParallelExecutor(2, policy).map(_exit_on_three, [1, 2, 3, 4])
+        assert [r.ok for r in results] == [True, True, False, True]
+        self._assert_nothing_left(before)
+
+    def test_strict_raise_leaves_nothing(self):
+        before = _shm_segments()
+        with pytest.raises(ValueError, match="boom"):
+            ParallelExecutor(2, strict=True).map(_fail_on_three, [1, 2, 3, 4])
+        self._assert_nothing_left(before)
 
 
 class TestObservability:

@@ -47,4 +47,4 @@ def rows():
 def store(tmp_path):
     """An npz-backed store with crash-debris grace disabled (tests are
     the crashed writer, and they are done crashing by assert time)."""
-    return SweepStore(tmp_path / "store", backend="npz", grace_s=0.0)
+    return SweepStore(tmp_path / "store", grace_s=0.0)

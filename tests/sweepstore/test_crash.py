@@ -4,9 +4,7 @@ silently wrong query results."""
 import json
 import os
 
-import pytest
-
-from repro.sweepstore import SweepStore, parquet_available
+from repro.sweepstore import SweepStore
 from repro.sweepstore.store import MANIFEST_SUFFIX
 
 from .conftest import make_rows
@@ -76,7 +74,7 @@ class TestKillDuringIngest:
 
     def test_grace_protects_inflight_ingest(self, tmp_path, rows):
         """A *fresh* placeholder is an ingest in progress, not a crash."""
-        store = SweepStore(tmp_path / "s", backend="npz", grace_s=3600.0)
+        store = SweepStore(tmp_path / "s", grace_s=3600.0)
         store.append(rows)
         store.shards_dir.joinpath(
             f"shard-{os.getpid()}-777777{MANIFEST_SUFFIX}"
@@ -153,29 +151,3 @@ class TestBackendParity:
         store.append(rows)
         store.combine()
         assert store.table().fingerprint() == source.canonical().fingerprint()
-
-    @pytest.mark.skipif(
-        not parquet_available(), reason="pyarrow not installed"
-    )
-    def test_parquet_and_npz_tables_are_byte_identical(self, tmp_path, rows):
-        fingerprints = {}
-        for backend in ("npz", "parquet"):
-            store = SweepStore(
-                tmp_path / backend, backend=backend, grace_s=0.0
-            )
-            store.append(rows)
-            store.combine()
-            fingerprints[backend] = store.table().fingerprint()
-        assert fingerprints["npz"] == fingerprints["parquet"]
-
-    @pytest.mark.skipif(
-        not parquet_available(), reason="pyarrow not installed"
-    )
-    def test_mixed_backend_store_reads_every_shard(self, tmp_path, rows):
-        npz_store = SweepStore(tmp_path / "mix", backend="npz", grace_s=0.0)
-        npz_store.append(rows[:3])
-        parquet_store = SweepStore(
-            tmp_path / "mix", backend="parquet", grace_s=0.0
-        )
-        parquet_store.append(rows[3:])
-        assert parquet_store.table().num_rows == len(rows)

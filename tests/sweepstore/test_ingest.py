@@ -129,7 +129,7 @@ class TestGenericExtraction:
 
 class TestSweepSpill:
     def test_buffers_until_flush_rows(self, tmp_path):
-        spill = SweepSpill(tmp_path / "s", backend="npz", flush_rows=6)
+        spill = SweepSpill(tmp_path / "s", flush_rows=6)
         assert spill.add(_fault_sweep_result()) == 4
         assert spill.pending == 4
         assert spill.store.stats()["pending_shards"] == 0  # still buffered
@@ -138,14 +138,14 @@ class TestSweepSpill:
         assert spill.store.stats()["pending_shards"] == 1
 
     def test_flush_drains_the_tail(self, tmp_path):
-        spill = SweepSpill(tmp_path / "s", backend="npz", flush_rows=100)
+        spill = SweepSpill(tmp_path / "s", flush_rows=100)
         spill.add(_fault_sweep_result())
         assert spill.flush() == 4
         assert spill.flush() == 0
         assert spill.store.table().num_rows == 4
 
     def test_accepts_an_existing_store(self, tmp_path):
-        store = SweepStore(tmp_path / "s", backend="npz")
+        store = SweepStore(tmp_path / "s")
         spill = SweepSpill(store, flush_rows=1)
         spill.add(_fault_sweep_result())
         assert store.table().num_rows == 4

@@ -125,13 +125,13 @@ class TestCli:
         store_dir = str(tmp_path / "store")
         doc = _result_doc(tmp_path / "result.json")
         code = sweep_main(
-            ["ingest", store_dir, str(doc), "--backend", "npz",
+            ["ingest", store_dir, str(doc),
              "--solver", "batched", "--set", "array_size=512"]
         )
         assert code == 0
         assert "ingested 4 rows" in capsys.readouterr().out
 
-        assert sweep_main(["combine", store_dir, "--backend", "npz"]) == 0
+        assert sweep_main(["combine", store_dir]) == 0
         assert "generation 1: 4 rows" in capsys.readouterr().out
 
         code = sweep_main(
@@ -154,8 +154,7 @@ class TestCli:
     def test_query_json_rows(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
         sweep_main(
-            ["ingest", store_dir, str(_result_doc(tmp_path / "r.json")),
-             "--backend", "npz"]
+            ["ingest", store_dir, str(_result_doc(tmp_path / "r.json"))]
         )
         capsys.readouterr()
         assert sweep_main(
@@ -187,7 +186,7 @@ class TestCli:
 
         sweep_main(
             ["ingest", str(tmp_path / "s"),
-             str(_result_doc(tmp_path / "r.json")), "--backend", "npz"]
+             str(_result_doc(tmp_path / "r.json"))]
         )
         capsys.readouterr()
         assert main(["sweep", "stats", str(tmp_path / "s")]) == 0
@@ -196,7 +195,7 @@ class TestCli:
     def test_bad_predicate_is_a_clean_error(self, tmp_path, capsys):
         sweep_main(
             ["ingest", str(tmp_path / "s"),
-             str(_result_doc(tmp_path / "r.json")), "--backend", "npz"]
+             str(_result_doc(tmp_path / "r.json"))]
         )
         capsys.readouterr()
         code = sweep_main(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.sweepstore import SweepStore, Table, concat_tables
+from repro.sweepstore import Table, concat_tables
 from repro.sweepstore.store import MANIFEST_SUFFIX
 
 from .conftest import make_rows
@@ -197,15 +197,18 @@ class TestCrossRunAccumulation:
         assert solvers == {"reference", "batched"}
 
 
-class TestBackendGating:
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            SweepStore(tmp_path, backend="csv")
-
-    def test_parquet_unavailable_is_a_clean_error(self, tmp_path):
-        from repro.sweepstore import parquet_available
-
-        if parquet_available():
-            pytest.skip("pyarrow installed: gating not exercised")
-        with pytest.raises(ValueError, match="not available"):
-            SweepStore(tmp_path, backend="parquet")
+class TestForeignDataFile:
+    def test_parquet_data_file_fails_naming_the_file(self, store, rows):
+        """A shard whose data file is not npz is an error, never empty."""
+        name = store.append(rows)
+        manifest_path = store.shards_dir / f"{name}{MANIFEST_SUFFIX}"
+        manifest = json.loads(manifest_path.read_text())
+        data = store.shards_dir / manifest["data"]
+        foreign = data.with_suffix(".parquet")
+        data.rename(foreign)
+        manifest.update(data=foreign.name, backend="parquet")
+        manifest_path.write_text(json.dumps(manifest))
+        for read in (store.table, store.combine):
+            with pytest.raises(RuntimeError, match=foreign.name):
+                read()
+        assert foreign.exists()  # not quarantined as a torn write
