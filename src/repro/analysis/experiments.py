@@ -37,7 +37,6 @@ from ..techniques import (
     SchemeLatencyModel,
     make_drvr,
     make_naive_high_voltage,
-    standard_schemes,
 )
 from ..techniques.partition_reset import PartitionResetPartitioner
 from ..techniques.dummy_bl import DummyBitlinePartitioner
@@ -135,7 +134,7 @@ class _PerfTask:
     """One executor task: replay a benchmark's front end under a scheme."""
 
     frontend: FrontEnd
-    write_model: LineWriteModel  # pickles as (config, scheme)
+    write_model: LineWriteModel  # pickles as (config, scheme, solver)
 
 
 def _run_cell(task: _PerfTask) -> SimulationResult:
@@ -162,7 +161,7 @@ class PerformanceRunner:
     with ``--workers N``) with deterministic result ordering, then
     memoises them in memory and — when the context carries a result
     cache — on disk, keyed by (config hash, sizing, scheme, benchmark,
-    code version).
+    solver, code version).
 
     A benchmark's cells share one recorded
     :class:`~repro.cpu.frontend.FrontEnd` (only the latest benchmark's
@@ -211,6 +210,7 @@ class PerformanceRunner:
             self.settings.sizing,
             scheme_name,
             benchmark,
+            self.context.solver,
         )
 
     def prefetch(
@@ -270,12 +270,10 @@ class PerformanceRunner:
     def _write_model(self, scheme_name: str) -> LineWriteModel:
         model = self._write_models.get(scheme_name)
         if model is None:
-            # Cells replay schemes calibrated on the default solver, like
-            # their latency tables, whatever solver the context runs: a
-            # cell's cache key names no solver.
-            scheme = standard_schemes(self.config)[scheme_name]
+            # Scheme levels and latency tables are both calibrated on the
+            # context's solver, which the cell's cache key names.
             model = self._write_models[scheme_name] = LineWriteModel(
-                self.config, scheme
+                self.config, self.scheme(scheme_name), solver=self.context.solver
             )
         return model
 

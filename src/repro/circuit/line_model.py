@@ -107,8 +107,8 @@ class ReducedArrayModel:
 
         Equivalent to calling :meth:`solve_reset` per selection, but the
         whole batch is handed to the backend's ``solve_many`` so backends
-        that stack solves (``batched``) amortise factorisation and
-        Python overhead across the batch.  ``initials`` optionally seeds
+        that stack solves (``batched``) amortise Python overhead across
+        the batch.  ``initials`` optionally seeds
         each solve with a full node-voltage vector (continuation from an
         adjacent drive point); ``None`` entries start cold.
         """

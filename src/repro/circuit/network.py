@@ -305,8 +305,8 @@ class Network:
             Maximum per-node voltage change applied in one Newton step.
         backend:
             Solver backend name (or instance); ``None`` uses the
-            ``reference`` backend, whose results are seed-exact.  See
-            :mod:`repro.circuit.solvers`.
+            default backend.  A one-network solve gives the same bytes
+            on every backend.  See :mod:`repro.circuit.solvers`.
         """
         from .solvers import get_backend
 

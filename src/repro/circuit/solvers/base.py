@@ -44,9 +44,9 @@ if hasattr(os, "register_at_fork"):  # POSIX only; no fork elsewhere
 class SolverBackend(ABC):
     """One strategy for solving resistive-network Newton systems.
 
-    A backend owns whatever cross-solve state it needs (factorisation
-    structures, warm-start vectors); :class:`~repro.circuit.network.Network`
-    stays a plain netlist.  Backends must all satisfy the same contract:
+    A backend owns its cache of immutable per-pattern factorisation
+    structures, and nothing a solve computes outlives the call;
+    :class:`~repro.circuit.network.Network` stays a plain netlist.  Backends must all satisfy the same contract:
     damped Newton on the nodal KCL system, converged to ``tol`` on the
     residual norm, raising
     :class:`~repro.circuit.network.ConvergenceError` when the iteration
@@ -55,8 +55,7 @@ class SolverBackend(ABC):
     Concurrency: each instance serialises its public entry points
     (:meth:`solve`, :meth:`solve_many`, :meth:`solve_ensemble`, in this
     class and every subclass) with one reentrant lock, so the
-    structure and warm-start caches are never written by two request
-    threads at once.  The lock is reentrant because the entry points
+    structure cache is never written by two request threads at once.  The lock is reentrant because the entry points
     call each other (``BatchedBackend.solve`` calls ``solve_many``, the
     default ``solve_many`` calls ``solve``).
     """

@@ -6,13 +6,13 @@ merges a batch of networks into one block-diagonal Newton system —
 node indices offset per block, device groups re-merged by model so the
 selector evaluations vectorise across the whole batch — and runs the
 lockstep block engine of :mod:`repro.circuit.solvers.structure`.  One
-structure build, one warm-start vector, and one Python-level Newton
-loop then cover the entire batch instead of ``len(batch)`` separate
-loops.
+structure build and one Python-level Newton loop then cover the entire
+batch instead of ``len(batch)`` separate loops.
 
-Per-block clamping, line search, and convergence freezing keep each
-block on the trajectory a standalone solve would follow, so batched
-results match the reference backend within linear-solver round-off.
+Each block is factorised on its own and follows the trajectory a
+standalone solve would, so a block's result depends only on its network
+and its seed: an unseeded solve is bit-identical to ``reference``, and
+no solve depends on what was solved before it or beside it.
 """
 
 from __future__ import annotations
@@ -65,15 +65,14 @@ class BatchedBackend(SolverBackend):
     name = "batched"
 
     #: Upper bound on blocks merged per ensemble sub-batch.  Large
-    #: enough to amortize the factorisation across many instances,
-    #: small enough that the merged sparse system stays cache-friendly
-    #: and a single convergence fallback does not redo the whole run.
+    #: enough to amortise the Python-level Newton loop across many
+    #: instances, small enough that the merged structure and its
+    #: per-iteration Jacobian stay bounded.
     ensemble_chunk = 128
 
-    def __init__(self, cache_size: int = 64, chord: bool = True) -> None:
+    def __init__(self, cache_size: int = 64) -> None:
         super().__init__()
         self.cache = StructureCache(maxsize=cache_size)
-        self.chord = chord
 
     def solve_ensemble(
         self,
@@ -86,10 +85,10 @@ class BatchedBackend(SolverBackend):
     ):
         """Chunked :meth:`solve_many` over one Monte Carlo ensemble.
 
-        Every sub-batch reuses the same cached structure (the ensemble
-        shares one sparsity pattern), so one factorisation per chord
-        refresh covers up to ``chunk`` instances at a time while the
-        merged system size stays bounded.
+        Every full sub-batch reuses the same cached structure (the
+        ensemble shares one sparsity pattern), so one Newton loop covers
+        up to ``chunk`` instances at a time while the merged system size
+        stays bounded.
         """
         if not networks:
             return []
@@ -154,58 +153,36 @@ class BatchedBackend(SolverBackend):
             for i in range(len(networks))
         ]
 
-        merged_initial = None
-        if initials is not None and any(x is not None for x in initials):
-            merged_initial = np.zeros(merged.node_count, dtype=float)
-            for net, off, guess in zip(networks, offsets, initials):
-                if guess is not None:
-                    merged_initial[off : off + net.node_count] = guess
-                elif net._fixed:
-                    # Replicate the default per-network starting point.
-                    merged_initial[off : off + net.node_count] = float(
-                        np.mean(list(net._fixed.values()))
-                    )
-
         drive = structure.drive(merged)
-        warm = self.cache.warm_start(structure)
-        seeded = merged_initial is not None or warm.free is not None
-        try:
-            solutions = newton_block_solve(
-                structure,
-                blocks,
-                drive=drive,
-                initial=merged_initial,
-                warm=warm,
-                tol=tol,
-                max_iterations=max_iterations,
-                v_step_limit=v_step_limit,
-                chord=self.chord,
+        solve = dict(
+            tol=tol, max_iterations=max_iterations, v_step_limit=v_step_limit
+        )
+        results = newton_block_solve(structure, blocks, drive, initials, **solve)
+        # A seed from an incompatible drive point can fail where a flat
+        # start would not: those blocks retry from a flat start, and
+        # only a failure from a flat start is final.
+        retry = [
+            b
+            for b, result in enumerate(results)
+            if isinstance(result, ConvergenceError)
+            and initials is not None
+            and initials[b] is not None
+        ]
+        if retry:
+            obs.count("solver.cold_fallbacks", len(retry))
+            cold = newton_block_solve(
+                structure, [blocks[b] for b in retry], drive, **solve
             )
-        except ConvergenceError:
-            if not seeded:
-                raise  # a genuinely cold full-Newton failure is final
-            # Warm start or caller seeds from an incompatible drive
-            # point (or a stalled chord iteration): the guaranteed
-            # fallback is a cold flat-start full Newton.
-            obs.count("solver.full_newton_fallbacks")
-            warm.free = warm.lu = None
-            solutions = newton_block_solve(
-                structure,
-                blocks,
-                drive=drive,
-                initial=None,
-                warm=warm,
-                tol=tol,
-                max_iterations=max_iterations,
-                v_step_limit=v_step_limit,
-                chord=False,
-            )
-
+            for b, result in zip(retry, cold):
+                results[b] = result
+        for result in results:
+            if isinstance(result, ConvergenceError):
+                raise result
         return [
             Solution(
                 sol.voltages[off : off + net.node_count].copy(),
                 sol.iterations,
                 sol.residual_norm,
             )
-            for sol, net, off in zip(solutions, networks, offsets)
+            for sol, net, off in zip(results, networks, offsets)
         ]

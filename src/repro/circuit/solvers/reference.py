@@ -1,9 +1,9 @@
-"""The default backend (parity anchor): cold full Newton per solve.
+"""The oracle backend: one network per full-Newton solve.
 
-Each solve is a flat-start, full-Newton :func:`newton_block_solve` over
-one block, so its result is a pure function of the network and
-byte-identical to the seed implementation, which rebuilt everything
-per solve.  Only what the sparsity pattern fixes is reused, from a
+Each solve is a :func:`newton_block_solve` over one block, so its
+result is a pure function of the network (and the caller's seed, if
+any), and an unseeded solve is byte-identical to the seed
+implementation, which rebuilt everything per solve.  Only what the sparsity pattern fixes is reused, from a
 bounded, thread-safe
 :class:`~repro.circuit.solvers.structure.StructureCache` of immutable
 structures; drive values stay local to each solve.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ... import obs
+from ..network import ConvergenceError
 from .base import SolverBackend
 from .structure import StructureCache, newton_block_solve
 
@@ -21,7 +22,7 @@ __all__ = ["ReferenceBackend"]
 
 
 class ReferenceBackend(SolverBackend):
-    """Cold damped Newton on cached, immutable pattern structures."""
+    """Damped Newton, one network at a time, on cached pattern structures."""
 
     name = "reference"
 
@@ -42,12 +43,15 @@ class ReferenceBackend(SolverBackend):
     ):
         obs.count("solver.solves")
         structure = self.cache.get(network)
-        return newton_block_solve(
+        (result,) = newton_block_solve(
             structure,
             structure.whole,
             drive=structure.drive(network),
-            initial=initial,
+            initials=[initial],
             tol=tol,
             max_iterations=max_iterations,
             v_step_limit=v_step_limit,
-        )[0]
+        )
+        if isinstance(result, ConvergenceError):
+            raise result
+        return result

@@ -15,41 +15,17 @@ immutable once built:
   conversion, or sparse addition — bit-identical to scipy's
   ``linear + coo(stamps).tocsc()``.
 
-A solve's pinned voltage values stay local to it; the accelerated
-backends' warm-start state lives in :class:`WarmStart` slots.
+A solve's pinned voltage values stay local to it, and no solve leaves
+anything behind for the next one: a solution is a pure function of its
+network and its caller's seed.
 
 :func:`newton_block_solve` runs the damped Newton iteration over one or
 more independent *blocks* (sub-networks merged block-diagonally by the
 batched backend).  Each block follows the schedule of a standalone
-solve of its network — same initial guess, per-block step clamp,
-per-block line search, per-block stopping — and one block is exactly
-the ``reference`` backend's solve.
-
-With ``chord=True`` (the accelerated backends' default) the engine runs
-*chord* (modified Newton) iterations on warm-started or explicitly
-seeded solves: a numeric LU factorisation — including the one left
-behind by the previous solve of the same pattern (``WarmStart.lu``) — is
-reused across iterations while the residual norm keeps contracting
-geometrically, and is refreshed adaptively — on slow contraction, on
-damping activation (step clamping or line-search halving), or when a
-stale-direction line search stalls.  A stall under a factorisation that
-is current at the iterate raises :class:`ConvergenceError` exactly as
-full Newton does, so chord mode can only ever *add* factorisations
-relative to diverging silently.
-
-Cold flat starts always run full Newton: a cold solve follows the
-reference backend's trajectory bit-for-bit, which is what keeps the
-accelerated backends inside the parity contract on first-solve paths.
-Warm repeats already deviate from the cold reference trajectory (they
-land essentially on the true solution, far below ``tol``), and chord
-mode preserves exactly that landing: chord iterations converge
-linearly, so they would otherwise stop with a residual *just* under
-``tol`` where warm full Newton's final quadratic step lands orders of
-magnitude lower — with megaohm HRS cells that residual gap is a ~1e-8 V
-voltage gap.  Chord mode therefore polishes the residual
-:data:`CHORD_TIGHTEN` below ``tol`` with extra back-substitutions (no
-factorisations), landing within ~1e-11 V of the warm full-Newton
-solution.
+solve of its network — same initial guess, its own factorisation of
+its diagonal sub-matrix, per-block step clamp, per-block line search,
+per-block stopping — so a block's result is bit-identical to the
+``reference`` backend's solve of the same network from the same start.
 """
 
 from __future__ import annotations
@@ -57,7 +33,6 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -70,32 +45,7 @@ from ..network import ConvergenceError, Solution, _Drive, _SolverState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network import Network
 
-__all__ = [
-    "CHORD_CONTRACTION",
-    "CHORD_TIGHTEN",
-    "SolverStructure",
-    "StructureCache",
-    "WarmStart",
-    "newton_block_solve",
-]
-
-#: Worst acceptable per-iteration residual contraction under a reused
-#: factorisation.  Chord iterations converge linearly with rate
-#: ``||I - J_chord^-1 J(x)||``; once an iteration shrinks the residual
-#: by less than this factor the stale Jacobian is no longer paying for
-#: itself and the engine refactorises at the current iterate.
-CHORD_CONTRACTION = 0.5
-
-#: Chord mode's internal tolerance factor.  A linearly-converging chord
-#: iteration stops with the residual barely under ``tol``; full Newton's
-#: final quadratic step lands orders of magnitude below it.  With HRS
-#: cells in the megaohm range a residual of 1e-12 A still maps to
-#: ~1e-8 V of node-voltage slack, so chord mode polishes the residual
-#: four orders below ``tol`` (cheap back-substitutions, no extra
-#: factorisations) to sit safely inside the 1e-9 V parity contract.
-#: Blocks that hit the floating-point residual floor first stop at
-#: ``tol`` like full Newton instead of failing.
-CHORD_TIGHTEN = 1e-4
+__all__ = ["SolverStructure", "StructureCache", "newton_block_solve"]
 
 
 class SolverStructure:
@@ -218,24 +168,14 @@ class SolverStructure:
         )
 
 
-@dataclass
-class WarmStart:
-    """Where an accelerated backend resumes its next solve of a pattern."""
-
-    free: np.ndarray | None = None  # last converged free-node voltages
-    lu: object = None  # most recent numeric LU (chord reuse)
-
-
 class StructureCache:
-    """Bounded, thread-safe LRU of :class:`SolverStructure` by pattern hash,
-    plus the accelerated backends' :class:`WarmStart` slot per pattern."""
+    """Bounded, thread-safe LRU of :class:`SolverStructure` by pattern hash."""
 
     def __init__(self, maxsize: int = 64) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._entries: OrderedDict[str, SolverStructure] = OrderedDict()
-        self._warm: dict[str, WarmStart] = {}
         self._lock = threading.Lock()
 
     def get(self, network: "Network") -> SolverStructure:
@@ -259,21 +199,12 @@ class StructureCache:
         with self._lock:
             structure = self._entries.setdefault(signature, built)
             while len(self._entries) > self.maxsize:
-                evicted, _ = self._entries.popitem(last=False)
-                self._warm.pop(evicted, None)
+                self._entries.popitem(last=False)
         return structure
-
-    def warm_start(self, structure: SolverStructure) -> WarmStart:
-        """The warm-start slot of a cached ``structure``'s pattern."""
-        with self._lock:
-            if structure.signature not in self._entries:
-                return WarmStart()  # evicted meanwhile: nothing to keep
-            return self._warm.setdefault(structure.signature, WarmStart())
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._warm.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -283,144 +214,117 @@ def _block_initial_voltages(
     structure: SolverStructure,
     drive: _Drive,
     blocks: Sequence[tuple[int, int, int, int]],
-    initial: np.ndarray | None,
+    initials: "Sequence[np.ndarray | None] | None",
 ) -> np.ndarray:
-    """Flat-start point (mean pinned voltage) or the caller's guess, per block."""
+    """Each block's caller seed, or its flat start (mean pinned voltage).
+
+    A seed is a full node-voltage vector of the block's own network;
+    only its free-node entries are read.
+    """
     state = structure.state
     voltages = np.zeros(state.node_count, dtype=float)
     voltages[state.fixed_nodes] = drive.fixed_values
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape[0] != voltages.shape[0]:
-            raise ValueError("initial guess length mismatch")
-        voltages[state.free] = initial[state.free]
-        return voltages
-    for f0, f1, n0, n1 in blocks:
+    for b, (f0, f1, n0, n1) in enumerate(blocks):
+        nodes = state.free[f0:f1]
+        seed = None if initials is None else initials[b]
+        if seed is not None:
+            seed = np.asarray(seed, dtype=float)
+            if seed.shape[0] != n1 - n0:
+                raise ValueError("initial guess length mismatch")
+            voltages[nodes] = seed[nodes - n0]
+            continue
         lo, hi = np.searchsorted(state.fixed_nodes, (n0, n1))
         if hi > lo:
-            voltages[state.free[f0:f1]] = float(drive.fixed_values[lo:hi].mean())
+            voltages[nodes] = float(drive.fixed_values[lo:hi].mean())
     return voltages
+
+
+def _diagonal_block(matrix: sp.csc_matrix, lo: int, hi: int) -> sp.csc_matrix:
+    """Rows and columns ``lo:hi`` of a block-diagonal CSC ``matrix``.
+
+    No entry of these columns lies outside the block, so the column
+    slice's index arrays are the block's own, shifted by ``lo``.
+    """
+    if lo == 0 and hi == matrix.shape[0]:
+        return matrix
+    start, stop = matrix.indptr[lo], matrix.indptr[hi]
+    return sp.csc_matrix(
+        (
+            matrix.data[start:stop],
+            matrix.indices[start:stop] - lo,
+            matrix.indptr[lo : hi + 1] - start,
+        ),
+        shape=(hi - lo, hi - lo),
+    )
+
+
+#: ``stop_iteration`` of a block whose solve failed.
+_FAILED = -2
 
 
 def newton_block_solve(
     structure: SolverStructure,
     blocks: Sequence[tuple[int, int, int, int]],
     drive: _Drive,
-    initial: np.ndarray | None = None,
-    warm: WarmStart | None = None,
+    initials: "Sequence[np.ndarray | None] | None" = None,
     tol: float = 1e-10,
     max_iterations: int = 200,
     v_step_limit: float = 0.25,
-    chord: bool = False,
-    chord_contraction: float = CHORD_CONTRACTION,
-) -> list[Solution]:
+) -> "list[Solution | ConvergenceError]":
     """Lockstep damped Newton over independent block sub-systems.
 
     ``blocks`` lists ``(free_lo, free_hi, node_lo, node_hi)`` ranges;
     a single all-covering block (``structure.whole``) solves one
     network.  ``drive`` holds the pinned voltage values of this solve
-    (:meth:`SolverStructure.drive`).  Blocks are independent (no cross-block matrix
-    entries), so per-block clamping, line search, and freezing once
-    converged keep every block on its standalone Newton trajectory.
+    (:meth:`SolverStructure.drive`); ``initials`` optionally seeds each
+    block with a node-voltage vector of its own network (``None``
+    entries start flat).
 
-    ``warm`` is the pattern's :class:`WarmStart` slot: an unseeded solve
-    starts from its last landing point, and every solve leaves its
-    landing point and last LU there.  ``warm=None`` (``reference``)
-    keeps no state.
+    Blocks are independent (no cross-block matrix entries), so each
+    iteration factorises every still-active block's diagonal sub-matrix
+    on its own and drops the factor after the step: the merged system
+    is never factorised, and no factor outlives its step.  With
+    per-block clamping, line search and freezing once converged, every
+    block follows its standalone Newton trajectory bit for bit, whatever
+    else shares the batch.
 
-    ``chord=True`` enables modified-Newton factorisation reuse on
-    warm-started or explicitly seeded solves (cold flat starts always
-    run full Newton, bit-for-bit the reference trajectory): an LU of
-    one iterate — seeded from ``warm.lu`` when a previous solve left
-    one behind — serves later iterations while
-    every active block keeps contracting by at least
-    ``chord_contraction`` per step, and is refreshed when contraction
-    slows, when damping activates (a step clamp or a line-search
-    halving — both signs the iterate left the basin the factorisation
-    was taken in), or when a stale direction stalls the line search.
-    Chord solves polish the residual below ``tol * CHORD_TIGHTEN`` so
-    their converged voltages match warm full Newton's landing point.
-
-    Returns one :class:`~repro.circuit.network.Solution` per block whose
-    ``voltages`` still spans the *merged* node vector; callers slice by
-    node range.
+    Returns one entry per block: a
+    :class:`~repro.circuit.network.Solution` whose ``voltages`` still
+    spans the *merged* node vector (callers slice by node range), or
+    the :class:`~repro.circuit.network.ConvergenceError` that block
+    failed with.
     """
     state = structure.state
     free = state.free
-    voltages = _block_initial_voltages(structure, drive, blocks, initial)
-    warm_started = warm is not None and initial is None and warm.free is not None
-    if warm_started:
-        voltages[free] = warm.free
-        obs.count("solver.warm_starts")
-
-    # Factorisation reuse is restricted to solves that start from a
-    # known-good point (a warm start or a caller-provided seed).  A
-    # cold flat start runs the exact full-Newton schedule so first
-    # solves of a pattern stay on the reference backend's trajectory.
-    chord_active = chord and (warm_started or initial is not None)
-
+    voltages = _block_initial_voltages(structure, drive, blocks, initials)
     n_blocks = len(blocks)
     residual = state.residual(voltages, drive)
     norms = np.array(
         [float(np.linalg.norm(residual[f0:f1])) for f0, f1, _n0, _n1 in blocks]
     )
     stop_iteration = np.full(n_blocks, -1, dtype=int)
-
-    # Chord stops linearly just under the tolerance where full Newton's
-    # quadratic final step overshoots far below it; tighten the chord
-    # stopping residual so converged voltages match (see CHORD_TIGHTEN).
-    stop_tol = tol * CHORD_TIGHTEN if chord_active else tol
-
-    lu = None  # live LU factorisation (reused across iterations by chord)
-    lu_fresh = False  # factored at the *current* iterate?
-    refresh = True  # force a refactorisation before the next step
-    if chord_active and warm is not None and warm.lu is not None:
-        # Adopt the factorisation the previous solve of this pattern
-        # ended on: near-identical drive points often converge on pure
-        # back-substitutions, with zero new factorisations.
-        lu = warm.lu
-        refresh = False
-        obs.count("solver.lu_carryovers")
+    failures: dict[int, ConvergenceError] = {}
 
     for iteration in range(1, max_iterations + 1):
-        # At entry a warm start may already satisfy the caller's
-        # tolerance; accept it exactly as warm full Newton would (no
-        # chord polish), so re-solving an unchanged drive point returns
-        # the previous landing unchanged instead of drifting toward the
-        # chord iteration's tighter internal tolerance.
-        entry_tol = tol if iteration == 1 else stop_tol
-        newly_done = (norms <= entry_tol) & (stop_iteration < 0)
-        stop_iteration[newly_done] = iteration - 1
-        active = int(np.count_nonzero(stop_iteration < 0))
-        if active == 0:
+        stop_iteration[(norms <= tol) & (stop_iteration == -1)] = iteration - 1
+        active = np.flatnonzero(stop_iteration == -1).tolist()
+        if not active:
             break
-        obs.count("solver.newton_iterations", active)
-        if lu is None or refresh or not chord_active:
-            if lu is not None and chord_active:
-                obs.count("solver.chord_refreshes")
-            jacobian = structure.jacobian(voltages)
-            obs.count("solver.factorisations")
-            lu = spla.splu(jacobian)
-            lu_fresh = True
-            refresh = False
-        else:
-            lu_fresh = False
-        delta = lu.solve(-residual)
-        damped = False
-        # Frozen blocks stay exactly where their standalone solve ended.
-        for b, (f0, f1, _n0, _n1) in enumerate(blocks):
-            if stop_iteration[b] >= 0:
-                delta[f0:f1] = 0.0
-            else:
-                seg = delta[f0:f1]
-                max_step = float(np.max(np.abs(seg))) if seg.size else 0.0
-                if max_step > v_step_limit:
-                    delta[f0:f1] = seg * (v_step_limit / max_step)
-                    damped = True
-        undecided = [b for b in range(n_blocks) if stop_iteration[b] < 0]
-        previous_norms = norms.copy()
+        obs.count("solver.newton_iterations", len(active))
+        obs.count("solver.factorisations", len(active))
+        jacobian = structure.jacobian(voltages)
+        delta = np.zeros(free.size)
+        for b in active:
+            f0, f1, _n0, _n1 = blocks[b]
+            step = spla.splu(_diagonal_block(jacobian, f0, f1)).solve(
+                -residual[f0:f1]
+            )
+            max_step = float(np.max(np.abs(step))) if step.size else 0.0
+            if max_step > v_step_limit:
+                step = step * (v_step_limit / max_step)
+            delta[f0:f1] = step
+        undecided = active
         scales = np.ones(n_blocks)
-        stalled = False
         for _ in range(40):
             trial = voltages.copy()
             for b in undecided:
@@ -431,74 +335,33 @@ def newton_block_solve(
             for b in undecided:
                 f0, f1, _n0, _n1 = blocks[b]
                 trial_norm = float(np.linalg.norm(trial_residual[f0:f1]))
-                if trial_norm < norms[b] or trial_norm <= stop_tol:
+                if trial_norm < norms[b] or trial_norm <= tol:
                     voltages[free[f0:f1]] = trial[free[f0:f1]]
                     residual[f0:f1] = trial_residual[f0:f1]
                     norms[b] = trial_norm
                 else:
                     scales[b] *= 0.5
-                    if norms[b] > tol:
-                        # Halvings during the sub-``tol`` chord polish
-                        # are floating-point noise near the residual
-                        # floor, not a basin change — no refresh.
-                        damped = True
                     still.append(b)
             undecided = still
             if not undecided:
                 break
-        else:
-            stalled = True
-        if stalled:
-            if not lu_fresh:
-                # A stale chord direction stopped descending.  Blocks
-                # that accepted a trial this iteration keep the
-                # progress; the rest retry from a factorisation taken
-                # at the current iterate before the solve is declared
-                # stuck — the guaranteed fallback to full Newton.
-                obs.count("solver.chord_refreshes")
-                lu = None
-                refresh = True
-                continue
-            # Fresh factorisation and still no descent: blocks already
-            # inside the caller's tolerance have simply hit the
-            # floating-point residual floor during the chord polish —
-            # accept them where full Newton would have stopped anyway.
-            for b in list(undecided):
-                if norms[b] <= tol:
-                    stop_iteration[b] = iteration
-                    undecided.remove(b)
-            if not undecided:
-                continue
-            worst = max(undecided, key=lambda b: norms[b])
-            raise ConvergenceError(
-                f"line search stalled at residual {norms[worst]:.3e} A"
+        for b in undecided:  # no descent along a fresh Newton direction
+            stop_iteration[b] = _FAILED
+            failures[b] = ConvergenceError(
+                f"line search stalled at residual {norms[b]:.3e} A"
             )
-        if chord_active and not refresh:
-            slow = any(
-                norms[b] > tol
-                and norms[b] > chord_contraction * previous_norms[b]
-                for b in range(n_blocks)
-                if stop_iteration[b] < 0
-            )
-            if damped or slow:
-                refresh = True
     else:
         # Budget exhausted: accept near-converged blocks, as the
         # reference loop does, and fail on anything genuinely stuck.
-        lagging = stop_iteration < 0
-        if np.any(norms[lagging] > tol * 100):
-            worst = float(norms[lagging].max())
-            raise ConvergenceError(
-                f"Newton failed to converge in {max_iterations} iterations "
-                f"(residual {worst:.3e} A)"
-            )
-        stop_iteration[lagging] = max_iterations
-
-    if warm is not None:
-        warm.free = voltages[free].copy()
-        if lu is not None:
-            warm.lu = lu
+        for b in np.flatnonzero(stop_iteration == -1).tolist():
+            if norms[b] > tol * 100:
+                failures[b] = ConvergenceError(
+                    f"Newton failed to converge in {max_iterations} iterations "
+                    f"(residual {norms[b]:.3e} A)"
+                )
+            else:
+                stop_iteration[b] = max_iterations
     return [
-        Solution(voltages, int(stop_iteration[b]), float(norms[b]))
+        failures.get(b) or Solution(voltages, int(stop_iteration[b]), float(norms[b]))
         for b in range(n_blocks)
     ]

@@ -49,7 +49,9 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Bump when the on-disk layout or keying scheme changes.
 #: v2: checksummed envelopes with quarantine handling.
-SCHEMA_VERSION = 2
+#: v3: profiles are anchor-seeded, so v2 entries of the same key may
+#: hold other bytes.
+SCHEMA_VERSION = 3
 
 QUARANTINE_DIR = "quarantine"
 

@@ -343,8 +343,7 @@ def _pool_worker_main(
     profile grids once and publishes them (process-local registry +
     shared plane), and every group-mate's solves collapse to registry
     hits.  Running group-mates concurrently instead would be strictly
-    worse: duplicate streams re-solve every quantum N times and break
-    the warm-start continuation chain.  Solves run on the job's own
+    worse: duplicate streams re-solve every quantum N times.  Solves run on the job's own
     thread, inside its ``obs.collecting`` scope, so their counters land
     in the job's snapshot.
     """

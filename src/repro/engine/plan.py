@@ -69,7 +69,7 @@ class ExperimentPlan:
     #: perfect array) and the context seed.  Carried on the plan so
     #: the serve plane can spill results as typed rows without keeping
     #: the originating context around.
-    solver: str = "reference"
+    solver: str = "batched"
     fault_set: str = "none"
     seed: int = 0
 
@@ -99,9 +99,7 @@ def build_plan(
         settings if experiment.simulation else None,
         context.seed,
         context.faults,  # None for a perfect array (the historical key)
-        # None under the default backend, preserving historical keys;
-        # accelerated backends get their own cache namespace.
-        context.solver if context.solver != "reference" else None,
+        context.solver,
     ]
     if params:
         # Appended only when set, so every pre-params cache key (and
@@ -114,7 +112,7 @@ def build_plan(
         key=key,
         settings=settings if experiment.simulation else None,
         experiment=experiment,
-        solver=context.solver or "reference",
+        solver=context.solver,
         fault_set=(
             config_hash(context.faults)[:12]
             if context.faults is not None

@@ -11,7 +11,7 @@ calls) must not pay it once per request.
 results — config hash, seed, solver backend, fault model, cache
 location, executor shape, strictness — so two requests with equal
 parameters share one context object and with it the model cache,
-scheme registry, profile store, and continuation seeds.  Parameters
+scheme registry, profile store, and anchor seeds.  Parameters
 that only change *reporting* (the obs collector) are deliberately not
 part of the key: warm contexts carry no collector, and callers that
 want a profile activate one around the execution instead

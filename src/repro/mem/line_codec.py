@@ -61,13 +61,17 @@ class LineWriteModel:
     once per key pair (memoised as a plan summary), and the RESET-phase
     latency and energy of every (row, RESET-group mask) are tabulated
     up front, so ``write`` is one memo lookup and two table reads per
-    active MAT.
+    active MAT.  ``solver`` names the backend the tables are calibrated
+    on (``None``: the default).
     """
 
-    def __init__(self, config: SystemConfig, scheme: Scheme) -> None:
+    def __init__(
+        self, config: SystemConfig, scheme: Scheme, solver: str | None = None
+    ) -> None:
         self.config = config
         self.scheme = scheme
-        self.latency_model = SchemeLatencyModel(config, scheme)
+        self.solver = solver
+        self.latency_model = SchemeLatencyModel(config, scheme, solver=solver)
         self.mats = config.memory.line_bytes  # 64 MATs per 64B line
         self.width = config.array.data_width
         self._bit_weights = 1 << np.arange(self.width)
@@ -81,7 +85,7 @@ class LineWriteModel:
     def __reduce__(self):
         # Pickled (to pool workers) as its recipe: the tables rebuild
         # from the process's profile caches.
-        return type(self), (self.config, self.scheme)
+        return type(self), (self.config, self.scheme, self.solver)
 
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, RESET-group mask) tables of RESET-phase latency and energy.

@@ -16,9 +16,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["derived_ratios", "format_profile"]
 
 #: Ratio rows rendered under "derived": name -> (numerator, denominator).
-#: Factorisations per solve is the chord-Newton headline figure — the
-#: reference backend sits near its iteration count (~8) while the
-#: accelerated backends target <= 2 once warm.
+#: Every backend factorises each network once per Newton iteration, so
+#: the two ratios agree; seeded profile solves bring both down.
 _RATIOS: "dict[str, tuple[str, str]]" = {
     "solver.factorisations_per_solve": (
         "solver.factorisations",

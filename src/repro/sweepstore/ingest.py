@@ -97,8 +97,11 @@ def rows_from_result(
     ingest of an old JSON file may need to supply them explicitly).
     ``extra`` merges fixed column values into every row — e.g.
     ``{"array_size": 512}`` for a sweep whose config is known out of
-    band.
+    band.  A row always names a solver: with neither an override nor
+    one in the metadata, that is the default backend.
     """
+    from ..circuit.solvers import DEFAULT_SOLVER
+
     document = _as_document(result)
     meta = document["meta"]
     payload = document["payload"]
@@ -106,9 +109,7 @@ def rows_from_result(
         "config_hash": str(meta.get("config_hash", "")),
         "experiment": str(document["experiment"]),
         "solver": str(
-            solver
-            if solver is not None
-            else meta.get("solver", "reference") or "reference"
+            solver if solver is not None else meta.get("solver") or DEFAULT_SOLVER
         ),
         "fault_set": str(
             fault_set

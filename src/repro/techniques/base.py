@@ -229,10 +229,17 @@ class SchemeLatencyModel:
     are reset concurrently in the MAT.  The memory simulator reduces a
     write to ``max`` over its reset groups.  Write-failing operating
     points are charged :data:`WRITE_RETRY_LATENCY` instead of infinity.
+
+    Without a ``context`` the tables come from the shared module-level
+    model on ``solver`` (``None``: the default backend).
     """
 
     def __init__(
-        self, config: SystemConfig, scheme: Scheme, context=None
+        self,
+        config: SystemConfig,
+        scheme: Scheme,
+        context=None,
+        solver: str | None = None,
     ) -> None:
         self.config = scheme.effective_config(config)
         self.scheme = scheme
@@ -242,7 +249,7 @@ class SchemeLatencyModel:
         if context is not None:
             self.ir_model = context.nominal_ir_model(self.config)
         else:
-            self.ir_model = get_ir_model(self.config)
+            self.ir_model = get_ir_model(self.config, solver=solver)
         a = config.array.size
         width = config.array.data_width
         v_matrix = scheme.regulator.matrix(self.ir_model)

@@ -30,7 +30,6 @@ from ..circuit.cell import CellModel
 from ..circuit.crosspoint import BASELINE_BIAS, BiasScheme
 from ..circuit.equivalent import WordlineDropModel
 from ..circuit.line_model import ReducedArrayModel
-from ..circuit.network import ConvergenceError
 from ..config import SystemConfig, config_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +45,6 @@ __all__ = [
 
 _PROFILE_SAMPLES = 13
 _VOLTAGE_QUANTUM = 0.02  # cache key resolution for applied voltages
-_SEED_QUANTA = 16  # continuation-seed store depth per bias scheme
 
 
 class ProfileRegistry:
@@ -192,7 +190,8 @@ class ArrayIRModel:
         self.solver = self.reduced.solver
         self.cell_model: CellModel = self.reduced.cell_model
         self.faults = faults if faults is None or not faults.is_null else None
-        self._fault_state: tuple | None = None
+        #: (word-line, bit-line) wire factors, sampled on first use.
+        self._line_factors: tuple[np.ndarray, np.ndarray] | None = None
         # Keyed by the *integer* quantum count (round(v / quantum)), not
         # the quantised float: float keys carry representation noise
         # (0.060000000000000005 vs 0.06), so near-identical voltages
@@ -203,34 +202,33 @@ class ArrayIRModel:
         #: engine's :class:`ModelCache` hookup; ``None`` = memory only.
         self.profile_store = None
         self._profile_tokens: tuple[str, str | None] | None = None
-        # Continuation seeds: per bias scheme, the node-voltage vectors
-        # of the most recently solved quanta (grid-row order), so the
-        # next quantum's Newton solves start next to their solution.
-        self._profile_seeds: dict[
-            BiasScheme, OrderedDict[int, list[np.ndarray]]
+        #: Per bias scheme, the anchor quantum's grid node voltages
+        #: (grid-row order) and profile; see :meth:`_anchor`.
+        self._anchors: dict[
+            BiasScheme, tuple[list[np.ndarray], np.ndarray]
         ] = {}
 
-    def _fault_arrays(self) -> tuple:
-        """(sa0, sa1, wl_factors, bl_factors, latency_factors), sampled once."""
-        if self._fault_state is None:
-            a = self.config.array.size
-            sa0, sa1 = self.faults.stuck_masks(a)
-            wl_factors, bl_factors = self.faults.line_factors(a)
-            self._fault_state = (
-                sa0, sa1, wl_factors, bl_factors,
-                self.faults.cell_latency_factors(a),
-            )
-        return self._fault_state
+    def _wire_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(word-line, bit-line) wire factors of the fault model.
+
+        The only per-identity arrays the model keeps: two length-A
+        vectors.  The (A, A) stuck masks and latency factors are sampled
+        where they are used (each draw has its own RNG token, so the
+        values are the same whenever they are drawn).
+        """
+        if self._line_factors is None:
+            self._line_factors = self.faults.line_factors(self.config.array.size)
+        return self._line_factors
 
     # -- persistent profile plumbing --------------------------------------------
 
     def _profile_parts(self, kind: str, *extra: Any) -> tuple:
         """Canonical key parts for one profile artefact.
 
-        The solver name is part of the key so the byte-locked
-        ``reference`` backend can never be served an artefact computed
-        by an accelerated backend (and vice versa); the fault token
-        keeps fault-sweep runs from aliasing the perfect-array entries.
+        The solver name is part of the key so the ``reference`` oracle
+        can never be served an artefact computed by a seeded backend
+        (and vice versa); the fault token keeps fault-sweep runs from
+        aliasing the perfect-array entries.
         """
         if self._profile_tokens is None:
             self._profile_tokens = (
@@ -327,34 +325,22 @@ class ArrayIRModel:
         is negligible) and linearly interpolated; cached per quantised
         voltage and bias scheme.  Lookup order is in-memory memo, then
         the process-wide :data:`profile_registry`, then the persistent
-        disk store, then a live solve (continuation-seeded from the
-        nearest already-solved voltage on accelerated backends).
+        disk store, then a live solve (seeded from the anchor quantum's
+        solution, see :meth:`_anchor`).
 
         The returned array is **read-only**: it is shared between every
         caller of this quantum (and, through the registry and disk
         layers, across models and processes), so an in-place mutation
         would silently corrupt all of them.  Copy before editing.
         """
-        a = self.config.array.size
         if v_applied is None:
             v_applied = self.config.cell.v_reset
         quantum = int(round(v_applied / _VOLTAGE_QUANTUM))
-        key = (quantum, bias)
-        cached = self._bl_profiles.get(key)
-        if cached is not None:
-            obs.count("profile_cache.hit")
-            return cached
-        obs.count("profile_cache.miss")
-        parts = self._profile_parts(
-            "bl-profile", quantum, _VOLTAGE_QUANTUM, _PROFILE_SAMPLES, bias
-        )
-        profile = self._validated_profile(self._lookup_artefact(parts), a)
+        profile = self._cached_profile(quantum, bias)
         if profile is None:
-            profile = self._solve_profile(quantum, bias)
-            profile.setflags(write=False)
-            profile_registry.put(parts, profile)
-            self._persist(parts, profile)
-        self._bl_profiles[key] = profile
+            profile = self._register(
+                quantum, bias, self._solve_profile(quantum, bias)
+            )
         return profile
 
     def ensemble_bl_profiles(
@@ -370,63 +356,74 @@ class ArrayIRModel:
         memo/registry/disk chain as :meth:`bl_drop_profile`, and every
         *missing* quantum's sample-row grid is solved in one flat
         ensemble batch (``solve_reset_ensemble``) — the networks all
-        share one sparsity pattern, so the ``batched`` backend
-        factorises once per chord refresh for the whole ensemble
-        instead of once per quantum.  Solved profiles land in the
-        shared registry and the persistent store under the exact keys
-        the single-voltage path uses, so nominal models get free hits
-        afterwards.  Returns ``{quantum: read-only profile}``.
+        share one sparsity pattern, so the ``batched`` backend runs one
+        Newton loop for the whole ensemble instead of one per quantum.
+        Each solve starts from the same anchor seed the single-voltage
+        path uses, so the profiles are the same bytes, and land in the
+        shared registry and the persistent store under the same keys.
+        Returns ``{quantum: read-only profile}``.
         """
-        a = self.config.array.size
         quanta = sorted(
             {int(round(float(v) / _VOLTAGE_QUANTUM)) for v in np.atleast_1d(v_applied)}
         )
-        profiles: dict[int, np.ndarray] = {}
-        missing: list[int] = []
-        for q in quanta:
-            key = (q, bias)
-            cached = self._bl_profiles.get(key)
-            if cached is not None:
-                obs.count("profile_cache.hit")
-                profiles[q] = cached
-                continue
-            obs.count("profile_cache.miss")
-            parts = self._profile_parts(
-                "bl-profile", q, _VOLTAGE_QUANTUM, _PROFILE_SAMPLES, bias
-            )
-            cached = self._validated_profile(self._lookup_artefact(parts), a)
-            if cached is not None:
-                self._bl_profiles[key] = cached
-                profiles[q] = cached
-            else:
-                missing.append(q)
+        profiles = {q: self._cached_profile(q, bias) for q in quanta}
+        missing = [q for q in quanta if profiles[q] is None]
+        initials = None
+        if missing and self.solver != "reference":
+            seeds, anchor_profile = self._anchor(bias)
+            if self._anchor_quantum in missing:
+                missing.remove(self._anchor_quantum)
+                profiles[self._anchor_quantum] = self._register(
+                    self._anchor_quantum, bias, anchor_profile
+                )
+            obs.count("profile_cache.continuation_seeds", len(missing))
+            initials = seeds * len(missing)
         if not missing:
             return profiles
-        grid = np.unique(
-            np.round(np.linspace(0, a - 1, min(_PROFILE_SAMPLES, a))).astype(int)
-        )
+        a = self.config.array.size
+        grid = self._grid()
         jobs = [
             (int(row), (0,), q * _VOLTAGE_QUANTUM) for q in missing for row in grid
         ]
         with obs.span("solve.profile.ensemble", array=a, quanta=len(missing)):
-            pairs = self.reduced.solve_reset_ensemble(jobs, bias, chunk=chunk)
-        for j, q in enumerate(missing):
-            v_solve = q * _VOLTAGE_QUANTUM
-            block = pairs[j * len(grid) : (j + 1) * len(grid)]
-            drops = [
-                v_solve - solution.v_eff[(int(row), 0)]
-                for row, (solution, _voltages) in zip(grid, block)
-            ]
-            profile = np.interp(np.arange(a), grid, np.asarray(drops))
-            profile.setflags(write=False)
-            parts = self._profile_parts(
-                "bl-profile", q, _VOLTAGE_QUANTUM, _PROFILE_SAMPLES, bias
+            pairs = self.reduced.solve_reset_ensemble(
+                jobs, bias, initials=initials, chunk=chunk
             )
-            profile_registry.put(parts, profile)
-            self._persist(parts, profile)
-            self._bl_profiles[(q, bias)] = profile
-            profiles[q] = profile
+        for j, q in enumerate(missing):
+            block = pairs[j * len(grid) : (j + 1) * len(grid)]
+            profiles[q] = self._register(q, bias, self._interpolate(q, block))
         return profiles
+
+    def _cached_profile(self, quantum: int, bias: BiasScheme) -> "np.ndarray | None":
+        """Memo -> registry -> shared plane -> disk, or ``None`` to solve."""
+        key = (quantum, bias)
+        cached = self._bl_profiles.get(key)
+        if cached is not None:
+            obs.count("profile_cache.hit")
+            return cached
+        obs.count("profile_cache.miss")
+        profile = self._validated_profile(
+            self._lookup_artefact(self._bl_parts(quantum, bias)),
+            self.config.array.size,
+        )
+        if profile is not None:
+            self._bl_profiles[key] = profile
+        return profile
+
+    def _bl_parts(self, quantum: int, bias: BiasScheme) -> tuple:
+        return self._profile_parts(
+            "bl-profile", quantum, _VOLTAGE_QUANTUM, _PROFILE_SAMPLES, bias
+        )
+
+    def _register(
+        self, quantum: int, bias: BiasScheme, profile: np.ndarray
+    ) -> np.ndarray:
+        """Memoise a solved profile, share it and write it through."""
+        parts = self._bl_parts(quantum, bias)
+        profile_registry.put(parts, profile)
+        self._persist(parts, profile)
+        self._bl_profiles[(quantum, bias)] = profile
+        return profile
 
     @staticmethod
     def _validated_profile(value: Any, a: int) -> "np.ndarray | None":
@@ -450,74 +447,88 @@ class ArrayIRModel:
         profile.setflags(write=False)
         return profile
 
-    def _solve_profile(self, quantum: int, bias: BiasScheme) -> np.ndarray:
-        """Live grid solve of one quantised voltage (with warm seeds)."""
+    def _grid(self) -> np.ndarray:
+        """The sample rows a profile is solved at."""
         a = self.config.array.size
-        v_solve = quantum * _VOLTAGE_QUANTUM
-        grid = np.unique(
+        return np.unique(
             np.round(np.linspace(0, a - 1, min(_PROFILE_SAMPLES, a))).astype(int)
         )
-        selections = [(int(row), (0,)) for row in grid]
-        seeds = self._continuation_seeds(quantum, bias, len(selections))
-        with obs.span("solve.profile", array=a):
-            # One batch covers the whole grid: backends that stack
-            # solves (``batched``) factorise once per Newton iteration
-            # for all sample rows instead of once per row.
-            try:
-                pairs = self.reduced.solve_reset_batch(
-                    selections, v_solve, bias, initials=seeds
-                )
-            except ConvergenceError:
-                if seeds is None:
-                    raise
-                # The backends already retry a failed seeded solve from
-                # a cold start; an error surfacing here means even that
-                # failed, so the guaranteed fallback is one more fully
-                # unseeded batch before giving up.
-                obs.count("profile_cache.seed_fallbacks")
-                pairs = self.reduced.solve_reset_batch(selections, v_solve, bias)
-            # Drops are measured against the *quantised* solve voltage,
-            # keeping the profile a pure function of its cache key: two
-            # raw voltages landing in the same bucket must produce the
-            # same bytes, or the registry/disk layers would serve
-            # whichever caller happened to fill the bucket first.
-            drops = [
-                v_solve - solution.v_eff[(int(row), 0)]
-                for row, (solution, _voltages) in zip(grid, pairs)
-            ]
-        self._remember_seeds(quantum, bias, [v for _sol, v in pairs])
-        return np.interp(np.arange(a), grid, np.asarray(drops))
 
-    def _continuation_seeds(
-        self, quantum: int, bias: BiasScheme, count: int
-    ) -> "list[np.ndarray] | None":
-        """Node-voltage seeds from the nearest already-solved quantum.
+    @property
+    def _anchor_quantum(self) -> int:
+        """The quantum of the nominal RESET voltage."""
+        return int(round(self.config.cell.v_reset / _VOLTAGE_QUANTUM))
 
-        The ``reference`` backend must never be seeded: its payloads are
-        byte-locked to the cold flat-start Newton trajectory.
+    def _solve_profile(self, quantum: int, bias: BiasScheme) -> np.ndarray:
+        """Live solve of one quantum's profile.
+
+        Seeded from the anchor (see :meth:`_anchor`); the ``reference``
+        backend is the oracle and always starts flat.
         """
         if self.solver == "reference":
-            return None
-        store = self._profile_seeds.get(bias)
-        if not store:
-            return None
-        nearest = min(store, key=lambda q: abs(q - quantum))
-        seeds = store[nearest]
-        if len(seeds) != count:
-            return None
+            return self._interpolate(quantum, self._solve_grid(quantum, bias))
+        seeds, anchor_profile = self._anchor(bias)
+        if quantum == self._anchor_quantum:
+            return anchor_profile
         obs.count("profile_cache.continuation_seeds")
-        return [seed.copy() for seed in seeds]
+        return self._interpolate(quantum, self._solve_grid(quantum, bias, seeds))
 
-    def _remember_seeds(
-        self, quantum: int, bias: BiasScheme, voltages: "list[np.ndarray]"
-    ) -> None:
-        if self.solver == "reference":
-            return
-        store = self._profile_seeds.setdefault(bias, OrderedDict())
-        store[quantum] = [np.array(v, dtype=float) for v in voltages]
-        store.move_to_end(quantum)
-        while len(store) > _SEED_QUANTA:
-            store.popitem(last=False)
+    def _anchor(self, bias: BiasScheme) -> "tuple[list[np.ndarray], np.ndarray]":
+        """The anchor quantum's grid node voltages and profile for ``bias``.
+
+        The anchor, ``round(v_reset / quantum)``, is solved from a flat
+        start once per model and bias; every other quantum's Newton
+        solves start from its node voltages.  The seed therefore never
+        depends on which quanta were solved before, and neither do the
+        bytes of any profile.
+        """
+        anchor = self._anchors.get(bias)
+        if anchor is None:
+            pairs = self._solve_grid(self._anchor_quantum, bias)
+            seeds = [voltages for _solution, voltages in pairs]
+            for seed in seeds:
+                seed.setflags(write=False)
+            profile = self._interpolate(self._anchor_quantum, pairs)
+            anchor = self._anchors[bias] = (seeds, profile)
+        return anchor
+
+    def _solve_grid(
+        self,
+        quantum: int,
+        bias: BiasScheme,
+        seeds: "list[np.ndarray] | None" = None,
+    ) -> "list[tuple[Any, np.ndarray]]":
+        """One quantum's grid solves, as ``(solution, voltages)`` pairs.
+
+        One batch covers the whole grid: backends that stack solves
+        (``batched``) run one Newton loop for all sample rows.
+        """
+        selections = [(int(row), (0,)) for row in self._grid()]
+        with obs.span("solve.profile", array=self.config.array.size):
+            return self.reduced.solve_reset_batch(
+                selections, quantum * _VOLTAGE_QUANTUM, bias, initials=seeds
+            )
+
+    def _interpolate(
+        self, quantum: int, pairs: "list[tuple[Any, np.ndarray]]"
+    ) -> np.ndarray:
+        """The read-only profile of one quantum's grid solves.
+
+        Drops are measured against the *quantised* solve voltage, keeping
+        the profile a pure function of its cache key: two raw voltages
+        landing in the same bucket must produce the same bytes, or the
+        registry/disk layers would serve whichever caller happened to
+        fill the bucket first.
+        """
+        grid = self._grid()
+        v_solve = quantum * _VOLTAGE_QUANTUM
+        drops = [
+            v_solve - solution.v_eff[(int(row), 0)]
+            for row, (solution, _voltages) in zip(grid, pairs)
+        ]
+        profile = np.interp(np.arange(self.config.array.size), grid, np.asarray(drops))
+        profile.setflags(write=False)
+        return profile
 
     # -- point queries --------------------------------------------------------------
 
@@ -537,7 +548,7 @@ class ArrayIRModel:
         bl = float(self.bl_drop_profile(v_applied, bias)[row])
         wl = float(self.wl_model.drop(col, n_bits, bias))
         if self.faults is not None:
-            _, _, wl_factors, bl_factors, _ = self._fault_arrays()
+            wl_factors, bl_factors = self._wire_factors()
             bl *= float(bl_factors[col])
             wl *= float(wl_factors[row])
         return v_applied - bl - wl
@@ -557,12 +568,13 @@ class ArrayIRModel:
             )
         )
         if self.faults is not None:
-            sa0, sa1, _, _, cell_factors = self._fault_arrays()
+            a = self.config.array.size
+            sa0, sa1 = self.faults.stuck_masks(a)
             if sa0[row, col]:
                 return 0.0
             if sa1[row, col]:
                 return float("inf")
-            latency *= float(cell_factors[row, col])
+            latency *= float(self.faults.cell_latency_factors(a)[row, col])
         return latency
 
     # -- full-array maps ---------------------------------------------------------------
@@ -613,7 +625,7 @@ class ArrayIRModel:
         wl_drop = np.asarray(self.wl_model.drop(np.arange(a), n_bits, bias))
         if self.faults is None:
             return v - bl_drop - wl_drop[None, :]
-        _, _, wl_factors, bl_factors, _ = self._fault_arrays()
+        wl_factors, bl_factors = self._wire_factors()
         # A line's resistance factor scales its whole IR-drop profile:
         # bit line c contributes its BL drop scaled by bl_factors[c], and
         # selected word line r its WL drop scaled by wl_factors[r].
@@ -634,8 +646,9 @@ class ArrayIRModel:
             self.cell_model.reset_latency(self.v_eff_map(v_applied, n_bits, bias))
         )
         if self.faults is not None:
-            sa0, sa1, _, _, cell_factors = self._fault_arrays()
-            latency = latency * cell_factors
+            a = self.config.array.size
+            sa0, sa1 = self.faults.stuck_masks(a)
+            latency = latency * self.faults.cell_latency_factors(a)
             latency[sa0] = 0.0  # stuck at HRS: nothing to RESET
             latency[sa1] = np.inf  # stuck at LRS: RESET never completes
         return latency
@@ -651,7 +664,7 @@ class ArrayIRModel:
             self.cell_model.endurance(self.latency_map(v_applied, n_bits, bias))
         )
         if self.faults is not None:
-            sa0, sa1, *_ = self._fault_arrays()
+            sa0, sa1 = self.faults.stuck_masks(self.config.array.size)
             endurance[sa0 | sa1] = 0.0  # stuck cells store nothing
         return endurance
 
@@ -693,17 +706,13 @@ class ModelCache:
     ) -> str:
         """Compound cache key: a fault sweep never poisons (or reuses)
         the perfect-array entry, and models running different solver
-        backends never alias.  The default (reference) backend adds no
-        token, preserving historical keys."""
+        backends never alias."""
         from ..circuit.solvers import solver_name
 
         key = config_hash(config)
         if faults is not None:
             key = f"{key}:{config_hash(faults)}"
-        solver = solver_name(solver)
-        if solver != "reference":
-            key = f"{key}:solver={solver}"
-        return key
+        return f"{key}:solver={solver_name(solver)}"
 
     def _insert(self, key: str, model: ArrayIRModel) -> None:
         """Insert (or refresh) ``key`` and evict the coldest overflow.

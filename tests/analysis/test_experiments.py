@@ -190,6 +190,32 @@ class TestPerformanceRunner:
         with pytest.raises(KeyError):
             runner.scheme("bogus")
 
+    def test_write_models_calibrate_on_the_context_solver(self, monkeypatch):
+        """Under ``--solver reference`` every scheme's levels and latency
+        tables come from ``reference``: no second calibration runs on
+        the default backend, and the cell key names the solver."""
+        from repro.circuit.solvers import BatchedBackend
+        from repro.config import default_config
+        from repro.engine import RunContext
+        from repro.xpoint.vmap import ModelCache
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a batched solve ran under --solver reference")
+
+        config = default_config(size=64)
+
+        def runner(solver):
+            context = RunContext(config=config, solver=solver, model_cache=ModelCache())
+            return PerformanceRunner(config=config, settings=QUICK, context=context)
+
+        default_key = runner("batched")._cell_key("Base", "mcf_m")
+        monkeypatch.setattr(BatchedBackend, "solve_many", forbidden)
+        reference = runner("reference")
+        for name in ("Base", "DRVR+PR", "UDRVR+PR"):
+            model = reference._write_model(name)
+            assert model.latency_model.ir_model.solver == "reference"
+        assert reference._cell_key("Base", "mcf_m") != default_key
+
 
 class TestTables:
     def test_parameters_match_table_i(self):

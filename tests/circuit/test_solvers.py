@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.circuit.crosspoint import BASELINE_BIAS
 from repro.circuit.network import GROUND, ConvergenceError, Network
 from repro.circuit.selector import OnStackModel
 from repro.circuit.solvers import (
     BatchedBackend,
-    FactorCacheBackend,
     ReferenceBackend,
     available_solvers,
     get_backend,
@@ -45,28 +45,30 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown solver backend"):
             solver_name("superlu-typo")
 
-    def test_none_resolves_to_reference(self):
-        assert isinstance(get_backend(None), ReferenceBackend)
-        assert solver_name(None) == "reference"
+    def test_none_resolves_to_batched(self):
+        assert isinstance(get_backend(None), BatchedBackend)
+        assert solver_name(None) == "batched"
 
     def test_named_lookup_is_singleton(self):
         assert get_backend("factor-cache") is get_backend("factor-cache")
         assert get_backend("batched") is get_backend("batched")
 
     def test_instance_passthrough(self):
-        mine = FactorCacheBackend(cache_size=2)
+        mine = BatchedBackend(cache_size=2)
         assert get_backend(mine) is mine
-        assert solver_name(mine) == "factor-cache"
+        assert solver_name(mine) == "batched"
 
     def test_backend_classes_expose_names(self):
         assert ReferenceBackend.name == "reference"
-        assert FactorCacheBackend.name == "factor-cache"
         assert BatchedBackend.name == "batched"
+        # The old name selects batched and keeps its own cache namespace.
+        assert get_backend("factor-cache") is get_backend("batched")
+        assert solver_name("factor-cache") == "factor-cache"
 
 
 class TestObsCounters:
     def test_factor_cache_hit_miss_counters(self):
-        backend = FactorCacheBackend()
+        backend = BatchedBackend()
         collector = obs.Collector()
         with obs.collecting(collector):
             backend.solve(_cell_network(2.8))
@@ -75,7 +77,6 @@ class TestObsCounters:
         assert counters["solver.factor_misses"] == 1
         assert counters["solver.factor_hits"] == 1
         assert counters["solver.solves"] == 2
-        assert counters.get("solver.warm_starts", 0) >= 1
 
     def test_batched_gauge_records_batch_size(self):
         backend = BatchedBackend()
@@ -117,7 +118,7 @@ class TestStructureReuse:
         """Regression: conductance topology changing mid-sweep (an SA0
         cell swapping its device model) must rebuild the cached Jacobian
         structure, not silently reuse the stale one."""
-        backend = FactorCacheBackend()
+        backend = BatchedBackend()
         net = _cell_network()
         first = backend.solve(net)
         # Mutate the *same* network object the way the fault layer swaps
@@ -152,20 +153,6 @@ class TestStructureReuse:
         cache.get(_cell_network(r_scale=3.0))
         assert len(cache) == 2
 
-    def test_warm_start_fallback_recovers(self):
-        """A poisoned warm-start vector must not leave the backend
-        stuck: either the warm solve converges or the cold retry does,
-        and the result stays in parity either way."""
-        backend = FactorCacheBackend()
-        net = _cell_network()
-        backend.solve(net)
-        warm = backend.cache.warm_start(backend.cache.get(_cell_network()))
-        warm.free = np.full_like(warm.free, 1e3)
-        recovered = backend.solve(_cell_network())
-        want = _cell_network().solve(backend="reference")
-        np.testing.assert_allclose(
-            recovered.voltages, want.voltages, atol=1e-9, rtol=0
-        )
 
 
 class TestBatchedMechanics:
@@ -214,3 +201,95 @@ class TestConvergenceBehaviour:
         np.testing.assert_allclose(
             solution.voltages, want.voltages, atol=1e-9, rtol=0
         )
+
+
+class TestHistoryFree:
+    """No solve depends on what was solved before it or beside it."""
+
+    def test_cold_solve_many_is_bitwise_reference(
+        self, reduced_model_builder, reset_vector_gen
+    ):
+        """One merged multi-network solve gives each network the bytes
+        of its own ``reference`` solve, even after unrelated solves."""
+        reference = reduced_model_builder(64, "reference")
+        batched = reduced_model_builder(64, "batched")
+        selections = reset_vector_gen(64, 6, n_bits=2)
+        batched.solve_reset_many([(10, (3,)), (50, (60,))], 3.5)  # history
+        got = batched.solve_reset_batch(selections, 3.3)
+        for (row, cols), (_solution, voltages) in zip(selections, got):
+            want = reference.solve_reset_batch([(row, cols)], 3.3)[0][1]
+            np.testing.assert_array_equal(voltages, want)
+
+    def test_ensemble_chunk_factorises_block_by_block(
+        self, reduced_model_builder, monkeypatch
+    ):
+        """A 128-network ensemble chunk never hands SuperLU more than
+        one network's matrix."""
+        from repro.circuit.solvers import structure
+
+        shapes = []
+        real_splu = structure.spla.splu
+
+        def recording_splu(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return real_splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(structure.spla, "splu", recording_splu)
+        model = reduced_model_builder(16, "batched")
+        jobs = [(r % 16, (0,), 2.8 + 0.005 * r) for r in range(128)]
+        nets = [
+            model._build_reset_network(*model._normalise(row, cols, v), BASELINE_BIAS)[0]
+            for row, cols, v in jobs
+        ]
+        free = nets[0].node_count - len(nets[0]._fixed)
+        backend = BatchedBackend()
+        collector = obs.Collector()
+        with obs.collecting(collector):
+            backend.solve_ensemble(nets, chunk=128)
+        counters = collector.snapshot().to_plain()["counters"]
+        assert shapes and set(shapes) == {(free, free)}
+        assert counters["solver.factorisations"] == len(shapes)
+
+
+class TestSeededFallback:
+    def test_seeded_failure_falls_back_to_flat_start(self, monkeypatch):
+        from repro.circuit.solvers import batched as batched_module
+
+        real = batched_module.newton_block_solve
+        calls = []
+
+        def flaky(structure, blocks, drive, initials=None, **kwargs):
+            calls.append(initials)
+            results = real(structure, blocks, drive, initials, **kwargs)
+            if len(calls) == 1:
+                results[1] = ConvergenceError("injected seeded failure")
+            return results
+
+        monkeypatch.setattr(batched_module, "newton_block_solve", flaky)
+        nets = [_cell_network(2.8), _cell_network(2.4)]
+        seeds = [None, np.full(nets[1].node_count, 1.0)]
+        collector = obs.Collector()
+        with obs.collecting(collector):
+            got = BatchedBackend().solve_many(nets, initials=seeds)
+        # Only the failed seeded block re-runs, from a flat start.
+        assert len(calls) == 2
+        assert calls[1] is None
+        counters = collector.snapshot().to_plain()["counters"]
+        assert counters.get("solver.cold_fallbacks") == 1
+        for v, sol in zip((2.8, 2.4), got):
+            want = _cell_network(v).solve(backend="reference")
+            np.testing.assert_array_equal(sol.voltages, want.voltages)
+
+    def test_cold_failure_is_final(self, monkeypatch):
+        from repro.circuit.solvers import batched as batched_module
+
+        def always_fails(structure, blocks, drive, initials=None, **kwargs):
+            return [ConvergenceError("injected cold failure")] * len(blocks)
+
+        monkeypatch.setattr(batched_module, "newton_block_solve", always_fails)
+        collector = obs.Collector()
+        with obs.collecting(collector):
+            with pytest.raises(ConvergenceError, match="injected cold"):
+                BatchedBackend().solve(_cell_network())
+        counters = collector.snapshot().to_plain()["counters"]
+        assert "solver.cold_fallbacks" not in counters

@@ -155,7 +155,7 @@ class TestSharedEqualsPrivate:
 GOLDEN = {
     "Base": "44ead89b96c33424625896a5180ab64987a5f846b3a827487eff0d756cab09f5",
     "Hard+Sys": "aff74e439f6911edf042ec12a828958f89c06dd1fc91d9482e5b04d03abdb2e0",
-    "UDRVR+PR": "f2bd8e07587999d807ac44a17ee632ae520d09c46d384ec8f83f7a3b0cc06e9b",
+    "UDRVR+PR": "79cfa176b2aeb52f87637936aaa0da90063589fc86c44791b342b775f906337a",
     "ora-64x64": "cc42ab371a96953ca3cb725a20b7d2624b39becb9082fa06ccb9f623a3110b35",
     "D-BL": "82af022fc73767fb5791e85685a3cb8b7306558f4c10f6876d1bc345768a5855",
     "Base-maintenance-0.5": "aec9b655a509d5c642160384f13d4dd245c3e6479084181cbcc3c0da87b513f4",

@@ -72,11 +72,10 @@ class TestSolverSelection:
         assert fast.solver == "factor-cache"
         assert cache.get(tiny_config, solver="factor-cache") is fast
 
-    def test_reference_solver_shares_default_entry(self, tiny_config):
-        """Explicit ``reference`` adds no key token: historical entries
-        stay reachable."""
+    def test_batched_solver_shares_default_entry(self, tiny_config):
+        """The default and an explicit ``batched`` are one entry."""
         cache = ModelCache()
-        assert cache.get(tiny_config) is cache.get(tiny_config, solver="reference")
+        assert cache.get(tiny_config) is cache.get(tiny_config, solver="batched")
 
     def test_context_threads_solver_into_models(self, tiny_config):
         context = RunContext(
@@ -86,10 +85,10 @@ class TestSolverSelection:
         assert context.ir_model().solver == "batched"
         assert context.ir_model().reduced.solver == "batched"
 
-    def test_context_defaults_to_reference(self, tiny_config):
+    def test_context_defaults_to_batched(self, tiny_config):
         context = RunContext(config=tiny_config, model_cache=ModelCache())
-        assert context.solver == "reference"
-        assert context.ir_model().solver == "reference"
+        assert context.solver == "batched"
+        assert context.ir_model().solver == "batched"
 
     def test_unknown_solver_fails_at_construction(self, tiny_config):
         import pytest

@@ -37,13 +37,13 @@ class TestBuildPlan:
         base = build_plan(probe, RunContext(seed=0)).key
         assert build_plan(probe, RunContext(seed=1)).key != base
 
-    def test_reference_solver_keeps_historical_keys(self, probe):
-        """Default and explicit-reference contexts share cache entries."""
+    def test_default_solver_shares_explicit_key(self, probe):
+        """Default and explicit-batched contexts share cache entries."""
         default = build_plan(probe, RunContext()).key
-        explicit = build_plan(probe, RunContext(solver="reference")).key
-        accelerated = build_plan(probe, RunContext(solver="batched")).key
+        explicit = build_plan(probe, RunContext(solver="batched")).key
+        oracle = build_plan(probe, RunContext(solver="reference")).key
         assert default == explicit
-        assert accelerated != default
+        assert oracle != default
 
     def test_settings_dropped_for_non_simulation(self, probe):
         from repro.analysis.experiments import PerfSettings

@@ -81,7 +81,7 @@ class TestServeSpill:
         table = store.table()
         assert table.num_rows == 8
         assert set(table.column("seed")) == {0, 1}
-        assert set(table.column("solver")) == {"reference"}
+        assert set(table.column("solver")) == {"batched"}
         assert set(table.column("technique")) == {"Base", "DRVR+PR"}
 
     def test_close_flushes_the_buffered_tail(self, margins, tmp_path):

@@ -43,12 +43,12 @@ class TestMemoisation:
 
     def test_differing_parameters_get_distinct_contexts(self):
         assert warm_context(seed=1) is not warm_context(seed=2)
-        assert warm_context() is not warm_context(solver="batched")
+        assert warm_context() is not warm_context(solver="reference")
         assert warm_context() is not warm_context(strict=True)
 
-    def test_reference_solver_aliases_default(self):
-        """``solver=None`` and ``solver='reference'`` are one key."""
-        assert warm_context() is warm_context(solver="reference")
+    def test_batched_solver_aliases_default(self):
+        """``solver=None`` and ``solver='batched'`` are one key."""
+        assert warm_context() is warm_context(solver="batched")
 
     def test_default_context_is_the_parameterless_warm_context(self):
         assert default_context() is warm_context()

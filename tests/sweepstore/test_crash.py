@@ -7,8 +7,6 @@ import os
 from repro.sweepstore import SweepStore
 from repro.sweepstore.store import MANIFEST_SUFFIX
 
-from .conftest import make_rows
-
 
 def _shard_files(store):
     manifests = sorted(store.shards_dir.glob(f"*{MANIFEST_SUFFIX}"))

@@ -174,6 +174,6 @@ class TestPlanIdentity:
         from repro.engine.plan import build_plan
 
         plan = build_plan("fig04", RunContext())
-        assert plan.solver == "reference"
+        assert plan.solver == "batched"
         assert plan.fault_set == "none"
         assert plan.seed == 0
