@@ -11,8 +11,10 @@ cached, immutable per-pattern structures, behind one interface
     Stacks the independent per-BL / per-section solves of a RESET
     vector into one block-diagonal system and runs their Newton
     iterations in lockstep: vectorised device evaluation across the
-    batch, one factorisation of each block's own sub-matrix per
-    iteration.  ``factor-cache`` is another name for it, kept so
+    batch and, on forest patterns (every reduced RESET network), one
+    banded LU per iteration over all active blocks; on patterns with
+    cycles, one SuperLU factorisation of each block's own sub-matrix.
+    ``factor-cache`` is another name for it, kept so
     ``--solver factor-cache`` and cache keys naming it still resolve.
 
 ``reference``
@@ -21,9 +23,11 @@ cached, immutable per-pattern structures, behind one interface
     backends against, and is never seeded by the profile solver.
 
 Numerical contract: no backend keeps state between calls, so a solve
-is a pure function of its network and its caller's seed; an unseeded
-``batched`` solve is bit-identical to ``reference``; and every backend
-lands within a stated voltage bound of a converged oracle (enforced by
+is a pure function of its network and its caller's seed; a merged
+``batched`` solve gives each network the bits of its standalone
+``batched`` solve, within 1e-9 V of ``reference`` (bit-identical to it
+on patterns with cycles); and every backend lands within a stated
+voltage bound of a converged oracle (enforced by
 ``tests/circuit/test_converged_oracle.py``).  See ``docs/solvers.md``.
 
 Each backend instance serialises its own solves with one reentrant

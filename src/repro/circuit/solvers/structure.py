@@ -1,4 +1,4 @@
-"""Cached factorisation structures and the lockstep Newton engine.
+"""Cached pattern structures and the lockstep Newton engine.
 
 The cross-point RESET workload solves thousands of networks that share
 one sparsity pattern: the array geometry and selection topology fix the
@@ -13,7 +13,10 @@ immutable once built:
   precomputed scatter template that turns device conductances into the
   Jacobian's data array in O(nnz) — no per-iteration COO assembly,
   conversion, or sparse addition — bit-identical to scipy's
-  ``linear + coo(stamps).tocsc()``.
+  ``linear + coo(stamps).tocsc()``,
+* on request, and only when the free-node graph is a forest, a
+  :class:`BandPlan`: a per-component ordering, its bandwidth and the
+  scatter of Jacobian entries into LAPACK band storage.
 
 A solve's pinned voltage values stay local to it, and no solve leaves
 anything behind for the next one: a solution is a pure function of its
@@ -22,10 +25,14 @@ network and its caller's seed.
 :func:`newton_block_solve` runs the damped Newton iteration over one or
 more independent *blocks* (sub-networks merged block-diagonally by the
 batched backend).  Each block follows the schedule of a standalone
-solve of its network — same initial guess, its own factorisation of
-its diagonal sub-matrix, per-block step clamp, per-block line search,
-per-block stopping — so a block's result is bit-identical to the
-``reference`` backend's solve of the same network from the same start.
+solve of its network — same initial guess, per-block step clamp,
+per-block line search, per-block stopping.  A structure without a band
+plan factorises each active block's diagonal sub-matrix with SuperLU,
+so a block's result is bit-identical to the ``reference`` backend's
+solve of the same network from the same start.  A structure with one
+takes each iteration's steps of all active blocks from one banded LU
+(LAPACK ``gbsv``); a block's bits then do not depend on what else is
+in the band, so a merged solve equals the standalone banded solve.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from ... import obs
 from ..network import ConvergenceError, Solution, _Drive, _SolverState
@@ -45,22 +53,103 @@ from ..network import ConvergenceError, Solution, _Drive, _SolverState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network import Network
 
-__all__ = ["SolverStructure", "StructureCache", "newton_block_solve"]
+__all__ = ["BandPlan", "SolverStructure", "StructureCache", "newton_block_solve"]
+
+
+class BandPlan(NamedTuple):
+    """Where a forest pattern's Jacobian lands in LAPACK band storage.
+
+    ``order[p]`` is the free index at band position ``p``.  It runs
+    component by component, components by their lowest free index, so
+    it maps the free range of every network merged into the pattern
+    onto itself.  ``index`` sends each Jacobian entry (in the union
+    pattern's order) to its slot in a C-ordered ``(n, 3 * kd + 1)``
+    array whose row ``p`` is band column ``p``: the transpose of
+    ``gbsv``'s ``ab`` with ``kl = ku = kd``.
+    """
+
+    order: np.ndarray
+    kd: int
+    index: np.ndarray
+
+
+def _breadth_first(pattern: sp.csc_matrix, seeds: np.ndarray) -> np.ndarray:
+    """Free nodes in breadth-first order from a virtual root joined to ``seeds``.
+
+    One call searches every component: the searches interleave, but a
+    component's nodes are reached in the order of its own search from
+    its seed (neighbours in index order), whatever else is in the graph.
+    """
+    from scipy.sparse import csgraph  # only banded structures need it
+
+    n = pattern.shape[0]
+    # A symmetric pattern's CSC arrays read as CSR adjacency lists.
+    indptr = np.append(pattern.indptr, pattern.indptr[-1] + seeds.size)
+    indices = np.append(pattern.indices, seeds)
+    graph = sp.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1)
+    )
+    return csgraph.breadth_first_order(
+        graph, n, directed=True, return_predecessors=False
+    )[1:]
+
+
+def _band_plan(pattern: sp.csc_matrix) -> "BandPlan | None":
+    """The band plan of a symmetric ``pattern``; ``None`` unless it is a forest.
+
+    Each component is ordered by a breadth-first search from a
+    pseudo-peripheral node: search from its lowest node, then again from
+    the last node reached, which in a tree ends a longest path.  A
+    ladder then keeps one node per level and every branch of a tree
+    adds one, so a reduced RESET network's bandwidth stays small.  Each
+    component's order depends on that component alone.
+    """
+    from scipy.sparse import csgraph
+
+    n = pattern.shape[0]
+    count, labels = csgraph.connected_components(pattern, directed=False)
+    rows = pattern.indices
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    if np.count_nonzero(rows != cols) != 2 * (n - count):
+        return None  # a cycle: keep the per-block SuperLU step
+    lowest = np.unique(labels, return_index=True)[1]
+    key = lowest[labels]  # groups components by their lowest node
+    ends = np.cumsum(np.bincount(labels)[np.argsort(lowest)]) - 1
+    seeds = lowest
+    for _sweep in range(2):
+        reached = _breadth_first(pattern, seeds)
+        order = reached[np.argsort(key[reached], kind="stable")]
+        seeds = order[ends]
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    offset = position[rows] - position[cols]
+    kd = int(np.abs(offset).max())
+    width = 3 * kd + 1
+    index = position[cols] * width + 2 * kd + offset
+    dtype = np.int32 if n * width < 2**31 else np.int64
+    return BandPlan(order.astype(dtype), kd, index.astype(dtype))
 
 
 class SolverStructure:
     """Pattern-keyed, immutable view of a network's Newton system.
 
     Nothing a solve sets is stored here, so concurrent solves of the
-    pattern can share one structure.
+    pattern can share one structure.  ``banded`` asks for a
+    :class:`BandPlan` (``band``), built when the free-node graph is a
+    forest; a banded structure keeps no CSC index arrays.
     """
 
-    def __init__(self, network: "Network") -> None:
+    def __init__(self, network: "Network", banded: bool = False) -> None:
         self.signature = network.pattern_signature()
         self.state = _SolverState(network)
         #: The one block covering the whole network.
         self.whole = ((0, self.state.free.size, 0, self.state.node_count),)
         self._build_scatter_template()
+        #: The linear part of the Jacobian's data, in ``_base`` order.
+        self._values = self._base.data
+        self.band = _band_plan(self._base) if banded else None
+        if self.band is not None:
+            self._base = None  # the band step reads no index arrays
 
     # -- assembly template ----------------------------------------------------
 
@@ -75,6 +164,7 @@ class SolverStructure:
         state = self.state
         linear = state._linear
         self._stamp_slots = None
+        self._base = linear
         if not state._dev_maps:
             return  # no devices: the Jacobian is the linear matrix
         size = state.free.size
@@ -140,21 +230,27 @@ class SolverStructure:
             )
         return self.state.drive(network._fixed)
 
-    def jacobian(self, voltages: np.ndarray) -> sp.csc_matrix:
-        """Jacobian via the scatter template (no COO round-trip)."""
+    def jacobian_values(self, voltages: np.ndarray) -> np.ndarray:
+        """The Jacobian's entries, in the union pattern's order."""
         state = self.state
         if self._stamp_slots is None:
-            return state._linear
+            return self._values
         g = np.concatenate([
             model.conductance(v)
             for (model, *_), v in zip(state._dev_maps, state.device_voltages(voltages))
         ])
-        base = self._base
-        data = base.data + np.bincount(
+        return self._values + np.bincount(
             self._stamp_slots,
             weights=g[self._stamp_src] * self._stamp_sign,
-            minlength=base.nnz,
+            minlength=self._values.size,
         )
+
+    def jacobian(self, voltages: np.ndarray) -> sp.csc_matrix:
+        """Jacobian via the scatter template (no COO round-trip)."""
+        if self._stamp_slots is None:
+            return self.state._linear
+        base = self._base
+        data = self.jacobian_values(voltages)
         nonzero = data != 0
         if nonzero.all():
             jacobian = copy.copy(base)
@@ -171,10 +267,12 @@ class SolverStructure:
 class StructureCache:
     """Bounded, thread-safe LRU of :class:`SolverStructure` by pattern hash."""
 
-    def __init__(self, maxsize: int = 64) -> None:
+    def __init__(self, maxsize: int = 64, banded: bool = False) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
+        #: Whether structures are built with a band plan.
+        self.banded = banded
         self._entries: OrderedDict[str, SolverStructure] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -195,7 +293,8 @@ class StructureCache:
             obs.count("solver.factor_hits")
             return structure
         obs.count("solver.factor_misses")
-        built = SolverStructure(network)  # unlocked: builds may run in parallel
+        # Unlocked: builds may run in parallel.
+        built = SolverStructure(network, self.banded)
         with self._lock:
             structure = self._entries.setdefault(signature, built)
             while len(self._entries) > self.maxsize:
@@ -258,6 +357,51 @@ def _diagonal_block(matrix: sp.csc_matrix, lo: int, hi: int) -> sp.csc_matrix:
     )
 
 
+def _newton_steps(
+    structure: SolverStructure,
+    active: Sequence[tuple[int, int, int, int]],
+    voltages: np.ndarray,
+    residual: np.ndarray,
+) -> np.ndarray:
+    """Unclamped Newton steps of the ``active`` blocks (zero elsewhere).
+
+    Without a band plan, each block's diagonal sub-matrix is factorised
+    on its own by SuperLU.  With one, a single ``gbsv`` covers every
+    active block: a block's band positions are its own free range, and
+    no band entry couples two blocks, so the active band is a gather of
+    whole rows of the band array.  ``gbsv`` is called directly because
+    ``solve_banded`` switches to ``gtsv`` at ``kd = 1``, whose rounding
+    differs, and a merged band's ``kd`` is the widest of its blocks'.
+    """
+    delta = np.zeros(structure.state.free.size)
+    plan = structure.band
+    if plan is None:
+        jacobian = structure.jacobian(voltages)
+        for f0, f1, _n0, _n1 in active:
+            delta[f0:f1] = spla.splu(_diagonal_block(jacobian, f0, f1)).solve(
+                -residual[f0:f1]
+            )
+        return delta
+    band = np.zeros((delta.size, 3 * plan.kd + 1))
+    band.reshape(-1)[plan.index] = structure.jacobian_values(voltages)
+    if sum(f1 - f0 for f0, f1, _n0, _n1 in active) < delta.size:
+        positions = np.concatenate(
+            [np.arange(f0, f1) for f0, f1, _n0, _n1 in active]
+        )
+        band = band[positions]
+        nodes = plan.order[positions]
+    else:
+        nodes = plan.order
+    _lu, _pivots, step, info = lapack.dgbsv(
+        plan.kd, plan.kd, band.T, -residual[nodes],
+        overwrite_ab=True, overwrite_b=True,
+    )
+    if info != 0:
+        raise RuntimeError("Factor is exactly singular")
+    delta[nodes] = step
+    return delta
+
+
 #: ``stop_iteration`` of a block whose solve failed.
 _FAILED = -2
 
@@ -280,13 +424,13 @@ def newton_block_solve(
     block with a node-voltage vector of its own network (``None``
     entries start flat).
 
-    Blocks are independent (no cross-block matrix entries), so each
-    iteration factorises every still-active block's diagonal sub-matrix
-    on its own and drops the factor after the step: the merged system
-    is never factorised, and no factor outlives its step.  With
-    per-block clamping, line search and freezing once converged, every
-    block follows its standalone Newton trajectory bit for bit, whatever
-    else shares the batch.
+    Blocks are independent (no cross-block matrix entries).  Each
+    iteration takes the still-active blocks' steps (:func:`_newton_steps`:
+    one SuperLU factor per block, or one band solve over all of them)
+    and drops every factor after the step.  With per-block clamping,
+    line search and freezing once converged, every block follows its
+    standalone Newton trajectory bit for bit, whatever else shares the
+    batch.
 
     Returns one entry per block: a
     :class:`~repro.circuit.network.Solution` whose ``voltages`` still
@@ -312,17 +456,15 @@ def newton_block_solve(
             break
         obs.count("solver.newton_iterations", len(active))
         obs.count("solver.factorisations", len(active))
-        jacobian = structure.jacobian(voltages)
-        delta = np.zeros(free.size)
+        delta = _newton_steps(
+            structure, [blocks[b] for b in active], voltages, residual
+        )
         for b in active:
             f0, f1, _n0, _n1 = blocks[b]
-            step = spla.splu(_diagonal_block(jacobian, f0, f1)).solve(
-                -residual[f0:f1]
-            )
+            step = delta[f0:f1]
             max_step = float(np.max(np.abs(step))) if step.size else 0.0
             if max_step > v_step_limit:
-                step = step * (v_step_limit / max_step)
-            delta[f0:f1] = step
+                delta[f0:f1] = step * (v_step_limit / max_step)
         undecided = active
         scales = np.ones(n_blocks)
         for _ in range(40):

@@ -51,7 +51,9 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: v2: checksummed envelopes with quarantine handling.
 #: v3: profiles are anchor-seeded, so v2 entries of the same key may
 #: hold other bytes.
-SCHEMA_VERSION = 3
+#: v4: ``batched`` takes banded Newton steps on forest patterns, so v3
+#: entries of the same key may hold other bytes.
+SCHEMA_VERSION = 4
 
 QUARANTINE_DIR = "quarantine"
 

@@ -17,6 +17,9 @@ from repro.circuit.solvers import (
 
 from ..conftest import ALL_SOLVERS
 
+#: Node-voltage agreement asked of ``batched`` against ``reference``.
+PARITY_ATOL = 1e-9
+
 
 def _cell_network(v_drive=2.8, extra_device=False, r_scale=1.0):
     """A tiny nonlinear network: driver -> wire -> device stack -> ground."""
@@ -206,35 +209,62 @@ class TestConvergenceBehaviour:
 class TestHistoryFree:
     """No solve depends on what was solved before it or beside it."""
 
-    def test_cold_solve_many_is_bitwise_reference(
+    @staticmethod
+    def _mixed_selections(reset_vector_gen):
+        """1-, 2- and 8-bit selections in one batch, so the merged band
+        is wider than most of its blocks' own."""
+        return [
+            *reset_vector_gen(64, 2, n_bits=1),
+            *reset_vector_gen(64, 2, n_bits=2),
+            *reset_vector_gen(64, 2, n_bits=8),
+        ]
+
+    def test_merged_solve_is_bitwise_standalone(
         self, reduced_model_builder, reset_vector_gen
     ):
         """One merged multi-network solve gives each network the bytes
-        of its own ``reference`` solve, even after unrelated solves."""
+        of its own standalone ``batched`` solve, even after unrelated
+        solves."""
+        batched = reduced_model_builder(64, "batched")
+        selections = self._mixed_selections(reset_vector_gen)
+        batched.solve_reset_many([(10, (3,)), (50, (60,))], 3.5)  # history
+        got = batched.solve_reset_batch(selections, 3.3)
+        for (row, cols), (_solution, voltages) in zip(selections, got):
+            alone = batched.solve_reset_batch([(row, cols)], 3.3)[0][1]
+            np.testing.assert_array_equal(voltages, alone)
+
+    def test_merged_solve_is_near_reference(
+        self, reduced_model_builder, reset_vector_gen
+    ):
         reference = reduced_model_builder(64, "reference")
         batched = reduced_model_builder(64, "batched")
-        selections = reset_vector_gen(64, 6, n_bits=2)
+        selections = self._mixed_selections(reset_vector_gen)
         batched.solve_reset_many([(10, (3,)), (50, (60,))], 3.5)  # history
         got = batched.solve_reset_batch(selections, 3.3)
         for (row, cols), (_solution, voltages) in zip(selections, got):
             want = reference.solve_reset_batch([(row, cols)], 3.3)[0][1]
-            np.testing.assert_array_equal(voltages, want)
+            np.testing.assert_allclose(voltages, want, atol=PARITY_ATOL, rtol=0)
 
-    def test_ensemble_chunk_factorises_block_by_block(
+    def test_ensemble_chunk_takes_one_band_solve_per_iteration(
         self, reduced_model_builder, monkeypatch
     ):
-        """A 128-network ensemble chunk never hands SuperLU more than
-        one network's matrix."""
+        """A 128-network ensemble chunk never calls SuperLU: each Newton
+        iteration is one band solve over the blocks still active, and
+        still counts one factorisation per active block."""
         from repro.circuit.solvers import structure
 
-        shapes = []
-        real_splu = structure.spla.splu
+        def no_splu(*args, **kwargs):
+            raise AssertionError("SuperLU called on a forest pattern")
 
-        def recording_splu(matrix, *args, **kwargs):
-            shapes.append(matrix.shape)
-            return real_splu(matrix, *args, **kwargs)
+        widths = []
+        real_gbsv = structure.lapack.dgbsv
 
-        monkeypatch.setattr(structure.spla, "splu", recording_splu)
+        def recording_gbsv(kl, ku, ab, b, **kwargs):
+            widths.append(ab.shape[1])
+            return real_gbsv(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(structure.spla, "splu", no_splu)
+        monkeypatch.setattr(structure.lapack, "dgbsv", recording_gbsv)
         model = reduced_model_builder(16, "batched")
         jobs = [(r % 16, (0,), 2.8 + 0.005 * r) for r in range(128)]
         nets = [
@@ -245,10 +275,97 @@ class TestHistoryFree:
         backend = BatchedBackend()
         collector = obs.Collector()
         with obs.collecting(collector):
-            backend.solve_ensemble(nets, chunk=128)
+            solutions = backend.solve_ensemble(nets, chunk=128)
         counters = collector.snapshot().to_plain()["counters"]
-        assert shapes and set(shapes) == {(free, free)}
-        assert counters["solver.factorisations"] == len(shapes)
+        steps = [solution.iterations for solution in solutions]
+        # Iteration k solves every block that took at least k steps.
+        assert widths == [
+            free * sum(s >= k for s in steps) for k in range(1, max(steps) + 1)
+        ]
+        assert counters["solver.factorisations"] == sum(steps)
+        assert counters["solver.newton_iterations"] == sum(steps)
+
+
+class TestBandPlan:
+    """Which patterns take the band step, and how wide their band is."""
+
+    @staticmethod
+    def _plan(model, row, cols, bias=BASELINE_BIAS):
+        from repro.circuit.solvers.structure import SolverStructure
+
+        net = model._build_reset_network(*model._normalise(row, cols, None), bias)[0]
+        return SolverStructure(net, banded=True).band
+
+    @pytest.mark.parametrize("size", [64, 512])
+    def test_one_bit_figure_networks_are_narrow(self, size, reduced_model_builder):
+        """The profile grid (column 0), the single-bit pattern and the
+        worst corner: a ladder with at most one branch point."""
+        model = reduced_model_builder(size, "batched")
+        rows = np.unique(np.round(np.linspace(0, size - 1, 13)).astype(int))
+        selections = [(int(row), (0,)) for row in rows]
+        selections += [(size // 3, (size - 1,)), (size - 1, (size - 1,))]
+        for row, cols in selections:
+            assert self._plan(model, row, cols).kd <= 2, (row, cols)
+
+    @pytest.mark.parametrize("size", [64, 512])
+    def test_n_bit_bandwidth(self, size, reduced_model_builder, reset_vector_gen):
+        """A breadth-first level holds one node per live branch, two per
+        selected BL at most: ``kd <= 2 * n_bits + 1`` on any selection,
+        and ``n_bits + 3`` on the 4-bit partition pattern."""
+        model = reduced_model_builder(size, "batched")
+        for n_bits in (1, 2, 4, 8):
+            for row, cols in reset_vector_gen(size, 6, n_bits=n_bits):
+                assert self._plan(model, row, cols).kd <= 2 * n_bits + 1
+        pr = (size // 8, size // 4 + 1, size // 2 + 3, size - 2)
+        assert self._plan(model, size // 2, pr).kd <= 4 + 3
+
+    def test_tapped_ladders_solve_near_reference(self, reduced_model_builder):
+        """Taps pin ladder nodes, cutting each ladder into segments: one
+        network, several components, one band."""
+        from scipy.sparse import csgraph
+
+        from repro.circuit.solvers.structure import SolverStructure
+        from repro.techniques.oracle import oracle_bias
+
+        bias = oracle_bias(16)
+        reference = reduced_model_builder(64, "reference")
+        batched = reduced_model_builder(64, "batched")
+        row, cols = 40, (5, 37)
+        net = batched._build_reset_network(
+            *batched._normalise(row, cols, None), bias
+        )[0]
+        components, _labels = csgraph.connected_components(
+            SolverStructure(net)._base, directed=False
+        )
+        assert components > 4
+        assert SolverStructure(net, banded=True).band is not None
+        want = reference.solve_reset(row, cols, bias=bias)
+        got = batched.solve_reset(row, cols, bias=bias)
+        for col, profile in want.bl_profiles.items():
+            np.testing.assert_allclose(
+                got.bl_profiles[col], profile, atol=PARITY_ATOL, rtol=0
+            )
+        np.testing.assert_allclose(
+            got.wl_profile, want.wl_profile, atol=PARITY_ATOL, rtol=0
+        )
+
+    def test_full_array_grid_keeps_superlu_and_reference_bits(self, monkeypatch):
+        """The 2-D grid has cycles: ``batched`` factorises it with
+        SuperLU, bit-identical to ``reference``."""
+        from repro.circuit.crosspoint import FullArrayModel
+        from repro.circuit.solvers import structure
+        from repro.config import default_config
+
+        def no_gbsv(*args, **kwargs):
+            raise AssertionError("band step on a pattern with cycles")
+
+        config = default_config(size=16)
+        want = FullArrayModel(config, solver="reference").solve_reset(8, (3, 15))
+        monkeypatch.setattr(structure.lapack, "dgbsv", no_gbsv)
+        got = FullArrayModel(config, solver="batched").solve_reset(8, (3, 15))
+        np.testing.assert_array_equal(got.wl_plane, want.wl_plane)
+        np.testing.assert_array_equal(got.bl_plane, want.bl_plane)
+        assert got.v_eff == want.v_eff
 
 
 class TestSeededFallback:
