@@ -17,6 +17,7 @@ approximation is validated against the exact solver of
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .crosspoint import BASELINE_BIAS, BiasScheme
 from .network import Network
 from .selector import OnStackModel, SelectorModel
 
-__all__ = ["ReducedSolution", "ReducedArrayModel"]
+__all__ = ["ReducedSolution", "ReducedArrayModel", "ResetNetwork"]
 
 
 @dataclass
@@ -45,6 +46,36 @@ class ReducedSolution:
     def worst_v_eff(self) -> float:
         """Smallest effective RESET voltage among the selected cells."""
         return min(self.v_eff.values())
+
+
+@dataclass(frozen=True)
+class ResetNetwork:
+    """One RESET selection's reduced network and where its drive is pinned.
+
+    ``drivers`` lists the pinned nodes that carry a selected column's
+    drive voltage, as ``(node, column)`` pairs; every other pinned node
+    (the half-select rail, the WL grounds and taps) is set by the bias
+    scheme alone.  One build therefore serves every drive of the same
+    selection and bias (:meth:`redriven`).
+    """
+
+    network: Network
+    row: int
+    cols: tuple[int, ...]
+    wl_nodes: np.ndarray  # by column
+    bl_nodes: dict[int, np.ndarray]  # col -> nodes by row
+    drivers: tuple[tuple[int, int], ...]
+
+    def redriven(self, drive: dict[int, float]) -> "ResetNetwork":
+        """This selection's network at per-column ``drive`` voltages.
+
+        Equal to a fresh build at ``drive`` in every element, pinned
+        node, pinned value and signature; see :meth:`Network.redriven`.
+        """
+        network = self.network.redriven(
+            {node: drive[c] for node, c in self.drivers}
+        )
+        return dataclasses.replace(self, network=network)
 
 
 class ReducedArrayModel:
@@ -90,11 +121,10 @@ class ReducedArrayModel:
         """
         from .solvers import get_backend
 
-        row, cols, drive = self._normalise(row, cols, v_applied)
-        net, wl_nodes, bl_nodes = self._build_reset_network(row, cols, drive, bias)
+        built = self._build_reset_network(*self._normalise(row, cols, v_applied), bias)
         with obs.span("solve.reduced", array=self.config.array.size):
-            solution = get_backend(self.solver).solve(net)
-        return self._extract(solution, row, cols, wl_nodes, bl_nodes)
+            solution = get_backend(self.solver).solve(built.network)
+        return self._extract(solution, built)
 
     def solve_reset_many(
         self,
@@ -135,30 +165,11 @@ class ReducedArrayModel:
         is deterministic for a fixed selection and bias, so node indices
         line up between the producing and consuming solves.
         """
-        from .solvers import get_backend
-
-        prepared = [
-            self._normalise(row, cols, v_applied) for row, cols in selections
-        ]
         built = [
-            self._build_reset_network(row, cols, drive, bias)
-            for row, cols, drive in prepared
+            self._build_reset_network(*self._normalise(row, cols, v_applied), bias)
+            for row, cols in selections
         ]
-        with obs.span(
-            "solve.reduced.batch", array=self.config.array.size, batch=len(built)
-        ):
-            solutions = get_backend(self.solver).solve_many(
-                [net for net, _wl, _bl in built], initials=initials
-            )
-        return [
-            (
-                self._extract(solution, row, cols, wl_nodes, bl_nodes),
-                solution.voltages,
-            )
-            for solution, (row, cols, _drive), (_net, wl_nodes, bl_nodes) in zip(
-                solutions, prepared, built
-            )
-        ]
+        return self.solve_networks(built, initials)
 
     def solve_reset_ensemble(
         self,
@@ -178,33 +189,57 @@ class ReducedArrayModel:
         block-diagonal stacking on ``batched``).  Returns
         ``(solution, voltages)`` pairs like :meth:`solve_reset_batch`.
         """
+        built = [
+            self._build_reset_network(*self._normalise(row, cols, v_applied), bias)
+            for row, cols, v_applied in jobs
+        ]
+        return self.solve_networks(built, initials, ensemble=True, chunk=chunk)
+
+    def reset_network(
+        self,
+        row: int,
+        cols: tuple[int, ...] | list[int],
+        v_applied: float | dict[int, float] | None = None,
+        bias: BiasScheme = BASELINE_BIAS,
+    ) -> "ResetNetwork":
+        """The reduced network of one RESET, ready to be re-driven.
+
+        Build it once and hand :meth:`ResetNetwork.redriven` copies to
+        :meth:`solve_networks`: a copy is the network a fresh build at
+        its drive would give, without the build.  The template's element
+        lists are flushed and its signature memoised here, so copies can
+        be taken from any thread without writing to it.
+        """
+        built = self._build_reset_network(*self._normalise(row, cols, v_applied), bias)
+        built.network.pattern_signature()
+        return built
+
+    def solve_networks(
+        self,
+        networks: "list[ResetNetwork]",
+        initials: "list[np.ndarray | None] | None" = None,
+        ensemble: bool = False,
+        chunk: int | None = None,
+    ) -> "list[tuple[ReducedSolution, np.ndarray]]":
+        """Solve built RESET networks, as ``(solution, voltages)`` pairs.
+
+        The batch goes to the backend's ``solve_many``, or with
+        ``ensemble`` to its chunked ``solve_ensemble`` (see
+        :meth:`solve_reset_ensemble`).
+        """
         from .solvers import get_backend
 
-        prepared = [
-            self._normalise(row, cols, v_applied) for row, cols, v_applied in jobs
-        ]
-        built = [
-            self._build_reset_network(row, cols, drive, bias)
-            for row, cols, drive in prepared
-        ]
-        with obs.span(
-            "solve.reduced.ensemble",
-            array=self.config.array.size,
-            batch=len(built),
-        ):
-            solutions = get_backend(self.solver).solve_ensemble(
-                [net for net, _wl, _bl in built],
-                initials=initials,
-                chunk=chunk,
-            )
+        backend = get_backend(self.solver)
+        nets = [built.network for built in networks]
+        span = "solve.reduced.ensemble" if ensemble else "solve.reduced.batch"
+        with obs.span(span, array=self.config.array.size, batch=len(nets)):
+            if ensemble:
+                solutions = backend.solve_ensemble(nets, initials=initials, chunk=chunk)
+            else:
+                solutions = backend.solve_many(nets, initials=initials)
         return [
-            (
-                self._extract(solution, row, cols, wl_nodes, bl_nodes),
-                solution.voltages,
-            )
-            for solution, (row, cols, _drive), (_net, wl_nodes, bl_nodes) in zip(
-                solutions, prepared, built
-            )
+            (self._extract(solution, built), solution.voltages)
+            for solution, built in zip(solutions, networks)
         ]
 
     def _normalise(
@@ -238,7 +273,7 @@ class ReducedArrayModel:
         cols: tuple[int, ...],
         drive: dict[int, float],
         bias: BiasScheme,
-    ) -> tuple[Network, np.ndarray, dict[int, np.ndarray]]:
+    ) -> "ResetNetwork":
         """Construct the reduced RESET network (order is load-bearing:
         the ``reference`` backend's results are byte-locked to it)."""
         a = self.config.array.size
@@ -269,20 +304,26 @@ class ReducedArrayModel:
 
         # Each selected BL is its own ladder driven from the bottom.
         bl_nodes: dict[int, np.ndarray] = {}
+        drivers: list[tuple[int, int]] = []  # (pinned node, its column)
+
+        def pin_drive(node: int, c: int) -> None:
+            net.fix_voltage(node, drive[c])
+            drivers.append((int(node), c))
+
         for c in cols:
             nodes = np.asarray(net.add_nodes(a))  # by row
             bl_nodes[c] = nodes
             driver = net.add_node()
-            net.fix_voltage(driver, drive[c])
+            pin_drive(driver, c)
             net.add_resistor(driver, nodes[0], r_wire)
             net.add_resistors(nodes[:-1], nodes[1:], r_wire)
             if bias.bl_drive_both_ends:
                 top = net.add_node()
-                net.fix_voltage(top, drive[c])
+                pin_drive(top, c)
                 net.add_resistor(top, nodes[a - 1], r_wire)
             if bias.bl_tap_every:
                 for r in range(bias.bl_tap_every, a, bias.bl_tap_every):
-                    net.fix_voltage(nodes[r], drive[c])
+                    pin_drive(nodes[r], c)
             # Half-selected cells on this BL: unselected WLs at Vrst/2.
             halves = np.delete(nodes, row)
             net.add_devices(halves, np.full(halves.size, rail), self.leak)
@@ -290,19 +331,14 @@ class ReducedArrayModel:
             # selector is fully on, so it presents a saturating load.
             net.add_device(nodes[row], wl_nodes[c], self.on_stack)
 
-        return net, wl_nodes, bl_nodes
+        return ResetNetwork(net, row, cols, wl_nodes, bl_nodes, tuple(drivers))
 
-    def _extract(
-        self,
-        solution,
-        row: int,
-        cols: tuple[int, ...],
-        wl_nodes: np.ndarray,
-        bl_nodes: dict[int, np.ndarray],
-    ) -> ReducedSolution:
+    def _extract(self, solution, built: "ResetNetwork") -> ReducedSolution:
         """Read the figure-facing quantities out of a solved network."""
         v_half = self.config.cell.v_reset / 2.0
         r_wire = self.config.array.r_wire
+        row, cols = built.row, built.cols
+        wl_nodes, bl_nodes = built.wl_nodes, built.bl_nodes
 
         voltages = solution.voltages
         wl_profile = voltages[wl_nodes]

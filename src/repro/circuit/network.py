@@ -93,6 +93,16 @@ class _Column:
             self._chunks = [np.concatenate(self._chunks)]
         return self._chunks[0]
 
+    def copy(self) -> "_Column":
+        """An independent column over this one's elements.
+
+        The two share one array, which neither ever writes to: appends
+        land in each column's own chunks.
+        """
+        clone = _Column(self._dtype)
+        clone._chunks = [self.array()]
+        return clone
+
     def __len__(self) -> int:
         return sum(chunk.size for chunk in self._chunks) + len(self._tail)
 
@@ -107,6 +117,12 @@ class _DeviceGroup:
 
     def frozen(self) -> tuple[SelectorModel, np.ndarray, np.ndarray]:
         return self.model, self.n1.array(), self.n2.array()
+
+    def copy(self) -> "_DeviceGroup":
+        clone = _DeviceGroup(self.model)
+        clone.n1 = self.n1.copy()
+        clone.n2 = self.n2.copy()
+        return clone
 
 
 class Network:
@@ -229,6 +245,32 @@ class Network:
             raise ValueError("the ground reference is already fixed at 0 V")
         self._fixed[node] = float(voltage)
         self._revision += 1
+
+    def redriven(self, values: dict[int, float]) -> "Network":
+        """A copy of this network with new values at some pinned nodes.
+
+        ``values`` maps already-pinned nodes to their new voltages.  The
+        copy has the same elements and the same pinned nodes, in the
+        same order, so it shares this network's :meth:`pattern_signature`
+        (memoised here once for both).  Its element arrays are this
+        network's own, never written to; either network may still grow
+        afterwards without changing the other.
+        """
+        unknown = values.keys() - self._fixed.keys()
+        if unknown:
+            raise ValueError(f"nodes {sorted(unknown)} are not pinned")
+        self.pattern_signature()  # flushes every column, then memoises
+        clone = Network.__new__(Network)
+        clone.__dict__.update(self.__dict__)
+        clone._res_n1 = self._res_n1.copy()
+        clone._res_n2 = self._res_n2.copy()
+        clone._res_g = self._res_g.copy()
+        clone._groups = {key: group.copy() for key, group in self._groups.items()}
+        clone._runs = list(self._runs)
+        clone._fixed = self._fixed | {
+            node: float(value) for node, value in values.items()
+        }
+        return clone
 
     @property
     def node_count(self) -> int:

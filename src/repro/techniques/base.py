@@ -254,8 +254,9 @@ class SchemeLatencyModel:
         width = config.array.data_width
         v_matrix = scheme.regulator.matrix(self.ir_model)
         tables = []
-        for n_bits in range(1, width + 1):
-            latency = self.ir_model.latency_map(v_matrix, n_bits, scheme.bias)
+        # One BL-drop gather serves all ``width`` maps.
+        maps = self.ir_model.latency_maps(v_matrix, range(1, width + 1), scheme.bias)
+        for latency in maps:
             # Worst column position within each group: intra-line wear
             # leveling rotates data over all of a group's 64 BLs, so the
             # slowest position bounds the group (under DSGB that is the
@@ -290,13 +291,18 @@ class SchemeLatencyModel:
         width = self.config.array.data_width
         worst = 0.0
         worst_rows = self._worst_rows()
-        for pattern in range(1, 1 << width):
-            reset_bits = np.array(
-                [(pattern >> i) & 1 for i in range(width)], dtype=bool
-            )
+        patterns = (np.arange(1, 1 << width)[:, None] >> np.arange(width)) & 1
+        for reset_bits in patterns.astype(bool):
             plan = self.scheme.partitioner.plan(reset_bits, ~reset_bits)
-            for row in worst_rows:
-                worst = max(worst, self.write_latency(int(row), plan))
+            # One table read per plan: the slowest row's RESET phase plus
+            # the SET phase is the slowest row's write, since rounding
+            # is monotone (max fl(a + s) = fl(max a + s)).
+            reset = 0.0
+            if plan.reset_groups:
+                table = self.table[len(plan.reset_groups) - 1]
+                reset = float(table[np.ix_(worst_rows, plan.reset_groups)].max())
+            set_phase = self.set_latency if plan.set_groups else 0.0
+            worst = max(worst, reset + set_phase)
         return worst
 
     def _worst_rows(self) -> np.ndarray:

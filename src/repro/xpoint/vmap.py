@@ -21,7 +21,7 @@ DRVR sections).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .. import obs
 from ..circuit.cell import CellModel
 from ..circuit.crosspoint import BASELINE_BIAS, BiasScheme
 from ..circuit.equivalent import WordlineDropModel
-from ..circuit.line_model import ReducedArrayModel
+from ..circuit.line_model import ReducedArrayModel, ResetNetwork
 from ..config import SystemConfig, config_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -151,6 +151,20 @@ class ProfileRegistry:
                 else:
                     obs.count("profile_cache.shm_fallbacks")
 
+    def local(self, parts: tuple, build: Callable[[], Any]) -> Any:
+        """The process-local entry ``parts``, built on a miss.
+
+        For state derived from the configuration alone, such as the
+        profile grid's networks (:meth:`ArrayIRModel._grid_templates`):
+        it shares the entries' bound and :meth:`clear`, but is never
+        published or counted as a solve.
+        """
+        value = self.get(parts)
+        if value is None:
+            value = build()
+            self.put(parts, value, computed=False, publish=False)
+        return value
+
     def clear(self) -> None:
         """Drop local entries (shared plane stays)."""
         self._entries.clear()
@@ -230,13 +244,17 @@ class ArrayIRModel:
         (and vice versa); the fault token keeps fault-sweep runs from
         aliasing the perfect-array entries.
         """
+        cfg_token, faults_token = self._tokens()
+        return (kind, cfg_token, self.solver, faults_token, *extra)
+
+    def _tokens(self) -> tuple[str, str | None]:
+        """(config hash, fault-model hash or ``None``), computed once."""
         if self._profile_tokens is None:
             self._profile_tokens = (
                 config_hash(self.config),
                 None if self.faults is None else config_hash(self.faults),
             )
-        cfg_token, faults_token = self._profile_tokens
-        return (kind, cfg_token, self.solver, faults_token, *extra)
+        return self._profile_tokens
 
     def _persist(self, parts: tuple, value: Any) -> None:
         """Write-through to the attached disk store (first write only)."""
@@ -335,7 +353,10 @@ class ArrayIRModel:
         """
         if v_applied is None:
             v_applied = self.config.cell.v_reset
-        quantum = int(round(v_applied / _VOLTAGE_QUANTUM))
+        return self._profile(int(round(v_applied / _VOLTAGE_QUANTUM)), bias)
+
+    def _profile(self, quantum: int, bias: BiasScheme) -> np.ndarray:
+        """The read-only profile of one integer quantum, cached or solved."""
         profile = self._cached_profile(quantum, bias)
         if profile is None:
             profile = self._register(
@@ -355,7 +376,8 @@ class ArrayIRModel:
         quanta of ``v_applied`` are resolved through the same
         memo/registry/disk chain as :meth:`bl_drop_profile`, and every
         *missing* quantum's sample-row grid is solved in one flat
-        ensemble batch (``solve_reset_ensemble``) — the networks all
+        ensemble batch (``solve_networks(..., ensemble=True)``) on
+        re-driven copies of the grid networks — the networks all
         share one sparsity pattern, so the ``batched`` backend runs one
         Newton loop for the whole ensemble instead of one per quantum.
         Each solve starts from the same anchor seed the single-voltage
@@ -381,16 +403,15 @@ class ArrayIRModel:
         if not missing:
             return profiles
         a = self.config.array.size
-        grid = self._grid()
-        jobs = [
-            (int(row), (0,), q * _VOLTAGE_QUANTUM) for q in missing for row in grid
-        ]
+        size = len(self._grid())
+        templates = self._grid_templates(bias)
+        networks = [net for q in missing for net in self._redriven(templates, q)]
         with obs.span("solve.profile.ensemble", array=a, quanta=len(missing)):
-            pairs = self.reduced.solve_reset_ensemble(
-                jobs, bias, initials=initials, chunk=chunk
+            pairs = self.reduced.solve_networks(
+                networks, initials, ensemble=True, chunk=chunk
             )
         for j, q in enumerate(missing):
-            block = pairs[j * len(grid) : (j + 1) * len(grid)]
+            block = pairs[j * size : (j + 1) * size]
             profiles[q] = self._register(q, bias, self._interpolate(q, block))
         return profiles
 
@@ -503,11 +524,38 @@ class ArrayIRModel:
         One batch covers the whole grid: backends that stack solves
         (``batched``) run one Newton loop for all sample rows.
         """
-        selections = [(int(row), (0,)) for row in self._grid()]
+        networks = self._redriven(self._grid_templates(bias), quantum)
         with obs.span("solve.profile", array=self.config.array.size):
-            return self.reduced.solve_reset_batch(
-                selections, quantum * _VOLTAGE_QUANTUM, bias, initials=seeds
-            )
+            return self.reduced.solve_networks(networks, initials=seeds)
+
+    def _grid_templates(self, bias: BiasScheme) -> list[ResetNetwork]:
+        """The grid's reduced networks for ``bias``, built once.
+
+        The networks of a bias scheme differ between quanta only in
+        their pinned drive values, so each quantum solves re-driven
+        copies (:meth:`_redriven`).  They depend on the configuration
+        alone (faults act on the profiles, and solvers only read the
+        networks), so every model of one configuration shares one set
+        through the registry: a service holding a model per fault
+        identity keeps one set (about 0.65 MB at 512x512) per bias, not
+        one per model.
+        """
+        return profile_registry.local(
+            ("grid-networks", self._tokens()[0], bias),
+            lambda: [
+                self.reduced.reset_network(int(row), (0,), bias=bias)
+                for row in self._grid()
+            ],
+        )
+
+    @staticmethod
+    def _redriven(
+        templates: list[ResetNetwork], quantum: int
+    ) -> list[ResetNetwork]:
+        """The grid at one quantum: the networks a fresh build would give,
+        hence the same profile bytes."""
+        drive = {0: quantum * _VOLTAGE_QUANTUM}
+        return [template.redriven(drive) for template in templates]
 
     def _interpolate(
         self, quantum: int, pairs: "list[tuple[Any, np.ndarray]]"
@@ -608,32 +656,7 @@ class ArrayIRModel:
         bias: BiasScheme = BASELINE_BIAS,
     ) -> np.ndarray:
         """Effective RESET voltage of every cell, shape (A, A)."""
-        a = self.config.array.size
-        v = self.applied_matrix(v_applied)
-        if self.faults is not None:
-            v = np.asarray(self.faults.applied_voltage(v))
-        bl_drop = np.empty_like(v)
-        # Group cells by integer quantum count, mirroring the profile
-        # cache's keys: comparing integers is exact, whereas comparing
-        # re-quantised floats can split one bucket on representation
-        # noise (see ``_bl_profiles``).
-        quanta = np.rint(v / _VOLTAGE_QUANTUM)
-        for q in np.unique(quanta):
-            profile = self.bl_drop_profile(float(q) * _VOLTAGE_QUANTUM, bias)
-            mask = quanta == q
-            bl_drop[mask] = np.repeat(profile[:, None], a, axis=1)[mask]
-        wl_drop = np.asarray(self.wl_model.drop(np.arange(a), n_bits, bias))
-        if self.faults is None:
-            return v - bl_drop - wl_drop[None, :]
-        wl_factors, bl_factors = self._wire_factors()
-        # A line's resistance factor scales its whole IR-drop profile:
-        # bit line c contributes its BL drop scaled by bl_factors[c], and
-        # selected word line r its WL drop scaled by wl_factors[r].
-        return (
-            v
-            - bl_drop * bl_factors[None, :]
-            - wl_drop[None, :] * wl_factors[:, None]
-        )
+        return next(self._v_eff_maps(v_applied, (n_bits,), bias))
 
     def latency_map(
         self,
@@ -642,16 +665,86 @@ class ArrayIRModel:
         bias: BiasScheme = BASELINE_BIAS,
     ) -> np.ndarray:
         """Per-cell RESET latency (s), shape (A, A) (Fig. 4c family)."""
-        latency = np.asarray(
-            self.cell_model.reset_latency(self.v_eff_map(v_applied, n_bits, bias))
-        )
+        return next(self.latency_maps(v_applied, (n_bits,), bias))
+
+    def latency_maps(
+        self,
+        v_applied: "float | np.ndarray | None",
+        n_bits: Iterable[int],
+        bias: BiasScheme = BASELINE_BIAS,
+    ) -> Iterator[np.ndarray]:
+        """:meth:`latency_map` for each of ``n_bits`` in turn.
+
+        The BL drop does not depend on ``n_bits``, so one gather serves
+        every map; the maps are the bytes separate calls would give, and
+        are made one at a time as the iterator is read.
+        """
+        for v_eff in self._v_eff_maps(v_applied, n_bits, bias):
+            latency = np.asarray(self.cell_model.reset_latency(v_eff))
+            if self.faults is not None:
+                a = self.config.array.size
+                sa0, sa1 = self.faults.stuck_masks(a)
+                latency = latency * self.faults.cell_latency_factors(a)
+                latency[sa0] = 0.0  # stuck at HRS: nothing to RESET
+                latency[sa1] = np.inf  # stuck at LRS: RESET never completes
+            yield latency
+
+    def _v_eff_maps(
+        self,
+        v_applied: "float | np.ndarray | None",
+        n_bits: Iterable[int],
+        bias: BiasScheme,
+    ) -> Iterator[np.ndarray]:
+        """:meth:`v_eff_map` for each of ``n_bits``, from one BL gather.
+
+        ``v - bl - wl`` evaluates as ``(v - bl) - wl``, so the shared
+        ``v - bl`` leaves every map's bytes as a separate call's.
+        """
+        a = self.config.array.size
+        v = self.applied_matrix(v_applied)
         if self.faults is not None:
-            a = self.config.array.size
-            sa0, sa1 = self.faults.stuck_masks(a)
-            latency = latency * self.faults.cell_latency_factors(a)
-            latency[sa0] = 0.0  # stuck at HRS: nothing to RESET
-            latency[sa1] = np.inf  # stuck at LRS: RESET never completes
-        return latency
+            v = np.asarray(self.faults.applied_voltage(v))
+        bl_drop = self._bl_drop_map(v, bias)
+        if self.faults is None:
+            v_after_bl = v - bl_drop
+        else:
+            wl_factors, bl_factors = self._wire_factors()
+            # A line's resistance factor scales its whole IR-drop
+            # profile: bit line c contributes its BL drop scaled by
+            # bl_factors[c], and selected word line r its WL drop scaled
+            # by wl_factors[r].
+            v_after_bl = v - bl_drop * bl_factors[None, :]
+        del v, bl_drop
+        for bits in n_bits:
+            wl_drop = np.asarray(self.wl_model.drop(np.arange(a), bits, bias))
+            if self.faults is None:
+                yield v_after_bl - wl_drop[None, :]
+            else:
+                yield v_after_bl - wl_drop[None, :] * wl_factors[:, None]
+
+    def _bl_drop_map(self, v: np.ndarray, bias: BiasScheme) -> np.ndarray:
+        """Each cell's BL drop: its row of the profile at its quantum.
+
+        Cells are grouped by integer quantum count, mirroring the
+        profile cache's keys: comparing integers is exact, whereas
+        comparing re-quantised floats can split one bucket on
+        representation noise (see ``_bl_profiles``).  The quanta present
+        are counted, not sorted; their profiles fill a (span, A) table,
+        and one flat gather reads every cell's drop from it.
+        """
+        a = self.config.array.size
+        if not np.all(np.isfinite(v)):
+            raise ValueError("applied voltages must be finite")
+        index = np.rint(v / _VOLTAGE_QUANTUM).astype(np.intp)
+        low = int(index.min())
+        index -= low
+        counts = np.bincount(index.ravel())
+        table = np.empty((counts.size, a))
+        for offset in np.flatnonzero(counts).tolist():
+            table[offset] = self._profile(low + offset, bias)
+        index *= a
+        index += np.arange(a)[:, None]
+        return np.take(table, index)
 
     def endurance_map(
         self,

@@ -28,7 +28,7 @@ def _networks(model, row=40, cols=(5, 37)):
         row_, cols_, drive = model._normalise(row, cols, v)
         networks[v] = model._build_reset_network(
             row_, cols_, drive, BASELINE_BIAS
-        )[0]
+        ).network
     return networks
 
 

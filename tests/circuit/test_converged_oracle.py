@@ -51,7 +51,7 @@ ANCHOR_V = 3.0
 
 def _network(model, v, row=40, cols=(5, 37)):
     row, cols, drive = model._normalise(row, cols, v)
-    return model._build_reset_network(row, cols, drive, BASELINE_BIAS)[0]
+    return model._build_reset_network(row, cols, drive, BASELINE_BIAS).network
 
 
 def _converged(network, start):

@@ -53,7 +53,7 @@ def test_concurrent_solves_match_serial(reduced_model_builder):
 
 def _network(model, row, col):
     row, cols, drive = model._normalise(row, (col,), None)
-    return model._build_reset_network(row, cols, drive, BASELINE_BIAS)[0]
+    return model._build_reset_network(row, cols, drive, BASELINE_BIAS).network
 
 
 def test_cache_stays_within_bound(reduced_model_builder):

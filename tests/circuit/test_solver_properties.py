@@ -168,7 +168,7 @@ class TestBackendInvariants:
         model = reduced_model_builder(32, solver)
         a = model.config.array.size
         row, cols, drive = model._normalise(a - 1, (a - 1,), None)
-        net, _wl, _bl = model._build_reset_network(row, cols, drive, BASELINE_BIAS)
+        net = model._build_reset_network(row, cols, drive, BASELINE_BIAS).network
         solution = net.solve(backend=solver)
         state = _SolverState(net)
         residual = state.residual(solution.voltages, state.drive(net._fixed))

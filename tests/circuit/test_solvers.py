@@ -268,7 +268,7 @@ class TestHistoryFree:
         model = reduced_model_builder(16, "batched")
         jobs = [(r % 16, (0,), 2.8 + 0.005 * r) for r in range(128)]
         nets = [
-            model._build_reset_network(*model._normalise(row, cols, v), BASELINE_BIAS)[0]
+            model._build_reset_network(*model._normalise(row, cols, v), BASELINE_BIAS).network
             for row, cols, v in jobs
         ]
         free = nets[0].node_count - len(nets[0]._fixed)
@@ -293,7 +293,7 @@ class TestBandPlan:
     def _plan(model, row, cols, bias=BASELINE_BIAS):
         from repro.circuit.solvers.structure import SolverStructure
 
-        net = model._build_reset_network(*model._normalise(row, cols, None), bias)[0]
+        net = model._build_reset_network(*model._normalise(row, cols, None), bias).network
         return SolverStructure(net, banded=True).band
 
     @pytest.mark.parametrize("size", [64, 512])
@@ -333,7 +333,7 @@ class TestBandPlan:
         row, cols = 40, (5, 37)
         net = batched._build_reset_network(
             *batched._normalise(row, cols, None), bias
-        )[0]
+        ).network
         components, _labels = csgraph.connected_components(
             SolverStructure(net)._base, directed=False
         )

@@ -50,6 +50,22 @@ def test_one_profile_in_four_ways(config):
         np.testing.assert_array_equal(profile, fresh)
 
 
+def test_models_of_one_config_share_grid_networks(config):
+    """Faults never reach the grid networks: one set per configuration
+    and bias serves every model, until the registry is cleared."""
+    nominal = ArrayIRModel(config)
+    faulted = ArrayIRModel(config, faults=FaultModel.at_rate(1e-2, seed=7))
+    oracle = ArrayIRModel(config, solver="reference")
+    templates = nominal._grid_templates(BASELINE_BIAS)
+    assert faulted._grid_templates(BASELINE_BIAS) is templates
+    assert oracle._grid_templates(BASELINE_BIAS) is templates
+    assert ArrayIRModel(default_config(size=32))._grid_templates(
+        BASELINE_BIAS
+    ) is not templates
+    profile_registry.clear()
+    assert nominal._grid_templates(BASELINE_BIAS) is not templates
+
+
 def test_reference_profiles_are_unseeded(config):
     """The oracle's profile is the flat-start solve, bit for bit."""
     profile_registry.clear()
