@@ -344,9 +344,7 @@ def _maps_payload(
     context: RunContext, config: SystemConfig, v_applied, n_bits: int
 ) -> dict:
     model = context.ir_model(config)
-    v_eff = model.v_eff_map(v_applied, n_bits=n_bits)
-    latency = model.latency_map(v_applied, n_bits=n_bits)
-    endurance = model.endurance_map(v_applied, n_bits=n_bits)
+    v_eff, latency, endurance = model.cell_maps(v_applied, n_bits=n_bits)
     return {
         "v_eff": summarise_map(v_eff),
         "latency": summarise_map(latency),

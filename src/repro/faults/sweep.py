@@ -58,9 +58,9 @@ def _sweep_cell(cell: _SweepCell) -> dict:
     n_bits = nominal.wl_model.optimal_bits() if scheme.reset_before_set else 1
     model = ArrayIRModel(cell.config, faults=cell.faults)
     v_matrix = scheme.regulator.matrix(nominal)
-    v_eff = model.v_eff_map(v_matrix, n_bits=n_bits, bias=scheme.bias)
-    latency = model.latency_map(v_matrix, n_bits=n_bits, bias=scheme.bias)
-    endurance = model.endurance_map(v_matrix, n_bits=n_bits, bias=scheme.bias)
+    v_eff, latency, endurance = model.cell_maps(
+        v_matrix, n_bits=n_bits, bias=scheme.bias
+    )
     if model.faults is not None:
         sa0, sa1 = model.faults.stuck_masks(cell.config.array.size)
         alive = ~(sa0 | sa1)

@@ -11,7 +11,8 @@ It combines
 
 into vectorised full-array maps: ``v_eff_map`` reproduces Fig. 4b /
 6b / 11b, ``latency_map`` Fig. 4c / 6c / 11c / 13a, and
-``endurance_map`` Fig. 4d / 6d / 11d / 13b.
+``endurance_map`` Fig. 4d / 6d / 11d / 13b; ``cell_maps`` gives all
+three of one drive at once.
 
 Applied voltage may be a scalar (static Vrst), a per-row vector (DRVR
 row sections) or a full per-cell matrix (UDRVR column levels stacked on
@@ -52,10 +53,12 @@ class ProfileRegistry:
 
     Entries are keyed by the same canonical part tuples the persistent
     :class:`~repro.engine.cache.ProfileStore` uses — config hash, solver
-    name, fault token, and the artefact-specific tail (voltage quantum,
-    bias scheme) — so a profile solved by any :class:`ArrayIRModel` in
-    this process is visible to every later model with an equal key, even
-    across distinct :class:`ModelCache` instances.
+    name, and the artefact-specific tail (voltage quantum, bias scheme) —
+    so a profile solved by any :class:`ArrayIRModel` in this process is
+    visible to every later model with an equal key, even across distinct
+    :class:`ModelCache` instances.  No key names a fault model: faults
+    act on the profiles after they are solved, so every fault identity
+    of one configuration and solver reads the same entries.
 
     Profiles cross processes only through the two layers beneath this
     one.  When a :class:`~repro.engine.shm.SharedProfilePlane` is
@@ -154,10 +157,11 @@ class ProfileRegistry:
     def local(self, parts: tuple, build: Callable[[], Any]) -> Any:
         """The process-local entry ``parts``, built on a miss.
 
-        For state derived from the configuration alone, such as the
-        profile grid's networks (:meth:`ArrayIRModel._grid_templates`):
-        it shares the entries' bound and :meth:`clear`, but is never
-        published or counted as a solve.
+        For state derived from the configuration (and solver) alone:
+        the profile grid's networks (:meth:`ArrayIRModel._grid_templates`)
+        and the anchor seeds (:meth:`ArrayIRModel._anchor`).  It shares
+        the entries' bound and :meth:`clear`, but is never published or
+        counted as a solve.
         """
         value = self.get(parts)
         if value is None:
@@ -190,7 +194,9 @@ class ArrayIRModel:
     to RESET; SA1 -> inf, never completes) and zero their endurance.
     The underlying solvers stay calibrated at nominal — faults are a
     deterministic analytic layer, so a null model is bit-identical to
-    the fault-free path.
+    the fault-free path, and every fault identity of one configuration
+    and solver reads the same solved profiles, WL calibration and anchor
+    seeds (see :meth:`_profile_parts`).
     """
 
     def __init__(
@@ -215,12 +221,7 @@ class ArrayIRModel:
         #: Persistent profile layer (a ``ProfileStore``), attached by the
         #: engine's :class:`ModelCache` hookup; ``None`` = memory only.
         self.profile_store = None
-        self._profile_tokens: tuple[str, str | None] | None = None
-        #: Per bias scheme, the anchor quantum's grid node voltages
-        #: (grid-row order) and profile; see :meth:`_anchor`.
-        self._anchors: dict[
-            BiasScheme, tuple[list[np.ndarray], np.ndarray]
-        ] = {}
+        self._config_hash = config_hash(config)
 
     def _wire_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(word-line, bit-line) wire factors of the fault model.
@@ -239,22 +240,13 @@ class ArrayIRModel:
     def _profile_parts(self, kind: str, *extra: Any) -> tuple:
         """Canonical key parts for one profile artefact.
 
-        The solver name is part of the key so the ``reference`` oracle
-        can never be served an artefact computed by a seeded backend
-        (and vice versa); the fault token keeps fault-sweep runs from
-        aliasing the perfect-array entries.
+        The configuration and the solver name alone: the ``reference``
+        oracle can never be served an artefact computed by a seeded
+        backend (and vice versa), while every fault identity shares the
+        entries, since profiles and the WL calibration are solved on the
+        nominal :class:`ReducedArrayModel` and faults act afterwards.
         """
-        cfg_token, faults_token = self._tokens()
-        return (kind, cfg_token, self.solver, faults_token, *extra)
-
-    def _tokens(self) -> tuple[str, str | None]:
-        """(config hash, fault-model hash or ``None``), computed once."""
-        if self._profile_tokens is None:
-            self._profile_tokens = (
-                config_hash(self.config),
-                None if self.faults is None else config_hash(self.faults),
-            )
-        return self._profile_tokens
+        return (kind, self._config_hash, self.solver, *extra)
 
     def _persist(self, parts: tuple, value: Any) -> None:
         """Write-through to the attached disk store (first write only)."""
@@ -498,20 +490,27 @@ class ArrayIRModel:
         """The anchor quantum's grid node voltages and profile for ``bias``.
 
         The anchor, ``round(v_reset / quantum)``, is solved from a flat
-        start once per model and bias; every other quantum's Newton
-        solves start from its node voltages.  The seed therefore never
-        depends on which quanta were solved before, and neither do the
-        bytes of any profile.
+        start; every other quantum's Newton solves start from its node
+        voltages.  The seed therefore never depends on which quanta were
+        solved before, and neither do the bytes of any profile.  Like
+        the profiles, it depends on the configuration and solver alone,
+        so it is a local entry of the registry that every model of that
+        pair — each fault identity included — seeds from.
         """
-        anchor = self._anchors.get(bias)
-        if anchor is None:
-            pairs = self._solve_grid(self._anchor_quantum, bias)
-            seeds = [voltages for _solution, voltages in pairs]
-            for seed in seeds:
-                seed.setflags(write=False)
-            profile = self._interpolate(self._anchor_quantum, pairs)
-            anchor = self._anchors[bias] = (seeds, profile)
-        return anchor
+        return profile_registry.local(
+            ("anchor", self._config_hash, self.solver, bias),
+            lambda: self._solve_anchor(bias),
+        )
+
+    def _solve_anchor(
+        self, bias: BiasScheme
+    ) -> "tuple[list[np.ndarray], np.ndarray]":
+        """The anchor quantum's grid, solved from a flat start."""
+        pairs = self._solve_grid(self._anchor_quantum, bias)
+        seeds = [voltages for _solution, voltages in pairs]
+        for seed in seeds:
+            seed.setflags(write=False)
+        return seeds, self._interpolate(self._anchor_quantum, pairs)
 
     def _solve_grid(
         self,
@@ -541,7 +540,7 @@ class ArrayIRModel:
         one per model.
         """
         return profile_registry.local(
-            ("grid-networks", self._tokens()[0], bias),
+            ("grid-networks", self._config_hash, bias),
             lambda: [
                 self.reduced.reset_network(int(row), (0,), bias=bias)
                 for row in self._grid()
@@ -679,15 +678,50 @@ class ArrayIRModel:
         every map; the maps are the bytes separate calls would give, and
         are made one at a time as the iterator is read.
         """
+        cell_faults = None if self.faults is None else self._cell_faults()
         for v_eff in self._v_eff_maps(v_applied, n_bits, bias):
-            latency = np.asarray(self.cell_model.reset_latency(v_eff))
-            if self.faults is not None:
-                a = self.config.array.size
-                sa0, sa1 = self.faults.stuck_masks(a)
-                latency = latency * self.faults.cell_latency_factors(a)
-                latency[sa0] = 0.0  # stuck at HRS: nothing to RESET
-                latency[sa1] = np.inf  # stuck at LRS: RESET never completes
-            yield latency
+            yield self._latency(v_eff, cell_faults)
+
+    def cell_maps(
+        self,
+        v_applied: "float | np.ndarray | None" = None,
+        n_bits: int = 1,
+        bias: BiasScheme = BASELINE_BIAS,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(v_eff, latency, endurance)`` maps of one drive.
+
+        One BL gather and one draw of the per-cell faults serve all
+        three; each map is the bytes :meth:`v_eff_map`,
+        :meth:`latency_map` and :meth:`endurance_map` give alone.
+        """
+        v_eff = next(self._v_eff_maps(v_applied, (n_bits,), bias))
+        cell_faults = None if self.faults is None else self._cell_faults()
+        latency = self._latency(v_eff, cell_faults)
+        endurance = np.asarray(self.cell_model.endurance(latency))
+        if cell_faults is not None:
+            sa0, sa1, _factors = cell_faults
+            endurance[sa0 | sa1] = 0.0  # stuck cells store nothing
+        return v_eff, latency, endurance
+
+    def _cell_faults(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fault model's (SA0 mask, SA1 mask, latency factors)."""
+        a = self.config.array.size
+        sa0, sa1 = self.faults.stuck_masks(a)
+        return sa0, sa1, self.faults.cell_latency_factors(a)
+
+    def _latency(
+        self,
+        v_eff: np.ndarray,
+        cell_faults: "tuple[np.ndarray, np.ndarray, np.ndarray] | None",
+    ) -> np.ndarray:
+        """The latency map of ``v_eff`` under the drawn per-cell faults."""
+        latency = np.asarray(self.cell_model.reset_latency(v_eff))
+        if cell_faults is not None:
+            sa0, sa1, factors = cell_faults
+            latency = latency * factors
+            latency[sa0] = 0.0  # stuck at HRS: nothing to RESET
+            latency[sa1] = np.inf  # stuck at LRS: RESET never completes
+        return latency
 
     def _v_eff_maps(
         self,
@@ -753,13 +787,7 @@ class ArrayIRModel:
         bias: BiasScheme = BASELINE_BIAS,
     ) -> np.ndarray:
         """Per-cell write endurance, shape (A, A) (Fig. 4d family)."""
-        endurance = np.asarray(
-            self.cell_model.endurance(self.latency_map(v_applied, n_bits, bias))
-        )
-        if self.faults is not None:
-            sa0, sa1 = self.faults.stuck_masks(self.config.array.size)
-            endurance[sa0 | sa1] = 0.0  # stuck cells store nothing
-        return endurance
+        return self.cell_maps(v_applied, n_bits, bias)[2]
 
     def array_reset_latency(
         self,

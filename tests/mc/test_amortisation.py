@@ -2,10 +2,12 @@
 
 A K-sample ensemble solves every missing profile quantum once, as one
 flat batch over the shared sparsity pattern.  The path it replaces — a
-fresh fault-keyed :class:`ArrayIRModel` per instance on the
-``reference`` backend — re-solves each instance's profile grid and WL
-calibration.  Counting solves instead of timing them keeps the bound
-independent of the host.
+fresh :class:`ArrayIRModel` per instance on the ``reference`` backend,
+each from a cold profile registry — solves each instance's profile
+grid and WL calibration.  (Profiles are not keyed on the fault model,
+so instances sharing one registry would share the quanta their droops
+have in common.)  Counting solves instead of timing them keeps the
+bound independent of the host.
 """
 
 from repro import obs
@@ -41,6 +43,7 @@ def test_ensemble_amortises_solves_over_samples():
 
     def per_instance():
         for instance in range(REFERENCE_INSTANCES):
+            profile_registry.clear()
             ArrayIRModel(
                 config,
                 faults=master.for_instance(instance),

@@ -1,9 +1,11 @@
 """A profile's bytes depend on its cache key alone, never on history.
 
-The key is (config, faults, solver, voltage quantum, bias).  Whatever a
-model solved before, and whichever path asks for it, a profile is the
-same bytes: each quantum's Newton solves start from the anchor
-quantum's solution, which is itself solved from a flat start.
+The key is (config, solver, voltage quantum, bias): no fault model, for
+faults act on a profile after it is solved.  Whatever a model solved
+before, whichever fault identity it carries and whichever path asks for
+it, a profile is the same bytes: each quantum's Newton solves start from
+the anchor quantum's solution, which is itself solved from a flat start
+once per configuration, solver and bias.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuit.crosspoint import BASELINE_BIAS
 from repro.config import default_config
 from repro.engine import RunContext, run_experiment
@@ -71,9 +74,63 @@ def test_reference_profiles_are_unseeded(config):
     profile_registry.clear()
     model = ArrayIRModel(config, solver="reference")
     got = model.bl_drop_profile(V_PROFILE)
-    assert not model._anchors
+    assert profile_registry.get(
+        ("anchor", model._config_hash, "reference", BASELINE_BIAS)
+    ) is None
     pairs = model._solve_grid(QUANTUM, BASELINE_BIAS)
     np.testing.assert_array_equal(got, model._interpolate(QUANTUM, pairs))
+
+
+def _solves(run):
+    collector = obs.Collector()
+    with obs.collecting(collector):
+        run()
+    return collector.counters.get("solver.solves", 0)
+
+
+#: A per-row drive spanning many voltage quanta.
+ROW_DRIVE = np.linspace(3.0, 3.4, 64)
+
+
+def test_second_seed_of_a_rate_reuses_every_profile(config):
+    """Seeds of one rate droop alike, so a second seed's maps solve
+    nothing and read the very arrays the first seed solved."""
+    profile_registry.clear()
+    first = ArrayIRModel(config, faults=FaultModel.at_rate(1e-2, seed=1))
+    first.v_eff_map(ROW_DRIVE)
+    second = ArrayIRModel(config, faults=FaultModel.at_rate(1e-2, seed=2))
+    assert _solves(lambda: second.v_eff_map(ROW_DRIVE)) == 0
+    assert second._bl_profiles.keys() == first._bl_profiles.keys()
+    for key, profile in first._bl_profiles.items():
+        assert second._bl_profiles[key] is profile
+
+
+def test_new_rate_seeds_from_the_nominal_anchor(config):
+    """A faulted model meeting a new quantum after the nominal model
+    solves only that quantum's grid: no flat-start anchor solve."""
+    profile_registry.clear()
+    ArrayIRModel(config).v_eff_map()  # the anchor quantum, 3.0 V
+    faulted = ArrayIRModel(config, faults=FaultModel.at_rate(5e-3, seed=3))
+    v_applied = float(faulted.faults.applied_voltage(3.0))
+    assert round(v_applied / 0.02) != faulted._anchor_quantum
+    assert _solves(lambda: faulted.bl_drop_profile(v_applied)) == len(
+        faulted._grid()
+    )
+
+
+def test_faulted_maps_do_not_depend_on_identities_before(config):
+    target = FaultModel.at_rate(1e-2, seed=7)
+
+    def maps(faults):
+        model = ArrayIRModel(config, faults=faults)
+        return [m.tobytes() for m in model.cell_maps(ROW_DRIVE, n_bits=2)]
+
+    profile_registry.clear()
+    cold = maps(target)
+    profile_registry.clear()
+    maps(FaultModel.at_rate(5e-3, seed=1))
+    maps(FaultModel.at_rate(1e-2, seed=2))
+    assert maps(target) == cold
 
 
 def _arrays(value):

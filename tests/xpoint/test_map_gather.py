@@ -1,8 +1,8 @@
 """Full-array maps read each cell's BL drop through one gather.
 
 ``v_eff_map`` gathers every cell's BL drop from a table of the profiles
-present, and ``SchemeLatencyModel`` shares that gather across its eight
-N-bit tables.  Both must give the bytes of the per-quantum masked loop
+present, ``SchemeLatencyModel`` shares that gather across its eight
+N-bit tables, and ``cell_maps`` across a drive's three maps.  Both must give the bytes of the per-quantum masked loop
 the maps used before, which the oracles below keep.
 """
 
@@ -117,6 +117,25 @@ def test_latency_maps_are_separate_maps(config, faulted):
         want = masked_latency_map(model, v, n_bits, DSGB_BIAS)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(model.latency_map(v, n_bits, DSGB_BIAS), want)
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
+def test_cell_maps_are_the_oracle_maps(config, faulted):
+    """One gather and one fault draw give all three maps of a drive."""
+    faults = FaultModel.at_rate(1e-2, seed=7) if faulted else None
+    model = ArrayIRModel(config, faults=faults)
+    v = drives(model)["udrvr"]
+    v_eff, latency, endurance = model.cell_maps(v, 4, DSGB_BIAS)
+    want = masked_latency_map(model, v, 4, DSGB_BIAS)
+    np.testing.assert_array_equal(v_eff, masked_v_eff_map(model, v, 4, DSGB_BIAS))
+    np.testing.assert_array_equal(latency, want)
+    want = np.asarray(model.cell_model.endurance(want))
+    if faulted:
+        sa0, sa1 = faults.stuck_masks(config.array.size)
+        assert (sa0 | sa1).any()
+        want[sa0 | sa1] = 0.0
+    np.testing.assert_array_equal(endurance, want)
+    np.testing.assert_array_equal(model.endurance_map(v, 4, DSGB_BIAS), want)
 
 
 @pytest.mark.parametrize(
