@@ -126,6 +126,10 @@ class NullCache:
         pass
 
 
+#: Profile keys on disk per cache directory (see :class:`ProfileStore`).
+_ON_DISK: dict[str, set[str]] = {}
+
+
 class ProfileStore:
     """Persistent solver-profile layer over a result cache.
 
@@ -148,8 +152,15 @@ class ProfileStore:
     def __init__(self, cache: "ResultCache | NullCache") -> None:
         self._cache = cache
         #: Keys known to be on disk already (loaded or stored through
-        #: this instance) — suppresses rewrites of unchanged artefacts.
-        self._seen: set[str] = set()
+        #: any store over this directory in this process) — suppresses
+        #: rewrites of unchanged artefacts.  Shared per directory: every
+        #: fault identity's run context has a store of its own, and all
+        #: of them meet the same (config, solver) profile keys.
+        root = getattr(cache, "root", None)
+        self._seen: set[str] = (
+            set() if root is None
+            else _ON_DISK.setdefault(os.path.abspath(root), set())
+        )
 
     @property
     def enabled(self) -> bool:
@@ -157,10 +168,13 @@ class ProfileStore:
 
     def load(self, parts: tuple) -> Any:
         """The stored value for ``parts``, or ``None`` on any miss."""
-        value = self._cache.load(cache_key("profile", *parts))
+        key = cache_key("profile", *parts)
+        value = self._cache.load(key)
         if value is MISSING:
+            # Deleted or quarantined since it was seen: write it again.
+            self._seen.discard(key)
             return None
-        self._seen.add(cache_key("profile", *parts))
+        self._seen.add(key)
         return value
 
     def store(self, parts: tuple, value: Any) -> bool:

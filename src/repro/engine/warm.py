@@ -91,7 +91,8 @@ def warm_context(
     :data:`~repro.engine.cache.DEFAULT_CACHE_DIR` for the CLI default.
     Repeated calls with equal parameters return the *same* object —
     model caches stay hot, scheme registries are built once, and the
-    profile store's seen-set keeps suppressing rewrites.
+    profile stores' shared record of what is on disk keeps suppressing
+    rewrites.
     """
     key = _context_key(config, seed, solver, faults, cache_dir, workers, strict)
     with _LOCK:

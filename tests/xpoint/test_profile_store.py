@@ -133,6 +133,35 @@ class TestPersistentStore:
         _, counters = _collected(lookup)
         assert "profile_cache.disk_store" not in counters  # already on disk
 
+    def test_stores_over_one_directory_write_a_profile_once(self, tmp_path):
+        # Each fault identity's run context opens a store of its own
+        # over the same directory; the profiles they all share must not
+        # be rewritten by every one of them.
+        first = ProfileStore(ResultCache(tmp_path))
+        _, counters = _collected(
+            lambda: _model(store=first).bl_drop_profile(3.3)
+        )
+        assert counters.get("profile_cache.disk_store") == 1
+        second = ProfileStore(ResultCache(tmp_path))
+        _, counters = _collected(
+            lambda: _model(store=second).bl_drop_profile(3.3)
+        )
+        assert counters.get("profile_cache.registry_hit") == 1
+        assert "profile_cache.disk_store" not in counters
+        assert len(list(tmp_path.glob("*.pkl"))) == 1
+
+    def test_profile_gone_from_disk_is_written_again(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        _collected(lambda: _model(store=ProfileStore(cache)).bl_drop_profile(3.3))
+        for path in tmp_path.glob("*.pkl"):
+            path.unlink()
+        profile_registry.clear()
+        _, counters = _collected(
+            lambda: _model(store=ProfileStore(cache)).bl_drop_profile(3.3)
+        )
+        assert counters.get("profile_cache.disk_store") == 1
+        assert len(list(tmp_path.glob("*.pkl"))) == 1
+
     def test_wl_calibration_round_trips(self, tmp_path):
         cache = ResultCache(tmp_path)
         first, counters = _collected(
