@@ -4,20 +4,24 @@
 Boots a real service subprocess on an ephemeral port, drives three
 concurrent requests through :mod:`repro.client`, and checks each
 payload against an in-process batch-mode run of the same experiment —
-the two front doors must produce identical documents (the service
-default solver is ``reference``, so parity is exact, not approximate).
+the two front doors must produce identical documents (both run the
+default ``batched`` solver, so parity is exact, not approximate).
 Finishes with a graceful ``shutdown`` op and asserts the subprocess
 drains and exits cleanly with no leaked child processes (the serve
 subprocess gets a marker environment variable its whole process tree
 inherits; after exit, nothing on the machine may still carry it).
 
+``--compute-plane`` is passed to ``serve``: the default ``thread``
+plane, or ``process`` for the supervised worker pool.
+
 Usage::
 
-    python scripts/service_smoke.py
+    python scripts/service_smoke.py [--compute-plane {thread,process}]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -55,7 +59,13 @@ def _leaked_processes(marker: str) -> "list[int]":
     return leaked
 
 
-def main() -> int:
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--compute-plane", choices=("thread", "process"), default="thread",
+        help="compute plane the service starts on (default: thread)",
+    )
+    args = parser.parse_args(argv)
     # Batch-mode baselines first, in this process: at this point no
     # service exists anywhere, making this the plain historical path.  The JSON round-trip normalises tuples to
     # lists exactly as the wire protocol will.
@@ -72,6 +82,7 @@ def main() -> int:
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0", "--compute-workers", "2", "--no-cache",
+            "--compute-plane", args.compute_plane,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -90,7 +101,7 @@ def main() -> int:
             print(f"FAIL: no listening banner, got {banner!r}", file=sys.stderr)
             return 1
         host, port = match.group("host"), int(match.group("port"))
-        print(f"service up on {host}:{port}")
+        print(f"service up on {host}:{port} ({args.compute_plane} plane)")
 
         responses = submit_many(
             [{"op": "run", "experiment": name} for name in EXPERIMENTS],

@@ -306,11 +306,21 @@ def config_hash(config: SystemConfig) -> str:
     processes and interpreter runs, which makes the hash usable as a
     cache key for IR-drop models and on-disk experiment results — unlike
     ``hash()``, which Python salts per process.
+
+    A frozen instance keeps its digest (outside its fields, so equality,
+    ``asdict`` and the digest itself are unchanged): every later call on
+    it is a dictionary lookup.
     """
     if not dataclasses.is_dataclass(config) or isinstance(config, type):
         raise TypeError(f"expected a params dataclass instance, got {config!r}")
+    memo = getattr(config, "__dict__", None)  # None: a slots dataclass
+    if memo is not None and "_config_hash" in memo:
+        return memo["_config_hash"]
     doc = json.dumps(
         dataclasses.asdict(config), sort_keys=True, separators=(",", ":"),
         default=str,
     )
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
+    if memo is not None and type(config).__dataclass_params__.frozen:
+        object.__setattr__(config, "_config_hash", digest)
+    return digest

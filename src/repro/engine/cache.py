@@ -32,7 +32,7 @@ import pickle
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .. import chaos, obs
 
@@ -138,7 +138,7 @@ class ProfileStore:
     ``.repro_cache`` disk layer so they are shared *across* experiments
     and *across* runs (the experiment-level cache only shares whole
     payloads).  Keys are canonical part tuples built by the caller
-    (``("bl-profile", config_hash, solver, faults, quantum, ...)``);
+    (``("bl-profile", config_hash, solver, quantum, ...)``);
     the store namespaces them under ``"profile"`` so they can never
     collide with experiment result keys.
 
@@ -166,12 +166,22 @@ class ProfileStore:
     def enabled(self) -> bool:
         return bool(getattr(self._cache, "enabled", False))
 
-    def load(self, parts: tuple) -> Any:
-        """The stored value for ``parts``, or ``None`` on any miss."""
+    def load(
+        self, parts: tuple, validate: Callable[[Any], Any] = lambda v: v
+    ) -> Any:
+        """The stored value for ``parts`` as ``validate`` returns it, or
+        ``None`` on any miss.
+
+        ``validate`` returns ``None`` to reject a value that unpickled
+        cleanly but is the wrong artefact; like a deleted or quarantined
+        entry, it is then not counted as on disk, so the caller's
+        recompute writes it again.
+        """
         key = cache_key("profile", *parts)
         value = self._cache.load(key)
-        if value is MISSING:
-            # Deleted or quarantined since it was seen: write it again.
+        if value is not MISSING:
+            value = validate(value)
+        if value is MISSING or value is None:
             self._seen.discard(key)
             return None
         self._seen.add(key)

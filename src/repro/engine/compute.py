@@ -67,6 +67,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import socket
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 import threading
@@ -532,8 +533,10 @@ class ProcessPoolBackend(ComputeBackend):
     sequential beats concurrent here).
     """
 
-    #: Supervisor wake-up interval: bounds dispatch latency and the
-    #: granularity of liveness/deadline checks.
+    #: Liveness interval: the longest the supervisor sleeps between
+    #: heartbeat, deadline and restart-backoff checks.  Admission and
+    #: close wake it at once (see :meth:`_wake`), so it never delays a
+    #: dispatch.
     _TICK_S = 0.02
 
     def __init__(
@@ -593,6 +596,11 @@ class ProcessPoolBackend(ComputeBackend):
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
         self.group_limit = max(1, group_limit)
+        # Self-pipe: _admit and close write a byte to wake the
+        # supervisor out of its wait; the supervisor drains it.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._shm = None
         from .shm import (
             SharedPlaneUnavailable,
@@ -678,7 +686,22 @@ class ProcessPoolBackend(ComputeBackend):
             self._jobs[job.id] = job
             self._queue.append(job)
             self._note("compute.jobs")
+            self._wake()
         return job.future
+
+    def _wake(self) -> None:
+        """Wake the supervisor; called under ``_lock``.
+
+        Dispatch itself (pickling, ``task_queue.put``) stays on the
+        supervisor thread: callers here include the service's event
+        loop, which must not block on a worker's queue.
+        """
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            # Buffer full: wakes already pending.  Closed: the
+            # supervisor has exited and needs no wake.
+            pass
 
     def _finish_plan(self, value: tuple) -> "ExperimentResult":
         result, snapshot = value
@@ -747,17 +770,20 @@ class ProcessPoolBackend(ComputeBackend):
                     for w in self._pool.values()
                     if w.wid not in self._conn_failed
                 }
-            if conns:
-                try:
-                    ready = mp_connection.wait(
-                        list(conns), timeout=self._TICK_S
-                    )
-                except OSError:
-                    ready = []
-            else:
-                time.sleep(self._TICK_S)
+            try:
+                ready = mp_connection.wait(
+                    [self._wake_r, *conns], timeout=self._TICK_S
+                )
+            except OSError:
                 ready = []
             for conn in ready:
+                if conn is self._wake_r:
+                    try:
+                        while self._wake_r.recv(4096):
+                            pass
+                    except OSError:  # drained
+                        pass
+                    continue
                 wid = conns[conn]
                 while True:
                     try:
@@ -779,6 +805,9 @@ class ProcessPoolBackend(ComputeBackend):
                 if self._closing and not self._jobs and not self._queue:
                     break
         self._shutdown_workers()
+        with self._lock:
+            self._wake_w.close()
+        self._wake_r.close()
 
     def _handle_message(self, message: tuple) -> None:
         kind, wid, body = message
@@ -1133,17 +1162,18 @@ class ProcessPoolBackend(ComputeBackend):
         Every admitted future is resolved before this returns — with a
         result, a :class:`ComputeJobError`, or a
         :class:`PoolBrokenError`; none are left pending, and no worker
-        processes survive (the drain-under-failure contract).
+        processes survive (the drain-under-failure contract).  With
+        ``wait=False`` it returns at once and the supervisor drains in
+        the background.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._closing = True
+            self._wake()
         if wait:
             self._supervisor.join(timeout=120.0)
-        else:
-            self._supervisor.join(timeout=self._TICK_S)
         if self._shm is not None:
             self._shm.close()  # owner close unlinks the segment
             self._shm = None

@@ -254,27 +254,42 @@ class ArrayIRModel:
         if store is not None and store.enabled and store.store(parts, value):
             obs.count("profile_cache.disk_store")
 
-    def _lookup_artefact(self, parts: tuple) -> Any:
-        """Registry -> shared plane -> disk lookup; validated by caller.
+    def _lookup_artefact(
+        self, parts: tuple, validate: Callable[[Any], Any]
+    ) -> Any:
+        """Registry -> shared plane -> disk lookup of a valid artefact.
 
-        A shared-plane or disk hit is promoted into the registry (not
+        ``validate`` returns the value to use, or ``None`` for one that
+        must be recomputed (counted as ``profile_cache.invalid``).  A
+        shared-plane or disk hit is promoted into the registry (not
         counted as computed); a registry or shared-plane hit is lazily
         written through to the disk store, which is how a profile solved
-        by a store-less model reaches the persistent layer.
+        by a store-less model reaches the persistent layer.  A disk
+        value is validated *before* it is promoted, and a rejected one
+        is not recorded as on disk, so the caller's recompute replaces
+        it in the registry and on disk alike.
         """
+
+        def checked(value: Any) -> Any:
+            valid = validate(value)
+            if valid is None:
+                obs.count("profile_cache.invalid")
+            return valid
+
         value = profile_registry.get(parts)
         if value is not None:
             obs.count("profile_cache.registry_hit")
-            self._persist(parts, value)
-            return value
-        value = profile_registry.shared_get(parts)
+        else:
+            value = profile_registry.shared_get(parts)
         if value is not None:
-            self._persist(parts, value)
+            value = checked(value)
+            if value is not None:
+                self._persist(parts, value)
             return value
         store = self.profile_store
         if store is None or not store.enabled:
             return None
-        value = store.load(parts)
+        value = store.load(parts, checked)
         if value is None:
             return None
         obs.count("profile_cache.disk_hit")
@@ -295,17 +310,20 @@ class ArrayIRModel:
         """
         if self._wl_model is None:
             parts = self._profile_parts("wl-calibration")
-            sneak = self._lookup_artefact(parts)
-            if not isinstance(sneak, float) or not (
-                np.isfinite(sneak) and sneak >= 0.0
-            ):
-                if sneak is not None:
-                    obs.count("profile_cache.invalid")
+            sneak = self._lookup_artefact(parts, self._validated_sneak)
+            if sneak is None:
                 sneak = self._calibrate_wl_sneak()
                 profile_registry.put(parts, sneak)
                 self._persist(parts, sneak)
             self._wl_model = WordlineDropModel(self.config, sneak)
         return self._wl_model
+
+    @staticmethod
+    def _validated_sneak(value: Any) -> "float | None":
+        """A shared/persisted sneak current, or ``None`` if invalid."""
+        if isinstance(value, float) and np.isfinite(value) and value >= 0.0:
+            return value
+        return None
 
     def _calibrate_wl_sneak(self) -> float:
         """Live calibration: two far-corner solves -> sneak current."""
@@ -415,9 +433,8 @@ class ArrayIRModel:
             obs.count("profile_cache.hit")
             return cached
         obs.count("profile_cache.miss")
-        profile = self._validated_profile(
-            self._lookup_artefact(self._bl_parts(quantum, bias)),
-            self.config.array.size,
+        profile = self._lookup_artefact(
+            self._bl_parts(quantum, bias), self._validated_profile
         )
         if profile is not None:
             self._bl_profiles[key] = profile
@@ -438,8 +455,7 @@ class ArrayIRModel:
         self._bl_profiles[(quantum, bias)] = profile
         return profile
 
-    @staticmethod
-    def _validated_profile(value: Any, a: int) -> "np.ndarray | None":
+    def _validated_profile(self, value: Any) -> "np.ndarray | None":
         """A shared/persisted profile, or ``None`` if it fails validation.
 
         The disk envelope's checksum catches bit rot, but not a stale or
@@ -447,14 +463,11 @@ class ArrayIRModel:
         those must read as a miss (recompute live), never as a crash or
         a silently wrong map.
         """
-        if value is None:
-            return None
         if (
             not isinstance(value, np.ndarray)
-            or value.shape != (a,)
+            or value.shape != (self.config.array.size,)
             or not np.all(np.isfinite(value))
         ):
-            obs.count("profile_cache.invalid")
             return None
         profile = value.astype(float, copy=False)
         profile.setflags(write=False)

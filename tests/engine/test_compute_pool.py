@@ -227,3 +227,29 @@ class TestDrain:
         assert backend.alive_workers() == 0
         # The initial workers were joined or terminated, never orphaned.
         assert not any(p.is_alive() for p in processes)
+
+
+class _SlowTickPool(ProcessPoolBackend):
+    _TICK_S = 2.0
+
+
+class TestEventDrivenDispatch:
+    def test_admission_and_close_do_not_wait_out_the_tick(self):
+        """Admission and close wake the supervisor: with a 2 s liveness
+        tick, each call resolves and an idle close returns far inside
+        one tick (the margins are 4x and 2x the tick, not CPU bounds).
+        Heartbeats also wake the supervisor, so they are slowed too."""
+        backend = _SlowTickPool(workers=1, heartbeat_s=5.0)
+        try:
+            assert backend.call(abs, -1).result(timeout=60) == 1  # warm-up
+            for value in range(2, 7):
+                start = time.monotonic()
+                assert backend.call(abs, -value).result(timeout=60) == value
+                assert time.monotonic() - start < 0.5
+        except BaseException:
+            backend.close()
+            raise
+        start = time.monotonic()
+        backend.close()
+        assert time.monotonic() - start < 1.0
+        assert backend.alive_workers() == 0

@@ -196,15 +196,25 @@ class TestRequestScopedCounters:
         }
 
 
+def _submit_held(backend, name, contexts):
+    """Submit one plan per context, all queued before any dispatches.
+
+    Admission wakes the supervisor at once, so a trivial head job could
+    finish before its follower is admitted.  The supervisor dispatches
+    under the backend's lock; holding it across the submits (it is
+    reentrant, so they can take it too) makes all the jobs queue-mates.
+    """
+    plans = [(build_plan(name, ctx), ctx) for ctx in contexts]
+    with backend._lock:
+        return [backend.submit(plan, ctx) for plan, ctx in plans]
+
+
 class TestGroupDispatch:
     def test_surplus_jobs_stack_onto_one_worker(self, ok_probe):
         backend = ProcessPoolBackend(workers=1, group_limit=4)
         try:
             contexts = [warm_context(seed=s) for s in range(4)]
-            futures = [
-                backend.submit(build_plan(ok_probe, ctx), ctx)
-                for ctx in contexts
-            ]
+            futures = _submit_held(backend, ok_probe, contexts)
             payloads = [f.result(timeout=60).payload for f in futures]
             assert [p["seed"] for p in payloads] == [0, 1, 2, 3]
             counters = backend.stats().counters
@@ -221,16 +231,10 @@ class TestGroupDispatch:
         backend = ProcessPoolBackend(workers=2)
         try:
             contexts = [warm_context(seed=s) for s in range(2)]
-            futures = [
-                backend.submit(build_plan(ok_probe, ctx), ctx)
-                for ctx in contexts
-            ]
+            futures = _submit_held(backend, ok_probe, contexts)
             for f in futures:
                 f.result(timeout=60)
             counters = backend.stats().counters
-            # (grouped_jobs is 2 when both stack in one tick, 1 when a
-            # tick lands between the submits and the second job rides
-            # the affinity path onto the already-busy worker.)
             assert counters.get("compute.group_dispatches", 0) == 1
             assert counters.get("compute.grouped_jobs", 0) >= 1
         finally:

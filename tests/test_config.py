@@ -125,3 +125,37 @@ class TestConfigHash:
     def test_rejects_non_dataclass(self):
         with pytest.raises(TypeError):
             config_hash({"not": "a dataclass"})
+
+    def test_digests_are_pinned(self):
+        # Disk caches and payload keys are addressed by these digests;
+        # a change here orphans every cached artefact.
+        from repro.faults.model import FaultModel
+
+        assert config_hash(default_config()) == "b409ad1c826f2c99"
+        assert config_hash(default_config(size=64)) == "45d61993005db873"
+        assert config_hash(FaultModel.at_rate(1e-3, seed=7)) == (
+            "c3959e2ea5cecc55"
+        )
+
+    def test_repeated_call_does_not_render_again(self, monkeypatch):
+        import dataclasses
+
+        from repro import config as config_module
+        from repro.faults.model import FaultModel
+
+        renders = []
+        real_asdict = dataclasses.asdict
+
+        def counting_asdict(obj, *args, **kwargs):
+            renders.append(type(obj).__name__)
+            return real_asdict(obj, *args, **kwargs)
+
+        monkeypatch.setattr(config_module.dataclasses, "asdict", counting_asdict)
+        config = default_config()
+        faults = FaultModel.at_rate(1e-3, seed=7)
+        first = [config_hash(config), config_hash(faults)]
+        assert renders == ["SystemConfig", "FaultModel"]
+        assert [config_hash(config), config_hash(faults)] == first
+        assert renders == ["SystemConfig", "FaultModel"]
+        # The memo lives outside the fields: equality is untouched.
+        assert config == default_config()

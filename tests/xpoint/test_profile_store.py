@@ -220,6 +220,44 @@ class TestPersistentStore:
         assert counters.get("profile_cache.invalid") == 1
         assert np.isfinite(wl.sneak_current) and wl.sneak_current >= 0.0
 
+    def test_invalid_profile_is_replaced_in_registry_and_on_disk(
+        self, tmp_path
+    ):
+        # The rejected disk value must not reach the registry (where
+        # every later model would reject it and re-solve) nor stay on
+        # disk (where every later process would).
+        cache = ResultCache(tmp_path)
+        model = _model(store=ProfileStore(cache))
+        parts = model._bl_parts(int(round(3.3 / 0.02)), BASELINE_BIAS)
+        ProfileStore(cache).store(parts, np.zeros(3))
+        recomputed = model.bl_drop_profile(3.3)
+
+        again, counters = _collected(
+            lambda: _model(store=ProfileStore(cache)).bl_drop_profile(3.3)
+        )
+        assert "solver.solves" not in counters
+        assert "profile_cache.invalid" not in counters
+        np.testing.assert_array_equal(again, recomputed)
+        loaded = ProfileStore(ResultCache(tmp_path)).load(parts)
+        np.testing.assert_array_equal(loaded, recomputed)
+
+    def test_invalid_wl_calibration_is_replaced_in_registry_and_on_disk(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+        model = _model(store=ProfileStore(cache))
+        parts = model._profile_parts("wl-calibration")
+        ProfileStore(cache).store(parts, float("nan"))
+        sneak = model.wl_model.sneak_current
+
+        again, counters = _collected(
+            lambda: _model(store=ProfileStore(cache)).wl_model
+        )
+        assert "solver.solves" not in counters
+        assert "profile_cache.invalid" not in counters
+        assert again.sneak_current == sneak
+        assert ProfileStore(ResultCache(tmp_path)).load(parts) == sneak
+
     def test_null_cache_disables_persistence(self):
         store = ProfileStore(NullCache())
         assert store.enabled is False
