@@ -578,7 +578,6 @@ def fig14(
     config, context = _resolve(config, context)
     width = config.array.data_width
     line_bits = config.memory.line_bytes * 8
-    mats = line_bits // width
     pr = PartitionResetPartitioner()
     dbl = DummyBitlinePartitioner()
     rows: dict[str, dict[str, float]] = {}
@@ -586,24 +585,15 @@ def fig14(
         generator = WritePatternGenerator(
             spec.patterns[0], line_bits=line_bits, seed=context.seed_for(29)
         )
-        base_resets = base_sets = 0
-        pr_resets = pr_sets = 0
-        dbl_resets = dbl_sets = 0
-        for _ in range(writes):
-            resets, sets = generator.masks()
-            base_resets += int(resets.sum())
-            base_sets += int(sets.sum())
-            reset_rows = resets.reshape(mats, width)
-            set_rows = sets.reshape(mats, width)
-            for mat in range(mats):
-                if not reset_rows[mat].any() and not set_rows[mat].any():
-                    continue
-                plan = pr.plan(reset_rows[mat], set_rows[mat])
-                pr_resets += len(plan.reset_groups)
-                pr_sets += len(plan.set_groups)
-                plan = dbl.plan(reset_rows[mat], set_rows[mat])
-                dbl_resets += len(plan.reset_groups)
-                dbl_sets += len(plan.set_groups)
+        drawn = [generator.masks() for _ in range(writes)]
+        # One row per MAT slice of every write; an idle slice plans nothing.
+        resets = np.array([r for r, _ in drawn]).reshape(-1, width)
+        sets = np.array([s for _, s in drawn]).reshape(-1, width)
+        base_resets, base_sets = int(resets.sum()), int(sets.sum())
+        plans = pr.plan_many(resets, sets)
+        pr_resets, pr_sets = int(plans.resets.sum()), int(plans.sets.sum())
+        plans = dbl.plan_many(resets, sets)
+        dbl_resets, dbl_sets = int(plans.resets.sum()), int(plans.sets.sum())
         rows[name] = {
             "base_cells": (base_resets + base_sets) / (writes * line_bits),
             "pr_reset_increase": pr_resets / max(1, base_resets) - 1.0,

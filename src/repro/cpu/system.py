@@ -21,7 +21,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -128,8 +128,8 @@ class SystemSimulator:
         ]
         self._l3_hit_s = config.cpu.l3_hit_cycles * config.cpu.cycle_s
         self._remaining = [accesses_per_core] * benchmark.cores
-        # Maintenance draws follow the global event order, which depends
-        # on the scheme, so they stay in the replay.
+        # The k-th demand write in event order takes the k-th draws of
+        # these two generators, whatever the scheme's timing.
         self._maintenance_rng = np.random.default_rng(seed + 991)
         # A dedicated generator keeps demand-write patterns identical
         # across schemes regardless of the maintenance rate.
@@ -139,6 +139,7 @@ class SystemSimulator:
         # Per-run replay state, set by ``run`` and dropped when it ends.
         self._records: list | None = None
         self._victims: list | None = None
+        self._maintenance: Iterator[LineWriteResult | None] | None = None
         self._issued: list[float] | None = None
         self._steps: list | None = None
         self._read_done: list | None = None
@@ -149,12 +150,13 @@ class SystemSimulator:
         """Per core, iterators over its access and victim records.
 
         Accesses yield ``(compute seconds, kind, bank)``, victims
-        ``(bank, row, RESET mask, SET mask)``; every line is placed
-        once, with NumPy.
+        ``(bank, line write result)``; every line is placed once, with
+        NumPy, and every victim is written in one ``write_many`` call.
         """
         cpu = self.config.cpu
-        records, victims = [], []
-        for params, core in zip(self.benchmark.streams, self.frontend.cores):
+        cores = self.frontend.cores
+        records, placed = [], []
+        for params, core in zip(self.benchmark.streams, cores):
             # SCH places lines by popularity rank, a function of the
             # stream parameters alone.
             ranker = SyntheticStream(params) if self.scheme.scheduling else None
@@ -166,9 +168,45 @@ class SystemSimulator:
                     banks.tolist(),
                 )
             )
-            banks, rows = self._place(ranker, core.victims)
-            victims.append(zip(banks.tolist(), rows.tolist(), core.resets, core.sets))
+            placed.append(self._place(ranker, core.victims))
+        results = self.write_model.write_many(
+            np.concatenate([core.resets for core in cores]),
+            np.concatenate([core.sets for core in cores]),
+            np.concatenate([rows for _, rows in placed]),
+        )
+        victims, start = [], 0
+        for banks, _ in placed:
+            victims.append(zip(banks.tolist(), results[start : start + banks.size]))
+            start += banks.size
         return records, victims
+
+    def _maintenance_writes(
+        self, demand_writes: int
+    ) -> Iterator[LineWriteResult | None]:
+        """Per demand write, in event order, its maintenance write or ``None``.
+
+        Wear-leveling swaps (or SCH/RBDL migrations) add background line
+        writes proportional to demand writes.  The draws depend only on
+        how many demand writes came before, so they are all made here.
+        """
+        rng = self._maintenance_rng
+        rate = self.scheme.maintenance_write_rate
+        hits, resets, sets, rows = [], [], [], []
+        for index in range(demand_writes):
+            if rng.random() < rate:
+                reset_mask, set_mask = self._maintenance_patterns.masks()
+                hits.append(index)
+                resets.append(reset_mask)
+                sets.append(set_mask)
+                rows.append(int(rng.integers(self.config.array.size)))
+        extras = [None] * demand_writes
+        if hits:
+            results = self.write_model.write_many(
+                np.stack(resets), np.stack(sets), rows
+            )
+            for index, result in zip(hits, results):
+                extras[index] = result
+        return iter(extras)
 
     def _place(
         self, ranker: SyntheticStream | None, addresses: np.ndarray
@@ -221,18 +259,11 @@ class SystemSimulator:
         self._schedule_next(core_id)
 
     def _submit_write(self, core_id: int, read_blocked: bool) -> None:
-        core = self.cores[core_id]
-        bank, row, resets, sets = next(self._victims[core_id])
-        result = self.write_model.write(resets, sets, row)
-        now = core.time_s
-        # Wear-leveling swaps (or SCH/RBDL migrations) add background
-        # line writes proportional to demand writes.
-        if self._maintenance_rng.random() < self.scheme.maintenance_write_rate:
-            extra_resets, extra_sets = self._maintenance_patterns.masks()
-            extra_row = int(self._maintenance_rng.integers(self.config.array.size))
-            extra = self.write_model.write(extra_resets, extra_sets, extra_row)
+        bank, result = next(self._victims[core_id])
+        now = self.cores[core_id].time_s
+        extra = next(self._maintenance)
+        if extra is not None:
             self.controller.try_submit_write(now, bank, extra)
-
         self._attempt_write(core_id, bank, result, read_blocked, now)
 
     def _attempt_write(
@@ -268,6 +299,9 @@ class SystemSimulator:
         """Replay the recorded trace and return the aggregated result."""
         cores = range(len(self.cores))
         self._records, self._victims = self._replay_tables()
+        self._maintenance = self._maintenance_writes(
+            sum(core.victims.size for core in self.frontend.cores)
+        )
         self._issued = [0.0] * len(self.cores)
         self._steps = [functools.partial(self._core_step, c) for c in cores]
         self._read_done = [functools.partial(self._read_complete, c) for c in cores]
@@ -277,7 +311,8 @@ class SystemSimulator:
             # The callables are bound to this simulator: dropping them
             # leaves no reference cycle, so a finished simulator (and the
             # front end it replayed) is freed as soon as it is unused.
-            self._records = self._victims = self._issued = None
+            self._records = self._victims = self._maintenance = None
+            self._issued = None
             self._steps = self._read_done = None
         elapsed = max(core.time_s for core in self.cores)
         for core, records in zip(self.cores, self.frontend.cores):

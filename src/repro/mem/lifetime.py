@@ -123,20 +123,16 @@ class LifetimeEstimator:
         base_fraction = self.config.lifetime.flip_n_write_fraction
         changes = max(1, int(round(width * base_fraction)))
         rng = np.random.default_rng(11)
-        total_ops = 0
-        total_required = 0
-        for _ in range(samples):
+        resets = np.zeros((samples, width), dtype=bool)
+        sets = np.zeros((samples, width), dtype=bool)
+        for reset_bits, set_bits in zip(resets, sets):
             changed = rng.choice(width, size=changes, replace=False)
             flip_to_zero = rng.random(changes) < 0.5
-            reset_bits = np.zeros(width, dtype=bool)
-            set_bits = np.zeros(width, dtype=bool)
             reset_bits[changed[flip_to_zero]] = True
             set_bits[changed[~flip_to_zero]] = True
-            if not reset_bits.any() and not set_bits.any():
-                continue
-            plan = scheme.partitioner.plan(reset_bits, set_bits)
-            total_ops += len(plan.reset_groups) + len(plan.set_groups)
-            total_required += changes
+        plans = scheme.partitioner.plan_many(resets, sets)
+        total_ops = int(plans.resets.sum() + plans.sets.sum())
+        total_required = changes * int((resets | sets).any(axis=1).sum())
         if total_required == 0:
             return base_fraction
         inflation = total_ops / total_required

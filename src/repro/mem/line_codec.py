@@ -57,12 +57,12 @@ class LineWriteModel:
     """Applies a scheme's partitioner and latency tables to line writes.
 
     A MAT's share of a write depends only on its (RESET, SET) key pair
-    — at most 3^8 combinations — and on its row.  The partitioner runs
-    once per key pair (memoised as a plan summary), and the RESET-phase
-    latency and energy of every (row, RESET-group mask) are tabulated
-    up front, so ``write`` is one memo lookup and two table reads per
-    active MAT.  ``solver`` names the backend the tables are calibrated
-    on (``None``: the default).
+    — one of 3^8 disjoint pairs — and on its row.  At construction the
+    partitioner plans every pair in one ``plan_many`` call, and the
+    RESET-phase latency and energy of every (row, RESET-group mask) are
+    tabulated, so ``write_many`` is a handful of table gathers over a
+    whole batch of lines.  ``solver`` names the backend the tables are
+    calibrated on (``None``: the default).
     """
 
     def __init__(
@@ -75,12 +75,9 @@ class LineWriteModel:
         self.mats = config.memory.line_bytes  # 64 MATs per 64B line
         self.width = config.array.data_width
         self._bit_weights = 1 << np.arange(self.width)
-        # reset_key << width | set_key -> (RESET-group mask, data RESETs,
-        # data SETs, concurrent RESETs, concurrent SETs, extra RESETs,
-        # extra SETs, SET-phase latency, SET energy).
-        self._summaries: dict[int, tuple] = {}
         self._e_set_bit = config.cell.e_set_per_bit
         self._reset_phase, self._reset_energy = self._tabulate()
+        self._plans = self._plan_pairs()
 
     def __reduce__(self):
         # Pickled (to pool workers) as its recipe: the tables rebuild
@@ -123,83 +120,99 @@ class LineWriteModel:
             energy[:, chosen] = np.sum(vectors, axis=1).reshape(rows, chosen.size)
         return phase, energy
 
-    def _summarise(self, reset_key: int, set_key: int) -> tuple:
-        """Plan summary of one MAT's (RESET, SET) key pair."""
-        plan = self.scheme.partitioner.plan(
-            (reset_key & self._bit_weights) > 0, (set_key & self._bit_weights) > 0
-        )
-        groups = 0
-        for group in plan.reset_groups:
-            groups |= 1 << group
-        return (
-            groups,
-            reset_key.bit_count(),
-            set_key.bit_count(),
-            len(plan.reset_groups),
-            len(plan.set_groups),
-            plan.extra_resets,
-            plan.extra_sets,
-            self.latency_model.set_latency if plan.set_groups else 0.0,
-            len(plan.set_groups) * self._e_set_bit,
-        )
+    def _plan_pairs(self) -> np.ndarray:
+        """Plan summary of every MAT key pair, one row per
+        ``reset_key << width | set_key``.
 
-    def _mat_keys(self, mask: np.ndarray) -> list[int]:
-        """Per-MAT bit keys (bit ``k`` = column group ``k``) of a mask."""
-        mask = np.asarray(mask)
-        if mask.dtype == np.uint8 and mask.size == self.mats and self.width == 8:
-            return mask.tolist()  # packed: one byte per MAT already
-        bits = np.asarray(mask, dtype=bool).reshape(self.mats, self.width)
-        return (bits @ self._bit_weights).tolist()
+        The columns are the final RESET-group mask, then data RESETs,
+        data SETs, extra RESETs, extra SETs, concurrent RESETs and
+        concurrent SETs.  Only the 3^width disjoint pairs are planned;
+        the rows of overlapping pairs stay zero and ``write_many``
+        rejects them.
+        """
+        width = self.width
+        # Each bit of a disjoint pair is untouched (0), RESET (1) or SET (2).
+        digits = np.arange(3**width)[:, None] // 3 ** np.arange(width) % 3
+        resets, sets = digits == 1, digits == 2
+        plans = self.scheme.partitioner.plan_many(resets, sets)
+        weights = self._bit_weights
+        table = np.zeros(
+            (1 << 2 * width, 7), dtype=np.min_scalar_type((1 << width) - 1)
+        )
+        table[(resets @ weights) << width | (sets @ weights)] = np.stack(
+            [
+                plans.resets @ weights,
+                resets.sum(axis=1),
+                sets.sum(axis=1),
+                plans.extra_resets,
+                plans.extra_sets,
+                plans.resets.sum(axis=1),
+                plans.sets.sum(axis=1),
+            ],
+            axis=1,
+        )
+        return table
+
+    def write_many(
+        self, resets: np.ndarray, sets: np.ndarray, rows
+    ) -> list[LineWriteResult]:
+        """Plan and time a batch of line writes, one result per line.
+
+        ``resets`` / ``sets`` hold one line's Flip-N-Write cell masks
+        per row — ``mats * width`` booleans, or the same bits packed
+        little-endian into ``uint8`` bytes (``np.packbits(mask,
+        bitorder="little")``, one byte per MAT) — and ``rows`` the MAT
+        row each line occupies (all MATs of a line share the row).
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        lines, mats, width = rows.size, self.mats, self.width
+        keys = []
+        for mask in (resets, sets):
+            mask = np.asarray(mask)
+            if mask.dtype == np.uint8 and mask.shape[-1] == mats and width == 8:
+                keys.append(mask.reshape(-1))  # packed: a byte per MAT
+            else:
+                bits = np.reshape(mask, (lines * mats, width)).astype(bool)
+                keys.append(bits @ self._bit_weights)
+        reset_keys, set_keys = keys
+        if (reset_keys & set_keys).any():
+            raise ValueError("a bit cannot be both RESET and SET in one write")
+        # Only active MATs are read, line by line in ascending MAT order;
+        # an idle MAT adds nothing to any field.
+        active = np.flatnonzero(reset_keys | set_keys)
+        line = active // mats
+        plans = self._plans[
+            reset_keys[active].astype(np.intp) << width | set_keys[active]
+        ]
+        at = rows[line], plans[:, 0]
+        reset_phase = self._reset_phase[at]
+        n_sets = plans[:, 6]
+        set_phase = np.where(n_sets > 0, self.latency_model.set_latency, 0.0)
+        latency = np.zeros(lines)
+        np.maximum.at(latency, line, reset_phase + set_phase)
+        reset_latency = np.zeros(lines)
+        np.maximum.at(reset_latency, line, reset_phase)
+        # bincount adds each line's energies in input order, one running
+        # sum from 0.0 — the per-MAT fold's rounding (np.sum would pair
+        # them up instead).
+        reset_energy = np.bincount(line, self._reset_energy[at], minlength=lines)
+        set_energy = np.bincount(line, n_sets * self._e_set_bit, minlength=lines)
+        totals = [
+            np.bincount(line, plans[:, field], minlength=lines)
+            .astype(np.int64)
+            .tolist()
+            for field in range(1, 7)
+        ]
+        fields = zip(  # in LineWriteResult field order
+            *totals[:4], latency.tolist(), reset_latency.tolist(), *totals[4:],
+            reset_energy.tolist(), set_energy.tolist(),
+        )
+        return [LineWriteResult(*values) for values in fields]
 
     def write(
         self, resets: np.ndarray, sets: np.ndarray, row: int
     ) -> LineWriteResult:
-        """Plan and time a line write.
-
-        ``resets`` / ``sets`` are the Flip-N-Write cell masks of the
-        whole line — ``mats * width`` booleans, or the same bits packed
-        little-endian into ``uint8`` bytes (``np.packbits(mask,
-        bitorder="little")``, one byte per MAT) — and ``row`` is the MAT
-        row the line occupies (all MATs of a line share the row).
-        """
-        summaries = self._summaries
-        phases, energies = self._reset_phase, self._reset_energy
-        shift = self.width
-        reset_bits = set_bits = extra_resets = extra_sets = 0
-        concurrent_resets = concurrent_sets = 0
-        latency = reset_latency = reset_energy = set_energy = 0.0
-        # Per-MAT energies add in ascending MAT order, one running sum.
-        for reset_key, set_key in zip(self._mat_keys(resets), self._mat_keys(sets)):
-            if not (reset_key or set_key):
-                continue
-            pair = reset_key << shift | set_key
-            summary = summaries.get(pair)
-            if summary is None:
-                summary = summaries[pair] = self._summarise(reset_key, set_key)
-            (groups, data_resets, data_sets, n_resets, n_sets,
-             more_resets, more_sets, set_phase, e_set) = summary
-            reset_phase = phases.item(row, groups)
-            if reset_phase + set_phase > latency:
-                latency = reset_phase + set_phase
-            if reset_phase > reset_latency:
-                reset_latency = reset_phase
-            reset_bits += data_resets
-            set_bits += data_sets
-            extra_resets += more_resets
-            extra_sets += more_sets
-            concurrent_resets += n_resets
-            concurrent_sets += n_sets
-            reset_energy += energies.item(row, groups)
-            set_energy += e_set
-        return LineWriteResult(
-            reset_bits=reset_bits,
-            set_bits=set_bits,
-            extra_resets=extra_resets,
-            extra_sets=extra_sets,
-            latency=latency,
-            reset_latency=reset_latency,
-            concurrent_resets=concurrent_resets,
-            concurrent_sets=concurrent_sets,
-            reset_energy=reset_energy,
-            set_energy=set_energy,
-        )
+        """One line's ``write_many``: flat masks, one row."""
+        return self.write_many(
+            np.reshape(resets, (1, -1)), np.reshape(sets, (1, -1)), [row]
+        )[0]

@@ -12,6 +12,7 @@ from .base import (
     StaticRegulator,
     VoltageRegulator,
     WritePlan,
+    WritePlans,
 )
 from .baseline import make_baseline, make_naive_high_voltage
 from .drvr import drvr_levels, make_drvr
@@ -36,6 +37,7 @@ __all__ = [
     "StaticRegulator",
     "VoltageRegulator",
     "WritePlan",
+    "WritePlans",
     "make_baseline",
     "make_naive_high_voltage",
     "drvr_levels",

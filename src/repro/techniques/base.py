@@ -23,6 +23,7 @@ memory-system simulator looks up on every write.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "RowSectionRegulator",
     "MatrixRegulator",
     "WritePlan",
+    "WritePlans",
     "Partitioner",
     "IdentityPartitioner",
     "Scheme",
@@ -166,22 +168,60 @@ class WritePlan:
         return len(self.reset_groups)
 
 
+class WritePlans(NamedTuple):
+    """Plans of ``N`` MAT slices, one row per slice.
+
+    ``resets`` / ``sets`` are the final ``(N, width)`` RESET / SET masks
+    (after any additions); ``extra_resets`` / ``extra_sets`` are the
+    ``(N,)`` counts of operations added beyond the data-required ones.
+    """
+
+    resets: np.ndarray
+    sets: np.ndarray
+    extra_resets: np.ndarray
+    extra_sets: np.ndarray
+
+
 class Partitioner:
-    """Transforms a MAT's required RESET/SET bits into a write plan."""
+    """Transforms MATs' required RESET/SET bits into write plans.
+
+    A subclass implements ``_plan_many`` once, vectorised over rows of
+    masks that ``plan_many`` has already checked; ``plan`` is its
+    one-row case.
+    """
+
+    def plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
+        """Plans of ``(N, width)`` boolean RESET / SET masks."""
+        resets = np.asarray(resets, dtype=bool)
+        sets = np.asarray(sets, dtype=bool)
+        if resets.ndim != 2 or resets.shape != sets.shape:
+            raise ValueError("reset and set masks must be (N, width) of equal shape")
+        if (resets & sets).any():
+            raise ValueError("a bit cannot be both RESET and SET in one write")
+        return self._plan_many(resets, sets)
+
+    def _plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
+        raise NotImplementedError
 
     def plan(self, reset_bits: np.ndarray, set_bits: np.ndarray) -> WritePlan:
-        """``reset_bits`` / ``set_bits`` are boolean masks of width 8."""
-        raise NotImplementedError
+        """``reset_bits`` / ``set_bits`` are one MAT's boolean masks."""
+        plans = self.plan_many(
+            np.reshape(reset_bits, (1, -1)), np.reshape(set_bits, (1, -1))
+        )
+        return WritePlan(
+            reset_groups=tuple(np.flatnonzero(plans.resets[0]).tolist()),
+            set_groups=tuple(np.flatnonzero(plans.sets[0]).tolist()),
+            extra_resets=int(plans.extra_resets[0]),
+            extra_sets=int(plans.extra_sets[0]),
+        )
 
 
 class IdentityPartitioner(Partitioner):
     """No transformation: reset exactly the data-required bits."""
 
-    def plan(self, reset_bits: np.ndarray, set_bits: np.ndarray) -> WritePlan:
-        return WritePlan(
-            reset_groups=tuple(int(i) for i in np.flatnonzero(reset_bits)),
-            set_groups=tuple(int(i) for i in np.flatnonzero(set_bits)),
-        )
+    def _plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
+        none = np.zeros(len(resets), dtype=np.int64)
+        return WritePlans(resets.copy(), sets.copy(), none, none.copy())
 
 
 @dataclass(frozen=True)
@@ -289,21 +329,17 @@ class SchemeLatencyModel:
         (2.3 us for the 512x512 baseline, 71 ns under UDRVR+PR).
         """
         width = self.config.array.data_width
-        worst = 0.0
-        worst_rows = self._worst_rows()
         patterns = (np.arange(1, 1 << width)[:, None] >> np.arange(width)) & 1
-        for reset_bits in patterns.astype(bool):
-            plan = self.scheme.partitioner.plan(reset_bits, ~reset_bits)
-            # One table read per plan: the slowest row's RESET phase plus
-            # the SET phase is the slowest row's write, since rounding
-            # is monotone (max fl(a + s) = fl(max a + s)).
-            reset = 0.0
-            if plan.reset_groups:
-                table = self.table[len(plan.reset_groups) - 1]
-                reset = float(table[np.ix_(worst_rows, plan.reset_groups)].max())
-            set_phase = self.set_latency if plan.set_groups else 0.0
-            worst = max(worst, reset + set_phase)
-        return worst
+        resets = patterns.astype(bool)
+        plans = self.scheme.partitioner.plan_many(resets, ~resets)
+        # The slowest row's RESET phase plus the SET phase is the slowest
+        # row's write, since rounding is monotone (max fl(a + s) =
+        # fl(max a + s)); a plan's RESET phase is its slowest group.
+        slowest = self.table[:, self._worst_rows(), :].max(axis=1)  # (n, group)
+        counts = plans.resets.sum(axis=1)
+        reset = np.where(plans.resets, slowest[counts - 1], 0.0).max(axis=1)
+        set_phase = np.where(plans.sets.any(axis=1), self.set_latency, 0.0)
+        return float((reset + set_phase).max())
 
     def _worst_rows(self) -> np.ndarray:
         """Rows that can host the slowest RESET (section boundaries)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SystemConfig
-from .base import ChipOverheads, Partitioner, Scheme, WritePlan
+from .base import ChipOverheads, Partitioner, Scheme, WritePlans
 
 __all__ = ["DummyBitlinePartitioner", "DBL_OVERHEADS", "make_dbl"]
 
@@ -35,25 +35,15 @@ DBL_OVERHEADS = ChipOverheads(
 class DummyBitlinePartitioner(Partitioner):
     """Reset a dummy BL in every group that has no data RESET."""
 
-    def plan(self, reset_bits: np.ndarray, set_bits: np.ndarray) -> WritePlan:
-        reset_bits = np.asarray(reset_bits, dtype=bool)
-        set_bits = np.asarray(set_bits, dtype=bool)
-        width = reset_bits.size
-        if not reset_bits.any():
-            # No RESET phase at all -> no dummy activity either.
-            return WritePlan(
-                reset_groups=(),
-                set_groups=tuple(int(i) for i in np.flatnonzero(set_bits)),
-            )
-        # Dummy resets replace nothing: every group participates in the
-        # RESET phase, the dummies adding pure extra RESETs (no
-        # compensating SET -- dummy BLs hold no data).
-        extra = int(width - reset_bits.sum())
-        return WritePlan(
-            reset_groups=tuple(range(width)),
-            set_groups=tuple(int(i) for i in np.flatnonzero(set_bits)),
-            extra_resets=extra,
-            extra_sets=0,
+    def _plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
+        # A slice with no RESET has no RESET phase, so no dummy activity
+        # either.  Otherwise every group joins the RESET phase, the
+        # dummies adding pure extra RESETs (no compensating SET -- dummy
+        # BLs hold no data).
+        active = resets.any(axis=1)
+        extra = np.where(active, resets.shape[1] - resets.sum(axis=1), 0)
+        return WritePlans(
+            resets | active[:, None], sets.copy(), extra, np.zeros_like(extra)
         )
 
 

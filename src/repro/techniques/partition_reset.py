@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Partitioner, WritePlan
+from .base import Partitioner, WritePlans
 
 __all__ = ["PartitionResetPartitioner", "PR_TRIGGER_START", "PR_GROUP_SIZE"]
 
@@ -47,42 +47,35 @@ class PartitionResetPartitioner(Partitioner):
         self.trigger_start = trigger_start
         self.group_size = group_size
 
-    def plan(self, reset_bits: np.ndarray, set_bits: np.ndarray) -> WritePlan:
-        reset_bits = np.asarray(reset_bits, dtype=bool).copy()
-        set_bits = np.asarray(set_bits, dtype=bool).copy()
-        width = reset_bits.size
-        if set_bits.size != width:
-            raise ValueError("reset and set masks must have equal width")
-        if np.any(reset_bits & set_bits):
-            raise ValueError("a bit cannot be both RESET and SET in one write")
-
-        extra_resets = 0
-        extra_sets = 0
-        required = np.flatnonzero(reset_bits)
-        if required.size and required[-1] >= self.trigger_start:
-            # Walk 2-bit groups from the last required RESET towards bit 0
-            # (Algorithm 1 lines 4-8): L rounded down to its group start.
-            last = int(required[-1])
-            group_start = last - last % self.group_size
-            for start in range(group_start, -1, -self.group_size):
-                group = slice(start, start + self.group_size)
-                if not reset_bits[group].any():
-                    # Add a benign RESET on the group's last bit, offset by
-                    # a SET of the same cell in the SET phase (lines 7-8).
-                    benign = min(start + self.group_size - 1, width - 1)
-                    reset_bits[benign] = True
-                    extra_resets += 1
-                    if not set_bits[benign]:
-                        # The cell was not being SET anyway; the
-                        # compensating SET is an extra operation too.
-                        set_bits[benign] = True
-                        extra_sets += 1
-
-        reset_groups = tuple(int(i) for i in np.flatnonzero(reset_bits))
-        set_groups = tuple(int(i) for i in np.flatnonzero(set_bits))
-        return WritePlan(
-            reset_groups=reset_groups,
-            set_groups=set_groups,
-            extra_resets=extra_resets,
-            extra_sets=extra_sets,
+    def _plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
+        n, width = resets.shape
+        size = self.group_size
+        groups = -(-width // size)
+        group_ids = np.arange(groups)
+        # Index of each slice's last required RESET (-1: none).
+        last = np.where(
+            resets.any(axis=1), width - 1 - np.argmax(resets[:, ::-1], axis=1), -1
+        )
+        padded = np.zeros((n, groups * size), dtype=bool)
+        padded[:, :width] = resets
+        # Algorithm 1 lines 4-8: once a RESET falls in the trigger
+        # window, every group from the last RESET's down to group 0 that
+        # has no RESET of its own gets a benign RESET on its last bit,
+        # offset by a SET of the same cell in the SET phase.  A group's
+        # decision reads only its own data bits.
+        benign = (
+            (last >= self.trigger_start)[:, None]
+            & (group_ids <= last[:, None] // size)
+            & ~padded.reshape(n, groups, size).any(axis=2)
+        )
+        columns = np.minimum(group_ids * size + size - 1, width - 1)
+        final_resets = resets.copy()
+        final_resets[:, columns] |= benign
+        # A cell not being SET anyway makes its compensating SET an
+        # extra operation too.
+        extra_sets = benign & ~sets[:, columns]
+        final_sets = sets.copy()
+        final_sets[:, columns] |= benign
+        return WritePlans(
+            final_resets, final_sets, benign.sum(axis=1), extra_sets.sum(axis=1)
         )

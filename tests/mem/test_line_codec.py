@@ -8,6 +8,7 @@ import pytest
 from repro.mem.line_codec import LineWriteModel
 from repro.techniques import (
     SchemeLatencyModel,
+    WritePlan,
     make_baseline,
     make_dbl,
     make_udrvr_pr,
@@ -129,16 +130,30 @@ class Reference:
         self.v_matrix = scheme.regulator.matrix(self.model.ir_model)[:, cols]
         self.i_on = config.cell.i_on
         self.e_set = config.cell.e_set_per_bit
-        self._plans = {}
+        self._plans = None
         self._timings = {}
 
     def plan(self, reset_key, set_key):
-        key = (reset_key, set_key)
-        if key not in self._plans:
-            self._plans[key] = self.scheme.partitioner.plan(
-                _bits(reset_key, self.width), _bits(set_key, self.width)
+        if self._plans is None:
+            # Every valid pair in one partitioner call (its own tests
+            # check it against scalar oracles).
+            pairs = _mat_pairs(self.width)
+            plans = self.scheme.partitioner.plan_many(
+                [_bits(r, self.width) for r, _ in pairs],
+                [_bits(s, self.width) for _, s in pairs],
             )
-        return self._plans[key]
+            self._plans = {
+                pair: WritePlan(
+                    reset_groups=tuple(np.flatnonzero(resets).tolist()),
+                    set_groups=tuple(np.flatnonzero(sets).tolist()),
+                    extra_resets=int(extra_resets),
+                    extra_sets=int(extra_sets),
+                )
+                for pair, resets, sets, extra_resets, extra_sets in zip(
+                    pairs, *plans
+                )
+            }
+        return self._plans[reset_key, set_key]
 
     def timing(self, row, plan):
         """(write latency, RESET-phase latency, RESET energy) of a plan."""
@@ -211,11 +226,20 @@ def parity_schemes(small_config):
     return schemes
 
 
+@pytest.fixture(scope="module")
+def references(small_config, parity_schemes):
+    """One ``Reference`` per parity scheme, shared by the parity tests."""
+    return {
+        name: Reference(small_config, scheme)
+        for name, scheme in parity_schemes.items()
+    }
+
+
 class TestTableDrivenParity:
-    """The memoised tables equal one-off evaluations bit for bit."""
+    """The precomputed tables equal one-off evaluations bit for bit."""
 
     def test_every_mat_pair_on_boundary_and_interior_rows(
-        self, small_config, parity_schemes
+        self, small_config, parity_schemes, references
     ):
         """Every valid key pair on the slowest boundary row, and every
         (RESET groups, SET phase) class on the other boundary and some
@@ -230,7 +254,7 @@ class TestTableDrivenParity:
         pairs = _mat_pairs(small_config.array.data_width)
         for name, scheme in parity_schemes.items():
             model = LineWriteModel(small_config, scheme)
-            reference = Reference(small_config, scheme)
+            reference = references[name]
             classes = {}
             for r, s in pairs:
                 plan = reference.plan(r, s)
@@ -238,14 +262,19 @@ class TestTableDrivenParity:
             worst = [int(row) for row in model.latency_model._worst_rows()]
             for row in worst + [1, a // 3, a // 2 + 1]:
                 cases = pairs if row == worst[-1] else list(classes.values())
-                for index, (r, s) in enumerate(cases):
-                    resets = np.zeros(mats, dtype=np.uint8)
-                    sets = np.zeros(mats, dtype=np.uint8)
-                    resets[index % mats], sets[index % mats] = r, s
-                    got = _as_dict(model.write(resets, sets, row))
+                # One single-MAT line per case, the MAT moving along the line.
+                lines = np.arange(len(cases))
+                resets = np.zeros((len(cases), mats), dtype=np.uint8)
+                sets = np.zeros((len(cases), mats), dtype=np.uint8)
+                resets[lines, lines % mats], sets[lines, lines % mats] = zip(*cases)
+                results = model.write_many(resets, sets, [row] * len(cases))
+                for result, (r, s) in zip(results, cases):
+                    got = _as_dict(result)
                     assert got == reference.mat(r, s, row), (name, row, r, s)
 
-    def test_multi_mat_lines_bool_and_packed(self, small_config, parity_schemes):
+    def test_multi_mat_lines_bool_and_packed(
+        self, small_config, parity_schemes, references
+    ):
         mats = small_config.memory.line_bytes
         width = small_config.array.data_width
         a = small_config.array.size
@@ -254,7 +283,7 @@ class TestTableDrivenParity:
         over_budget = False
         for name, scheme in parity_schemes.items():
             model = LineWriteModel(small_config, scheme)
-            reference = Reference(small_config, scheme)
+            reference = references[name]
             for trial in range(40):
                 density = 0.9 if trial % 4 == 0 else 0.1
                 changed = rng.random(mats * width) < density
@@ -291,3 +320,57 @@ class TestTableDrivenParity:
         clone = pickle.loads(pickle.dumps(base_model))
         assert clone.scheme.name == base_model.scheme.name
         assert clone.write(resets, sets, 9) == base_model.write(resets, sets, 9)
+
+
+class TestWriteMany:
+    """A batch equals the same lines written one by one, and the
+    per-MAT reference fold, exactly."""
+
+    def _lines(self, small_config, rows):
+        mats = small_config.memory.line_bytes
+        width = small_config.array.data_width
+        rng = np.random.default_rng(23)
+        density = np.resize([0.0, 0.05, 0.1, 0.9], len(rows))[:, None]
+        changed = rng.random((len(rows), mats * width)) < density
+        direction = rng.random(changed.shape) < 0.5
+        return changed & direction, changed & ~direction
+
+    def test_batch_equals_stacked_writes_and_reference(
+        self, small_config, parity_schemes, references
+    ):
+        a = small_config.array.size
+        for name, scheme in parity_schemes.items():
+            model = LineWriteModel(small_config, scheme)
+            reference = references[name]
+            boundary = [int(row) for row in model.latency_model._worst_rows()]
+            rows = np.resize(boundary + [1, a // 3, a // 2 + 1], 24)
+            resets, sets = self._lines(small_config, rows)
+            packed = (
+                np.packbits(resets, axis=1, bitorder="little"),
+                np.packbits(sets, axis=1, bitorder="little"),
+            )
+            from_bool = model.write_many(resets, sets, rows)
+            from_packed = model.write_many(*packed, rows)
+            stacked = [
+                model.write(r, s, row) for r, s, row in zip(resets, sets, rows)
+            ]
+            assert from_bool == stacked, name
+            assert from_packed == stacked, name
+            for result, r, s, row in zip(stacked, *packed, rows):
+                assert _as_dict(result) == reference.line(r, s, row), (name, row)
+
+    def test_empty_batch(self, base_model, small_config):
+        empty = np.zeros((0, small_config.memory.line_bytes), dtype=np.uint8)
+        assert base_model.write_many(empty, empty, []) == []
+
+    def test_overlapping_masks_rejected(self, base_model, small_config):
+        line_bits = small_config.memory.line_bytes * 8
+        resets, sets = masks_for(line_bits, (9,), (9,))
+        with pytest.raises(ValueError):
+            base_model.write(resets, sets, row=0)
+        with pytest.raises(ValueError):
+            base_model.write_many(
+                np.packbits(resets, bitorder="little")[None],
+                np.packbits(sets, bitorder="little")[None],
+                [0],
+            )

@@ -1,9 +1,11 @@
-"""Algorithm 1 (Partition RESET) tests, including the paper's example."""
+"""Algorithm 1 (Partition RESET) tests, including the paper's example,
+and the vectorised partitioners checked against scalar oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.techniques import DummyBitlinePartitioner, IdentityPartitioner
 from repro.techniques.partition_reset import PartitionResetPartitioner
 
 
@@ -107,3 +109,121 @@ class TestParameters:
             PartitionResetPartitioner(trigger_start=-1)
         with pytest.raises(ValueError):
             PartitionResetPartitioner(group_size=0)
+
+
+def algorithm1(reset_bits, set_bits, trigger_start, group_size):
+    """Algorithm 1 one slice at a time: the scalar loop, as an oracle.
+
+    Returns the final RESET and SET bits and the extra RESET and SET
+    counts.
+    """
+    reset_bits, set_bits = list(reset_bits), list(set_bits)
+    width = len(reset_bits)
+    extra_resets = extra_sets = 0
+    required = [i for i, bit in enumerate(reset_bits) if bit]
+    if required and required[-1] >= trigger_start:
+        # Walk groups from the last required RESET towards bit 0
+        # (Algorithm 1 lines 4-8): L rounded down to its group start.
+        last = required[-1]
+        group_start = last - last % group_size
+        for start in range(group_start, -1, -group_size):
+            if not any(reset_bits[start : start + group_size]):
+                # A benign RESET on the group's last bit, offset by a SET
+                # of the same cell in the SET phase (lines 7-8).
+                benign = min(start + group_size - 1, width - 1)
+                reset_bits[benign] = True
+                extra_resets += 1
+                if not set_bits[benign]:
+                    set_bits[benign] = True
+                    extra_sets += 1
+    return reset_bits, set_bits, extra_resets, extra_sets
+
+
+def dummy_bitlines(reset_bits, set_bits):
+    """D-BL one slice at a time: every group resets once any bit does."""
+    width = len(reset_bits)
+    if not any(reset_bits):
+        return list(reset_bits), list(set_bits), 0, 0
+    return [True] * width, list(set_bits), width - sum(reset_bits), 0
+
+
+def identity(reset_bits, set_bits):
+    return list(reset_bits), list(set_bits), 0, 0
+
+
+def all_pairs(width=8):
+    """Every disjoint (RESET, SET) mask pair of one slice: 3^width rows."""
+    digits = np.arange(3**width)[:, None] // 3 ** np.arange(width) % 3
+    return digits == 1, digits == 2
+
+
+def as_rows(plans):
+    return list(
+        zip(
+            plans.resets.tolist(),
+            plans.sets.tolist(),
+            plans.extra_resets.tolist(),
+            plans.extra_sets.tolist(),
+        )
+    )
+
+
+class TestPlanMany:
+    """``plan_many`` equals the scalar oracles on every valid pair."""
+
+    @pytest.mark.parametrize("group_size", range(1, 5))
+    @pytest.mark.parametrize("trigger_start", range(8))
+    def test_partition_reset(self, trigger_start, group_size):
+        resets, sets = all_pairs()
+        partitioner = PartitionResetPartitioner(trigger_start, group_size)
+        want = [
+            algorithm1(r, s, trigger_start, group_size)
+            for r, s in zip(resets.tolist(), sets.tolist())
+        ]
+        assert as_rows(partitioner.plan_many(resets, sets)) == want
+
+    @pytest.mark.parametrize(
+        "partitioner, oracle",
+        [(DummyBitlinePartitioner(), dummy_bitlines), (IdentityPartitioner(), identity)],
+        ids=["D-BL", "identity"],
+    )
+    def test_other_partitioners(self, partitioner, oracle):
+        resets, sets = all_pairs()
+        want = [oracle(r, s) for r, s in zip(resets.tolist(), sets.tolist())]
+        assert as_rows(partitioner.plan_many(resets, sets)) == want
+
+    def test_plan_is_the_one_row_case(self, pr):
+        resets, sets = all_pairs()
+        plans = pr.plan_many(resets, sets)
+        for index in range(0, len(resets), 97):
+            plan = pr.plan(resets[index], sets[index])
+            assert plan.reset_groups == tuple(np.flatnonzero(plans.resets[index]))
+            assert plan.set_groups == tuple(np.flatnonzero(plans.sets[index]))
+            assert plan.extra_resets == plans.extra_resets[index]
+            assert plan.extra_sets == plans.extra_sets[index]
+
+    def test_empty_batch(self, pr):
+        empty = np.zeros((0, 8), dtype=bool)
+        plans = pr.plan_many(empty, empty)
+        assert plans.resets.shape == (0, 8) and plans.extra_resets.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "partitioner",
+    [PartitionResetPartitioner(), DummyBitlinePartitioner(), IdentityPartitioner()],
+    ids=["PR", "D-BL", "identity"],
+)
+class TestMaskValidation:
+    def test_overlapping_masks_rejected(self, partitioner):
+        with pytest.raises(ValueError):
+            partitioner.plan(bits(1), bits(1))
+        resets, sets = all_pairs()
+        sets[5, 0] = resets[5, 0] = True
+        with pytest.raises(ValueError):
+            partitioner.plan_many(resets, sets)
+
+    def test_mismatched_shapes_rejected(self, partitioner):
+        with pytest.raises(ValueError):
+            partitioner.plan(np.zeros(8, dtype=bool), np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError):
+            partitioner.plan_many(np.zeros(8, dtype=bool), np.zeros(8, dtype=bool))
