@@ -3,28 +3,22 @@
 
 Boots a real ``python -m repro serve`` subprocess on the supervised
 process compute plane with a *seeded* chaos policy armed — worker
-kills on in-flight plans, a worker killed *while holding a
-shared-segment stripe write lock*, dropped/delayed compute futures,
-corrupted ``.repro_cache`` entries — and drives two rounds of
+kills on in-flight plans, dropped/delayed compute futures, corrupted
+``.repro_cache`` entries — and drives two rounds of
 concurrent requests from three clients through it.  The contract under
 chaos:
 
 * every admitted request completes: either ``ok`` with a payload
   byte-identical to a batch-mode run of the same experiment, or a
   structured error envelope with a known code — never a hang;
-* at least two workers are killed mid-run (the policy seed is chosen
+* at least three workers are killed mid-run (the policy seed is chosen
   so the kill sites fire deterministically) and the service absorbs
   the deaths by requeue + restart;
-* a worker that dies holding a stripe write lock poisons only that
-  stripe: later publishes on it keep their profiles local (the disk
-  cache still carries them) and every payload still matches batch mode;
 * a graceful ``shutdown`` drains everything, the subprocess exits 0,
-  **zero** child processes are leaked (checked by scanning ``/proc``
-  for a marker environment variable the whole process tree inherits;
-  the service's ``multiprocessing.resource_tracker`` child alone gets
-  a few seconds to finish exiting), and **zero** shared-memory segments
-  are leaked (no new ``/dev/shm/repro-shm-*`` entries survive the
-  drain).
+  and **zero** child processes are leaked (checked by scanning
+  ``/proc`` for a marker environment variable the whole process tree
+  inherits; a ``multiprocessing.resource_tracker`` child alone gets a
+  few seconds to finish exiting).
 
 Usage::
 
@@ -58,19 +52,13 @@ SEEDS = (0, 1, 2, 3)
 #: Seed 3 is chosen so >= 2 distinct (experiment, seed) first attempts
 #: kill their worker and every killed plan converges on resubmission
 #: (verified by tests/chaos/test_policy.py::test_smoke_spec_converges).
-#: kill_in_lock is drawn per profile key.  The smoke's experiment mix
-#: publishes exactly two distinct profile grids, whose deterministic
-#: draws under seed 3 are 0.599 and 0.744 — rate 0.65 sits between
-#: them, so the first grid's first publisher always dies holding its
-#: stripe write lock and the second always survives.  The dead-held
-#: lock then shields every retry: later publishes on that stripe time
-#: out and keep the profile local instead of reaching the kill site,
-#: so the in-lock site fires exactly once per service lifetime.
+#: Kill tokens are (experiment, seed, attempt), so both rounds draw the
+#: same kills: four first attempts per round under seed 3.
 #: kill_delay_ms=0 kills a drawn worker as its plan starts: with any
 #: delay, a warm fig01e/fig11a plan can finish first and cancel its
 #: kill, so the death count would hang on job timing.
 CHAOS_SPEC = (
-    "seed=3,kill_worker_rate=0.25,kill_delay_ms=0,kill_in_lock_rate=0.65,"
+    "seed=3,kill_worker_rate=0.25,kill_delay_ms=0,"
     "drop_future_rate=0.1,delay_future_rate=0.1,delay_future_ms=10,"
     "corrupt_cache_rate=0.2"
 )
@@ -83,21 +71,9 @@ KNOWN_ERROR_CODES = {
 _LISTENING = re.compile(r"listening on (?P<host>[^:]+):(?P<port>\d+)")
 
 
-def _shm_segments() -> "set[str]":
-    """Names of live ``repro-shm-*`` segments under ``/dev/shm``."""
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith("repro-shm-")
-        }
-    except OSError:
-        return set()
-
-
-#: How long the service's ``multiprocessing.resource_tracker`` child
-#: may outlive the service: it is still exiting (after unregistering the
-#: shared segment) when the service's own exit status arrives.
+#: How long a ``multiprocessing.resource_tracker`` child may outlive
+#: the service: it can still be exiting when the service's own exit
+#: status arrives.
 _TRACKER_GRACE_S = 5.0
 _TRACKER = "multiprocessing.resource_tracker"
 
@@ -155,7 +131,6 @@ def main() -> int:
     marker = f"REPRO_CHAOS_SMOKE={uuid.uuid4().hex}"
     marker_key, marker_value = marker.split("=", 1)
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-cache-")
-    segments_before = _shm_segments()
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -238,14 +213,10 @@ def main() -> int:
                 f"chaos effects: {deaths} worker deaths, {requeues} "
                 f"requeues, breaker={stats['breaker']}"
             )
-            # >= 2 in-flight kills (convergence-tested) plus exactly
-            # one in-lock kill (deterministic, see CHAOS_SPEC).
             if deaths < 3:
                 failures += 1
                 print(
-                    f"FAIL: expected >= 3 chaos worker kills "
-                    f"(2 in-flight + 1 holding a stripe write lock), "
-                    f"saw {deaths}",
+                    f"FAIL: expected >= 3 chaos worker kills, saw {deaths}",
                     file=sys.stderr,
                 )
             chaos_counts = stats.get("chaos", {}).get("counts", {})
@@ -266,16 +237,6 @@ def main() -> int:
                 print(f"  {pid}: {cmdline}", file=sys.stderr)
         else:
             print("no leaked child processes")
-        leaked_segments = _shm_segments() - segments_before
-        if leaked_segments:
-            failures += 1
-            print(
-                f"FAIL: leaked shared-memory segments: "
-                f"{sorted(leaked_segments)}",
-                file=sys.stderr,
-            )
-        else:
-            print("no leaked shared-memory segments")
         return 1 if failures else 0
     finally:
         if process.poll() is None:

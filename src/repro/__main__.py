@@ -146,9 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         "--solver", choices=available_solvers(), default=DEFAULT_SOLVER,
         metavar="BACKEND",
         help="IR-drop solver backend: " + ", ".join(available_solvers())
-        + f" (default: {DEFAULT_SOLVER}; factor-cache is another name for "
-        "batched; each name keeps its own cache namespace, and reference is "
-        "the unseeded oracle)",
+        + f" (default: {DEFAULT_SOLVER}; reference is the unseeded oracle)",
     )
     parser.add_argument(
         "--mc-samples", type=int, default=None, metavar="K",

@@ -43,7 +43,6 @@ __all__ = [
     "injected",
     "install",
     "kill_point",
-    "exit_point",
     "corrupt_point",
     "reset_counts",
     "uninstall",
@@ -170,21 +169,6 @@ def kill_point(token: object) -> "threading.Timer | None":
     timer.daemon = True
     timer.start()
     return timer
-
-
-def exit_point(site: str, token: object = None) -> None:
-    """Maybe ``os._exit`` *right here* (worker processes only).
-
-    Unlike :func:`kill_point` there is no delay timer: the exit happens
-    synchronously at the call site, which is the whole point — it lets
-    the shared-memory plane die *while holding a stripe write lock*
-    (``shm.kill_in_lock``), the crash mode its degradation path exists
-    for.
-    """
-    if _STATE.policy is None:
-        return
-    if fires(site, token):
-        os._exit(KILL_EXIT_CODE)
 
 
 def corrupt_point(path: "Path") -> None:

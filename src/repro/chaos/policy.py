@@ -4,11 +4,10 @@
 :class:`~repro.faults.model.FaultModel` is to the array devices: a
 frozen, picklable description of a *failure distribution* that can be
 keyed, shipped to worker processes, and replayed.  Each injection site
-(worker kill, future drop/delay, cache corruption, shared-plane lock kill)
-carries a rate; whether a particular event fires is a pure function of
-``(seed, site, token)``, so the same policy against the same request
-stream produces the same failures — chaos runs are test cases, not
-dice rolls.
+(worker kill, future drop/delay, cache corruption) carries a rate;
+whether a particular event fires is a pure function of ``(seed, site,
+token)``, so the same policy against the same request stream produces
+the same failures — chaos runs are test cases, not dice rolls.
 
 Policies serialise to a compact ``key=value,...`` spec string
 (``"seed=7,kill_worker_rate=0.5"``) so a chaos scenario fits on a CLI
@@ -30,7 +29,6 @@ SITE_RATES = {
     "future.drop": "drop_future_rate",
     "future.delay": "delay_future_rate",
     "cache.corrupt": "corrupt_cache_rate",
-    "shm.kill_in_lock": "kill_in_lock_rate",
 }
 
 
@@ -58,12 +56,6 @@ class ChaosPolicy:
         Probability that a ``.repro_cache`` entry is bit-flipped on the
         read path *before* the envelope check runs — exercising the
         quarantine-and-recompute machinery under live traffic.
-    kill_in_lock_rate:
-        Probability that a worker publishing a profile block to the
-        shared-memory data plane ``os._exit``\\ s *while holding the
-        stripe write lock* — the nastiest crash the plane must survive
-        (that stripe's lock is never released; writers keep their
-        profiles local, readers are unaffected).
     """
 
     seed: int = 0
@@ -73,7 +65,6 @@ class ChaosPolicy:
     delay_future_rate: float = 0.0
     delay_future_ms: float = 25.0
     corrupt_cache_rate: float = 0.0
-    kill_in_lock_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for site, field in SITE_RATES.items():

@@ -14,8 +14,6 @@ cached, immutable per-pattern structures, behind one interface
     batch and, on forest patterns (every reduced RESET network), one
     banded LU per iteration over all active blocks; on patterns with
     cycles, one SuperLU factorisation of each block's own sub-matrix.
-    ``factor-cache`` is another name for it, kept so
-    ``--solver factor-cache`` and cache keys naming it still resolve.
 
 ``reference``
     One network per solve, exactly the seed implementation's schedule
@@ -60,11 +58,6 @@ _BACKEND_TYPES: dict[str, type[SolverBackend]] = {
     BatchedBackend.name: BatchedBackend,
 }
 
-#: Other names of a backend.  ``factor-cache`` selects ``batched`` and
-#: stays in cache keys as its own namespace, so older invocations and
-#: keys that name it still resolve.
-_ALIASES = {"factor-cache": BatchedBackend.name}
-
 #: Process-wide singletons so structure caches are shared by every
 #: model using the same backend (workers build their own).
 _INSTANCES: dict[str, SolverBackend] = {}
@@ -72,7 +65,7 @@ _INSTANCES: dict[str, SolverBackend] = {}
 
 def available_solvers() -> tuple[str, ...]:
     """Names accepted by :func:`get_backend` (and the CLI ``--solver``)."""
-    return tuple(sorted({*_BACKEND_TYPES, *_ALIASES}))
+    return tuple(sorted(_BACKEND_TYPES))
 
 
 def get_backend(solver: "str | SolverBackend | None") -> SolverBackend:
@@ -85,7 +78,6 @@ def get_backend(solver: "str | SolverBackend | None") -> SolverBackend:
     if isinstance(solver, SolverBackend):
         return solver
     name = solver_name(solver)
-    name = _ALIASES.get(name, name)
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _INSTANCES[name] = _BACKEND_TYPES[name]()
@@ -108,7 +100,7 @@ def solver_name(solver: "str | SolverBackend | None") -> str:
     if isinstance(solver, SolverBackend):
         return solver.name
     name = solver or DEFAULT_SOLVER
-    if name not in _BACKEND_TYPES and name not in _ALIASES:
+    if name not in _BACKEND_TYPES:
         raise ValueError(
             f"unknown solver backend {name!r} "
             f"(choose from {', '.join(available_solvers())})"

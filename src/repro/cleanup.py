@@ -1,21 +1,16 @@
-"""One grace-window staleness rule for every crash-debris janitor.
+"""The grace-window staleness rule for crash debris.
 
-Two subsystems clean up artifacts that a crashed process may have left
-behind: the sweep store quarantines orphaned shard/manifest files
-(:meth:`repro.sweepstore.store.SweepStore._stale`) and the shared
-profile plane unlinks abandoned ``/dev/shm`` segments
-(:func:`repro.engine.shm.reap_stale_segments`).  Both janitors can run
-concurrently on service drain — a serve instance started with
-``--sweep-dir`` flushes its spill *and* unlinks its shared segment —
-so they must agree on what "stale" means, or one janitor could reap a
-file the other subsystem is still mid-write on.
+The sweep store quarantines orphaned shard and manifest files
+(:meth:`repro.sweepstore.store.SweepStore._stale`), including on a
+service drain that flushes a ``--sweep-dir`` spill.  It must never reap
+a file a live writer is still mid-write on.
 
-The shared rule: a file is stale only once its mtime is at least
-``grace_s`` seconds old.  Any in-flight write refreshes mtime, so a
-live producer keeps its artifacts young; a crashed producer's debris
-ages past the window and becomes collectable.  A vanished file (or any
-other ``OSError`` on stat) is *not* stale — someone else already owns
-its cleanup.
+The rule: a file is stale only once its mtime is at least ``grace_s``
+seconds old.  Any in-flight write refreshes mtime, so a live producer
+keeps its artifacts young; a crashed producer's debris ages past the
+window and becomes collectable.  A vanished file (or any other
+``OSError`` on stat) is *not* stale — someone else already owns its
+cleanup.
 """
 
 from __future__ import annotations

@@ -126,45 +126,29 @@ class NullCache:
         pass
 
 
-#: Profile keys on disk per cache directory (see :class:`ProfileStore`).
-_ON_DISK: dict[str, set[str]] = {}
-
-
 class ProfileStore:
-    """Persistent solver-profile layer over a result cache.
+    """Persistent solver-profile layer over one result-cache directory.
 
-    Promotes expensive per-model intermediates — quantised BL drop
-    profiles, WL-model calibrations — into the checksummed
-    ``.repro_cache`` disk layer so they are shared *across* experiments
-    and *across* runs (the experiment-level cache only shares whole
-    payloads).  Keys are canonical part tuples built by the caller
-    (``("bl-profile", config_hash, solver, quantum, ...)``);
-    the store namespaces them under ``"profile"`` so they can never
-    collide with experiment result keys.
+    The disk tier of :class:`~repro.xpoint.vmap.ProfileRegistry`, which
+    keeps one store per cache directory in each process.  It promotes
+    expensive per-model intermediates — quantised BL drop profiles, WL
+    calibrations — into the checksummed ``.repro_cache`` disk layer so
+    they are shared *across* processes and *across* runs (the
+    experiment-level cache only shares whole payloads).  Keys are the
+    registry's canonical part tuples (``("bl-profile", config_hash,
+    solver, quantum, ...)``); the store namespaces them under
+    ``"profile"`` so they can never collide with experiment result keys.
 
     Integrity is inherited from :class:`ResultCache`: a corrupted or
     version-skewed entry is quarantined on load and reads as a miss
-    (``None``), so callers always fall back to a live solve.  Instances
-    only hold a cache reference and pickle cleanly when backed by a
-    directory cache.
+    (``None``), so callers always fall back to a live solve.
     """
 
-    def __init__(self, cache: "ResultCache | NullCache") -> None:
+    def __init__(self, cache: "ResultCache") -> None:
         self._cache = cache
-        #: Keys known to be on disk already (loaded or stored through
-        #: any store over this directory in this process) — suppresses
-        #: rewrites of unchanged artefacts.  Shared per directory: every
-        #: fault identity's run context has a store of its own, and all
-        #: of them meet the same (config, solver) profile keys.
-        root = getattr(cache, "root", None)
-        self._seen: set[str] = (
-            set() if root is None
-            else _ON_DISK.setdefault(os.path.abspath(root), set())
-        )
-
-    @property
-    def enabled(self) -> bool:
-        return bool(getattr(self._cache, "enabled", False))
+        #: Part tuples known to be on disk (loaded or stored through
+        #: this store) — suppresses rewrites of unchanged artefacts.
+        self._seen: set[tuple] = set()
 
     def load(
         self, parts: tuple, validate: Callable[[Any], Any] = lambda v: v
@@ -177,23 +161,21 @@ class ProfileStore:
         entry, it is then not counted as on disk, so the caller's
         recompute writes it again.
         """
-        key = cache_key("profile", *parts)
-        value = self._cache.load(key)
+        value = self._cache.load(cache_key("profile", *parts))
         if value is not MISSING:
             value = validate(value)
         if value is MISSING or value is None:
-            self._seen.discard(key)
+            self._seen.discard(parts)
             return None
-        self._seen.add(key)
+        self._seen.add(parts)
         return value
 
     def store(self, parts: tuple, value: Any) -> bool:
         """Write ``value`` under ``parts``; ``True`` if newly written."""
-        key = cache_key("profile", *parts)
-        if key in self._seen:
+        if parts in self._seen:
             return False
-        self._cache.store(key, value)
-        self._seen.add(key)
+        self._cache.store(cache_key("profile", *parts), value)
+        self._seen.add(parts)
         return True
 
 

@@ -46,19 +46,13 @@ use of it (a plan spec run by :func:`_execute_spec`);
 :class:`~repro.engine.executor.ParallelExecutor` runs its ``--workers``
 fan-out on it, one short-lived pool per ``map``.
 
-The process pool additionally runs a **shared-memory solver data
-plane** (:mod:`repro.engine.shm`): the supervisor creates one
-lock-striped segment, hands every worker a reattachable handle at
-spawn, and each worker wires the segment into its process-global
-profile registry — so a BL profile or WL calibration solved by any
-worker is zero-copy readable by all siblings instead of being
-re-solved.  Whenever shared memory is unavailable or a stripe declines
-a write, the profile stays with its worker and reaches siblings only
-through the disk cache, when the job carries one.  On top of it, the
-supervisor's dispatcher *groups* queued jobs with equal (config,
-solver, fault-set) identity onto one worker, where the head job solves
-the group's profile grids once and its group-mates collapse to
-registry hits — one solve stream serving the whole stack.
+Each worker keeps solved profiles in its process-global profile
+registry (:data:`~repro.xpoint.vmap.profile_registry`); they reach
+sibling and replacement workers through the disk cache, when the job
+carries one.  The supervisor's dispatcher *groups* queued jobs with
+equal (config, solver, fault-set) identity onto one worker, where the
+head job solves the group's profile grids once and its group-mates
+collapse to registry hits — one solve stream serving the whole stack.
 """
 
 from __future__ import annotations
@@ -310,7 +304,6 @@ def _pool_worker_main(
     result_conn,
     heartbeat_s: float,
     chaos_policy,
-    shm_handle=None,
 ) -> None:
     """Worker process loop: run jobs until the ``None`` sentinel.
 
@@ -330,23 +323,17 @@ def _pool_worker_main(
     contained.  ``send_lock`` is a plain in-process lock (main thread
     vs heartbeat thread) and dies with the process, harming nobody.
 
-    ``shm_handle``, when given, is the shared profile plane's spawn
-    handshake: the worker attaches (or, after a restart, *re*attaches —
-    the handle is the same) and wires the segment into its profile
-    registry, so artefacts flow to siblings zero-copy.  Attach failure
-    degrades silently to a worker-local registry (plus the disk cache).
-
     Task messages are lists of pickled ``(job_id, fn, args,
     chaos_token)`` jobs; the worker runs ``fn(*args)`` for each and
     posts the return value (or the exception's type, message and
     traceback).  Plan jobs stacked by group identity run
     *sequentially*, in dispatch order: the head job solves the group's
-    profile grids once and publishes them (process-local registry +
-    shared plane), and every group-mate's solves collapse to registry
-    hits.  Running group-mates concurrently instead would be strictly
-    worse: duplicate streams re-solve every quantum N times.  Solves run on the job's own
-    thread, inside its ``obs.collecting`` scope, so their counters land
-    in the job's snapshot.
+    profile grids once into the worker's registry, and every
+    group-mate's solves collapse to registry hits.  Running group-mates
+    concurrently instead would be strictly worse: duplicate streams
+    re-solve every quantum N times.  Solves run on the job's own thread,
+    inside its ``obs.collecting`` scope, so their counters land in the
+    job's snapshot.
     """
     if chaos_policy is not None:
         chaos.install(chaos_policy)
@@ -371,18 +358,6 @@ def _pool_worker_main(
     threading.Thread(
         target=beat, daemon=True, name=f"repro-pool-beat-{worker_id}"
     ).start()
-
-    from ..xpoint.vmap import profile_registry
-
-    if shm_handle is not None:
-        from .shm import SharedProfilePlane
-
-        try:
-            plane = SharedProfilePlane.attach(shm_handle)
-        except Exception:  # noqa: BLE001 - plane optional by contract
-            plane = None
-        if plane is not None:
-            profile_registry.attach_shared(plane)
 
     def failure(job_id: int, exc: BaseException) -> tuple:
         tb = "".join(
@@ -486,8 +461,7 @@ class ProcessPoolBackend(ComputeBackend):
     ``workers`` is the pool size the supervisor maintains.  Each worker
     keeps its own warm-context table, so repeated requests with equal
     parameters reuse one model cache *per worker*; profiles cross
-    workers through the shared plane (below), or through the disk
-    cache where the plane declines them.
+    workers through the disk cache, when the job carries one.
 
     Failure containment, in escalation order:
 
@@ -515,21 +489,13 @@ class ProcessPoolBackend(ComputeBackend):
     the ``worker.kill`` site inside the job execution path) and armed
     in the supervisor for the ``future.drop`` / ``future.delay`` sites.
 
-    The pool creates one shared-memory profile segment
-    (:class:`~repro.engine.shm.SharedProfilePlane`) that every worker
-    attaches to its process-global profile registry: a profile solved
-    in any worker becomes zero-copy readable in all of them.  Creation
-    failure (no ``/dev/shm``, permissions) is counted as
-    ``compute.shared_plane_unavailable`` and the pool runs without a
-    segment; profiles then cross workers only through the disk cache.
-
     The dispatcher stacks up to ``group_limit`` queued jobs of equal
     (config, solver, fault-set) identity onto one worker —
     unconditionally, because a group-mate stacked behind its head job
     costs a registry lookup while the same job raced on a spare worker
     re-solves the whole profile grid.  The stacked jobs run in order:
-    the head job solves and publishes the group's profiles, the rest
-    collapse to registry hits (see :func:`_pool_worker_main` for why
+    the head job solves the group's profiles, the rest collapse to
+    registry hits (see :func:`_pool_worker_main` for why
     sequential beats concurrent here).
     """
 
@@ -601,22 +567,6 @@ class ProcessPoolBackend(ComputeBackend):
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._shm = None
-        from .shm import (
-            SharedPlaneUnavailable,
-            SharedProfilePlane,
-            reap_stale_segments,
-        )
-
-        # Sweep segments leaked by crashed earlier processes before
-        # claiming new shm space, then create this pool's segment —
-        # *before* any worker spawns, so every worker's handle is valid
-        # from its first job.
-        reap_stale_segments()
-        try:
-            self._shm = SharedProfilePlane.create()
-        except SharedPlaneUnavailable:
-            self._note("compute.shared_plane_unavailable")
         with self._lock:
             for _ in range(workers):
                 self._spawn_worker()
@@ -719,18 +669,12 @@ class ProcessPoolBackend(ComputeBackend):
 
     def stats(self) -> "Snapshot":
         alive = self.alive_workers()  # before _collector_lock: lock order
-        shm_stats = self._shm.stats() if self._shm is not None else None
         with self._collector_lock:
             self._collector.gauge("compute.workers_alive", alive)
             self._collector.gauge(
                 "compute.restart_budget_left",
                 self.restart_budget - self._restarts_used,
             )
-            if shm_stats is not None:
-                # Gauges, not counts: segment stats are cumulative
-                # totals, and stats() may be polled repeatedly.
-                for name, value in shm_stats.items():
-                    self._collector.gauge(f"shm.{name}", value)
             return self._collector.snapshot()
 
     # -- supervisor ----------------------------------------------------------------
@@ -747,11 +691,6 @@ class ProcessPoolBackend(ComputeBackend):
                 send_conn,
                 self.heartbeat_s,
                 self._chaos,
-                # Restarted workers receive the *same* handle, so a
-                # replacement reattaches to the segment by name and
-                # immediately sees every profile its predecessors
-                # published.
-                self._shm.handle() if self._shm is not None else None,
             ),
             name=f"repro-pool-{wid}",
             daemon=True,
@@ -1007,14 +946,14 @@ class ProcessPoolBackend(ComputeBackend):
         """Append queued jobs to busy workers already running their group.
 
         A queued job whose identity is in flight somewhere is nearly
-        free *on that worker* — the head job publishes the group's
-        profiles, so a follower's solves collapse to registry hits —
-        but expensive anywhere else: dispatched to an idle worker it
-        races the in-flight solve stream in lockstep, re-solving every
-        profile the stream has not published yet (all of them, on a
-        busy machine) and burying the segment in duplicate puts.  So
-        group followers chase their head job's worker even when idle
-        workers are available.
+        free *on that worker* — the head job solves the group's
+        profiles into that worker's registry, so a follower's solves
+        collapse to registry hits — but expensive anywhere else:
+        dispatched to an idle worker it races the in-flight solve
+        stream in lockstep, re-solving every profile the stream has not
+        written to disk yet (all of them, on a busy machine).  So group
+        followers chase their head job's worker even when idle workers
+        are available.
         """
         for worker in self._pool.values():
             if not self._queue:
@@ -1068,7 +1007,7 @@ class ProcessPoolBackend(ComputeBackend):
                 return
             # Stack same-group queue-mates onto this worker,
             # unconditionally up to group_limit.  A stacked group-mate
-            # rides the head job's published profiles for near-free;
+            # rides the head job's solved profiles for near-free;
             # dispatched anywhere else it re-solves the whole grid in
             # lockstep with the head, so even with idle workers to
             # spare, duplicates belong behind their head job.
@@ -1174,6 +1113,3 @@ class ProcessPoolBackend(ComputeBackend):
             self._wake()
         if wait:
             self._supervisor.join(timeout=120.0)
-        if self._shm is not None:
-            self._shm.close()  # owner close unlinks the segment
-            self._shm = None

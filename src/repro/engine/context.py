@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import SystemConfig, config_hash, default_config
-from .cache import NullCache, ProfileStore, ResultCache
+from .cache import NullCache, ResultCache
 from .executor import SerialExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,11 +64,10 @@ class RunContext:
     backend.
 
     Solved profile artefacts are not held here: models consult the
-    process-global :data:`~repro.xpoint.vmap.profile_registry` (which
-    may be backed by a cross-process shared-memory segment, see
-    :mod:`repro.engine.shm`) before the context's disk-backed profile
-    store, so contexts are cheap to evict and rebuild without losing
-    solve work.
+    process-global :data:`~repro.xpoint.vmap.profile_registry`, whose
+    disk tier is the cache of the context whose plan is executing
+    (:func:`~repro.engine.plan.execute_plan` scopes it), so contexts
+    are cheap to evict and rebuild without losing solve work.
     """
 
     def __init__(
@@ -95,12 +94,6 @@ class RunContext:
 
             model_cache = vmap._DEFAULT_CACHE
         self.model_cache = model_cache
-        # Persistent profile layer: rides on the run's disk cache, so a
-        # --no-cache run also skips profile persistence (the in-process
-        # registry still shares profiles between experiments).
-        self.profile_store = (
-            ProfileStore(self.cache) if self.cache.enabled else None
-        )
         self.faults = faults if faults is None or not faults.is_null else None
         self.strict = strict
         self.collector = collector
@@ -157,14 +150,10 @@ class RunContext:
 
         When the context carries a fault model, the returned instance is
         built (and cached) with those faults injected; the context's
-        solver backend selection and persistent profile store are
-        threaded through the same way.
+        solver backend selection is threaded through the same way.
         """
         return self.model_cache.get(
-            config or self.config,
-            faults=self.faults,
-            solver=self.solver,
-            profile_store=self.profile_store,
+            config or self.config, faults=self.faults, solver=self.solver
         )
 
     def nominal_ir_model(
@@ -175,14 +164,10 @@ class RunContext:
         Design-time calibrations (DRVR/UDRVR level solving, latency
         tables, endurance estimates) characterise the nominal array, so
         they must not see this run's injected faults — but they should
-        still benefit from the context's solver backend and persistent
-        profile store.
+        still use the context's solver backend.
         """
         return self.model_cache.get(
-            config or self.config,
-            faults=None,
-            solver=self.solver,
-            profile_store=self.profile_store,
+            config or self.config, faults=None, solver=self.solver
         )
 
     def config_hash(self, config: SystemConfig | None = None) -> str:

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from .. import obs
 from ..config import config_hash
+from ..xpoint.vmap import profile_registry
 from .artifact import ExperimentResult
 from .cache import MISSING, cache_key
 from .registry import get_experiment
@@ -148,8 +149,11 @@ def execute_plan(plan: ExperimentPlan, context: "RunContext") -> ExperimentResul
         kwargs["settings"] = plan.settings
     kwargs.update(_declared_params(experiment, context))
     context.drain_diagnostics()  # a fresh run starts with a clean slate
-    with obs.span("experiment", name=plan.name):
-        payload = experiment.driver(**kwargs)
+    # Solved profiles persist into this context's cache only: models are
+    # shared across contexts, so the directory cannot live on them.
+    with profile_registry.persisting(context.cache):
+        with obs.span("experiment", name=plan.name):
+            payload = experiment.driver(**kwargs)
     wall_s = time.perf_counter() - start
     experiment.validate_payload(payload)
     errors, retries = context.drain_diagnostics()

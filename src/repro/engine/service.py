@@ -6,8 +6,8 @@ applies admission control and per-request deadlines, and hands
 resolved :class:`~repro.engine.plan.ExperimentPlan` objects to the
 compute plane (:class:`~repro.engine.compute.ThreadPoolBackend` or a
 supervised :class:`~repro.engine.compute.ProcessPoolBackend`), where
-warm shared :class:`~repro.engine.context.RunContext` instances and —
-on the process plane — the shared-memory profile segment with
+warm shared :class:`~repro.engine.context.RunContext` instances, the
+process-wide profile registry and — on the process plane —
 duplicate-identity group dispatch amortise model construction and
 Newton factorisations across the whole request stream.
 
@@ -86,9 +86,9 @@ class ServeOptions:
     """Tunables of one service instance (all have serving defaults).
 
     The process rung always stacks queued jobs of equal (config,
-    solver, fault-set) identity onto one worker behind their head job,
-    and always shares solved profiles through its shared-memory segment
-    when the host provides one.
+    solver, fault-set) identity onto one worker behind their head job;
+    its workers share solved profiles through the disk cache when the
+    request carries one.
     """
 
     host: str = "127.0.0.1"
@@ -259,15 +259,6 @@ class EngineService:
                 self._spill.flush()
             except Exception:  # noqa: BLE001 - drain must not fail on spill
                 self._note("sweep.append_errors")
-        # Segment janitor: the backend unlinked its own segment above;
-        # this sweeps segments leaked by *earlier* crashed services,
-        # under the same grace window the sweep-spill janitor uses.
-        from .shm import reap_stale_segments
-
-        try:
-            reap_stale_segments()
-        except OSError:
-            pass
         if self.options.chaos is not None:
             chaos.uninstall()  # don't leak the policy past this service
 

@@ -10,8 +10,8 @@ calls) must not pay it once per request.
 :func:`warm_context` memoises contexts by everything that changes
 results — config hash, seed, solver backend, fault model, cache
 location, executor shape, strictness — so two requests with equal
-parameters share one context object and with it the model cache,
-scheme registry, profile store, and anchor seeds.  Parameters
+parameters share one context object and with it the model cache and
+scheme registry.  Parameters
 that only change *reporting* (the obs collector) are deliberately not
 part of the key: warm contexts carry no collector, and callers that
 want a profile activate one around the execution instead
@@ -22,10 +22,9 @@ drops it (tests and benchmarks use this to get cold timings).
 
 Solved profile artefacts are deliberately *not* context state: they
 live in the process-global :data:`~repro.xpoint.vmap.profile_registry`
-(and, under the process compute plane, its attached shared-memory
-segment, :mod:`repro.engine.shm`).  Evicting or clearing a warm context
+and its per-directory disk tier.  Evicting or clearing a warm context
 therefore never discards solve work, and a pool worker's contexts all
-read the same zero-copy plane.
+read the same registry.
 """
 
 from __future__ import annotations
@@ -90,9 +89,7 @@ def warm_context(
     ``cache_dir=None`` disables the disk cache (``NullCache``); pass
     :data:`~repro.engine.cache.DEFAULT_CACHE_DIR` for the CLI default.
     Repeated calls with equal parameters return the *same* object —
-    model caches stay hot, scheme registries are built once, and the
-    profile stores' shared record of what is on disk keeps suppressing
-    rewrites.
+    model caches stay hot and scheme registries are built once.
     """
     key = _context_key(config, seed, solver, faults, cache_dir, workers, strict)
     with _LOCK:

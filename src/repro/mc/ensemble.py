@@ -179,9 +179,8 @@ def run_ensemble(
         v_inst = v_applied * (1.0 - droops)
         # Count quanta that genuinely hit the solver: the registry's
         # ``stores`` counter tracks locally computed artefacts only, so
-        # promotions out of the shared-memory plane or the disk store
-        # (which a registry-size delta would miscount as solves) stay
-        # out of the number.
+        # promotions out of the disk store (which a registry-size delta
+        # would miscount as solves) stay out of the number.
         before = _registry().stores
         profiles = model.ensemble_bl_profiles(v_inst, bias, chunk=chunk)
         quanta_solved = max(0, _registry().stores - before)

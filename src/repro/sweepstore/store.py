@@ -272,12 +272,8 @@ class SweepStore:
         return table
 
     def _stale(self, path: Path) -> bool:
-        """Old enough that an incomplete artefact means a crashed writer.
-
-        Shares the grace-window rule with the engine's shared-memory
-        segment janitor (:mod:`repro.cleanup`), so "crashed writer"
-        means one thing across every spill/segment cleanup path.
-        """
+        """Old enough that an incomplete artefact means a crashed writer
+        (the grace-window rule of :mod:`repro.cleanup`)."""
         from ..cleanup import is_stale
 
         return is_stale(path, grace_s=self.grace_s)

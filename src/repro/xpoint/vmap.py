@@ -21,7 +21,10 @@ DRVR sections).
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -34,6 +37,7 @@ from ..circuit.line_model import ReducedArrayModel, ResetNetwork
 from ..config import SystemConfig, config_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.cache import NullCache, ProfileStore, ResultCache
     from ..faults.model import FaultModel
 
 __all__ = [
@@ -49,60 +53,69 @@ _VOLTAGE_QUANTUM = 0.02  # cache key resolution for applied voltages
 
 
 class ProfileRegistry:
-    """Process-wide registry of solved profile artefacts.
+    """Process-wide registry of solved profile artefacts, over a disk tier.
 
-    Entries are keyed by the same canonical part tuples the persistent
-    :class:`~repro.engine.cache.ProfileStore` uses — config hash, solver
-    name, and the artefact-specific tail (voltage quantum, bias scheme) —
-    so a profile solved by any :class:`ArrayIRModel` in this process is
-    visible to every later model with an equal key, even across distinct
-    :class:`ModelCache` instances.  No key names a fault model: faults
-    act on the profiles after they are solved, so every fault identity
-    of one configuration and solver reads the same entries.
+    Entries are keyed by canonical part tuples — config hash, solver
+    name, and the artefact-specific tail (voltage quantum, bias scheme)
+    — so a profile solved by any :class:`ArrayIRModel` in this process
+    is visible to every later model with an equal key, even across
+    distinct :class:`ModelCache` instances.  No key names a fault model:
+    faults act on the profiles after they are solved, so every fault
+    identity of one configuration and solver reads the same entries.
 
-    Profiles cross processes only through the two layers beneath this
-    one.  When a :class:`~repro.engine.shm.SharedProfilePlane` is
-    attached (:meth:`attach_shared`), locally solved entries publish
-    straight into the shared segment, where siblings read them
-    zero-copy; an entry the plane declines (lock timeout, stripe full)
-    stays local, and reaches other processes only through the disk
-    :class:`~repro.engine.cache.ProfileStore` the solving model writes
-    it through to.
+    Profiles cross processes only through the disk tier: one
+    :class:`~repro.engine.cache.ProfileStore` per cache directory.
+    Which directory a lookup reads and writes is scoped, per thread, by
+    :meth:`persisting` — the plan being executed names its context's
+    cache — so a model shared by contexts with different caches never
+    writes into a cache its caller did not name.  :meth:`lookup` is the
+    one registry -> disk path.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._shared = None  # SharedProfilePlane | None
-        self._digests: dict[tuple, str] = {}  # parts -> shared-plane key
+        self._stores: dict[str, ProfileStore] = {}  # by cache directory
+        self._scope = threading.local()
         #: Monotonic count of locally *computed* artefacts registered
-        #: here (``computed=True`` inserts).  Promotions — disk hits and
-        #: shared-plane hits — don't count, so a before/after delta
-        #: measures real solver work, which is what
+        #: here (new :meth:`put` entries).  Disk hits don't count, so a
+        #: before/after delta measures real solver work, which is what
         #: :func:`repro.mc.ensemble.run_ensemble` reports as
         #: ``quanta_solved``.
         self.stores = 0
 
-    # -- shared-plane attachment -------------------------------------------------
+    # -- disk tier ---------------------------------------------------------------
 
-    def attach_shared(self, plane: Any) -> None:
-        """Route puts/gets through ``plane`` (a ``SharedProfilePlane``)."""
-        self._shared = plane
-        self._digests.clear()
+    @contextmanager
+    def persisting(self, cache: "ResultCache | NullCache") -> Iterator[None]:
+        """Read and write this thread's disk tier in ``cache``'s directory.
 
-    def _digest(self, parts: tuple) -> str:
-        """The shared-plane key for ``parts`` (the ProfileStore digest)."""
-        key = self._digests.get(parts)
-        if key is None:
-            from ..engine.cache import cache_key
+        ``cache`` is a :class:`~repro.engine.cache.ResultCache` or a
+        disabled :class:`~repro.engine.cache.NullCache` (memory only).
+        The previous scope is restored on exit, so blocks nest.
+        """
+        previous = getattr(self._scope, "store", None)
+        self._scope.store = self._store_for(cache)
+        try:
+            yield
+        finally:
+            self._scope.store = previous
 
-            if len(self._digests) >= 4096:
-                self._digests.clear()
-            key = cache_key("profile", *parts)
-            self._digests[parts] = key
-        return key
+    def _store_for(
+        self, cache: "ResultCache | NullCache"
+    ) -> "ProfileStore | None":
+        """This process's store over ``cache``'s directory (None if off)."""
+        if not getattr(cache, "enabled", False):
+            return None
+        from ..engine.cache import ProfileStore
 
-    # -- local entries -----------------------------------------------------------
+        root = os.path.abspath(cache.root)
+        store = self._stores.get(root)
+        if store is None:
+            store = self._stores.setdefault(root, ProfileStore(cache))
+        return store
+
+    # -- entries -----------------------------------------------------------------
 
     def get(self, parts: tuple) -> Any:
         value = self._entries.get(parts)
@@ -110,49 +123,61 @@ class ProfileRegistry:
             self._entries.move_to_end(parts)
         return value
 
-    def shared_get(self, parts: tuple) -> Any:
-        """Probe the shared plane and promote a hit into local entries."""
-        shared = self._shared
-        if shared is None:
-            return None
-        value = shared.get(self._digest(parts))
-        if value is None:
-            return None
-        obs.count("profile_cache.shared_hit")
-        # Promote without re-publishing: the block already lives in the
-        # segment, and republishing would misread as a duplicate solve.
-        self.put(parts, value, computed=False, publish=False)
-        return value
-
-    def put(
-        self,
-        parts: tuple,
-        value: Any,
-        computed: bool = True,
-        publish: bool = True,
-    ) -> None:
-        """Register ``value``; ``computed`` marks it solved in this process."""
+    def _insert(self, parts: tuple, value: Any) -> bool:
+        """Hold ``value`` under ``parts``; ``False`` if already held."""
         if parts in self._entries:
             self._entries.move_to_end(parts)
-            return
+            return False
         self._entries[parts] = value
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        if computed:
+        return True
+
+    def _write_through(self, parts: tuple, value: Any) -> None:
+        store = getattr(self._scope, "store", None)
+        if store is not None and store.store(parts, value):
+            obs.count("profile_cache.disk_store")
+
+    def lookup(self, parts: tuple, validate: Callable[[Any], Any]) -> Any:
+        """Registry -> disk lookup of a valid artefact; ``None`` to solve.
+
+        ``validate`` returns the value to use, or ``None`` for one that
+        must be recomputed (counted as ``profile_cache.invalid``).  A
+        registry hit is written through to the disk tier (once per
+        directory), which is how a profile solved under another scope
+        reaches this one's cache.  A disk value is validated *before* it
+        is promoted, and a rejected one does not count as on disk, so
+        the caller's recompute (:meth:`put`) replaces it in the registry
+        and on disk alike.
+        """
+
+        def checked(value: Any) -> Any:
+            valid = validate(value)
+            if valid is None:
+                obs.count("profile_cache.invalid")
+            return valid
+
+        value = self.get(parts)
+        if value is not None:
+            obs.count("profile_cache.registry_hit")
+            value = checked(value)
+            if value is not None:
+                self._write_through(parts, value)
+            return value
+        store = getattr(self._scope, "store", None)
+        if store is None:
+            return None
+        value = store.load(parts, checked)
+        if value is not None:
+            obs.count("profile_cache.disk_hit")
+            self._insert(parts, value)
+        return value
+
+    def put(self, parts: tuple, value: Any) -> None:
+        """Register an artefact solved in this process and write it through."""
+        if self._insert(parts, value):
             self.stores += 1
-        shared = self._shared
-        if shared is not None and publish:
-            status = shared.put(self._digest(parts), value)
-            if computed:
-                if status == "duplicate":
-                    # This process solved an artefact a sibling had
-                    # already published — exactly the wasted Newton
-                    # work the plane exists to eliminate.
-                    obs.count("profile_cache.duplicate_solves")
-                elif status == "stored":
-                    obs.count("profile_cache.shared_stores")
-                else:
-                    obs.count("profile_cache.shm_fallbacks")
+        self._write_through(parts, value)
 
     def local(self, parts: tuple, build: Callable[[], Any]) -> Any:
         """The process-local entry ``parts``, built on a miss.
@@ -160,19 +185,20 @@ class ProfileRegistry:
         For state derived from the configuration (and solver) alone:
         the profile grid's networks (:meth:`ArrayIRModel._grid_templates`)
         and the anchor seeds (:meth:`ArrayIRModel._anchor`).  It shares
-        the entries' bound and :meth:`clear`, but is never published or
-        counted as a solve.
+        the entries' bound and :meth:`clear`, but is never written to
+        disk or counted as a solve.
         """
         value = self.get(parts)
         if value is None:
             value = build()
-            self.put(parts, value, computed=False, publish=False)
+            self._insert(parts, value)
         return value
 
     def clear(self) -> None:
-        """Drop local entries (shared plane stays)."""
+        """Drop the entries and the stores' record of what is on disk
+        (the disk itself is untouched), as in a fresh process."""
         self._entries.clear()
-        self._digests.clear()
+        self._stores.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -218,9 +244,6 @@ class ArrayIRModel:
         # could land in distinct buckets and bloat the profile cache.
         self._bl_profiles: dict[tuple[int, BiasScheme], np.ndarray] = {}
         self._wl_model: WordlineDropModel | None = None
-        #: Persistent profile layer (a ``ProfileStore``), attached by the
-        #: engine's :class:`ModelCache` hookup; ``None`` = memory only.
-        self.profile_store = None
         self._config_hash = config_hash(config)
 
     def _wire_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +258,7 @@ class ArrayIRModel:
             self._line_factors = self.faults.line_factors(self.config.array.size)
         return self._line_factors
 
-    # -- persistent profile plumbing --------------------------------------------
+    # -- profile keys -------------------------------------------------------------
 
     def _profile_parts(self, kind: str, *extra: Any) -> tuple:
         """Canonical key parts for one profile artefact.
@@ -247,54 +270,6 @@ class ArrayIRModel:
         nominal :class:`ReducedArrayModel` and faults act afterwards.
         """
         return (kind, self._config_hash, self.solver, *extra)
-
-    def _persist(self, parts: tuple, value: Any) -> None:
-        """Write-through to the attached disk store (first write only)."""
-        store = self.profile_store
-        if store is not None and store.enabled and store.store(parts, value):
-            obs.count("profile_cache.disk_store")
-
-    def _lookup_artefact(
-        self, parts: tuple, validate: Callable[[Any], Any]
-    ) -> Any:
-        """Registry -> shared plane -> disk lookup of a valid artefact.
-
-        ``validate`` returns the value to use, or ``None`` for one that
-        must be recomputed (counted as ``profile_cache.invalid``).  A
-        shared-plane or disk hit is promoted into the registry (not
-        counted as computed); a registry or shared-plane hit is lazily
-        written through to the disk store, which is how a profile solved
-        by a store-less model reaches the persistent layer.  A disk
-        value is validated *before* it is promoted, and a rejected one
-        is not recorded as on disk, so the caller's recompute replaces
-        it in the registry and on disk alike.
-        """
-
-        def checked(value: Any) -> Any:
-            valid = validate(value)
-            if valid is None:
-                obs.count("profile_cache.invalid")
-            return valid
-
-        value = profile_registry.get(parts)
-        if value is not None:
-            obs.count("profile_cache.registry_hit")
-        else:
-            value = profile_registry.shared_get(parts)
-        if value is not None:
-            value = checked(value)
-            if value is not None:
-                self._persist(parts, value)
-            return value
-        store = self.profile_store
-        if store is None or not store.enabled:
-            return None
-        value = store.load(parts, checked)
-        if value is None:
-            return None
-        obs.count("profile_cache.disk_hit")
-        profile_registry.put(parts, value, computed=False)
-        return value
 
     # -- calibration ------------------------------------------------------------
 
@@ -310,11 +285,10 @@ class ArrayIRModel:
         """
         if self._wl_model is None:
             parts = self._profile_parts("wl-calibration")
-            sneak = self._lookup_artefact(parts, self._validated_sneak)
+            sneak = profile_registry.lookup(parts, self._validated_sneak)
             if sneak is None:
                 sneak = self._calibrate_wl_sneak()
                 profile_registry.put(parts, sneak)
-                self._persist(parts, sneak)
             self._wl_model = WordlineDropModel(self.config, sneak)
         return self._wl_model
 
@@ -426,14 +400,14 @@ class ArrayIRModel:
         return profiles
 
     def _cached_profile(self, quantum: int, bias: BiasScheme) -> "np.ndarray | None":
-        """Memo -> registry -> shared plane -> disk, or ``None`` to solve."""
+        """Memo -> registry -> disk, or ``None`` to solve."""
         key = (quantum, bias)
         cached = self._bl_profiles.get(key)
         if cached is not None:
             obs.count("profile_cache.hit")
             return cached
         obs.count("profile_cache.miss")
-        profile = self._lookup_artefact(
+        profile = profile_registry.lookup(
             self._bl_parts(quantum, bias), self._validated_profile
         )
         if profile is not None:
@@ -448,10 +422,8 @@ class ArrayIRModel:
     def _register(
         self, quantum: int, bias: BiasScheme, profile: np.ndarray
     ) -> np.ndarray:
-        """Memoise a solved profile, share it and write it through."""
-        parts = self._bl_parts(quantum, bias)
-        profile_registry.put(parts, profile)
-        self._persist(parts, profile)
+        """Memoise a solved profile and share it through the registry."""
+        profile_registry.put(self._bl_parts(quantum, bias), profile)
         self._bl_profiles[(quantum, bias)] = profile
         return profile
 
@@ -870,14 +842,8 @@ class ModelCache:
         config: SystemConfig,
         faults: "FaultModel | None" = None,
         solver: str | None = None,
-        profile_store=None,
     ) -> ArrayIRModel:
-        """The cached model for ``(config, faults, solver)``.
-
-        ``profile_store`` (a :class:`~repro.engine.cache.ProfileStore`)
-        attaches the persistent profile layer; it is (re-)attached on
-        hits too, so a model built before the store existed gains it.
-        """
+        """The cached model for ``(config, faults, solver)``."""
         if faults is not None and faults.is_null:
             faults = None
         key = self._key(config, faults, solver)
@@ -885,13 +851,9 @@ class ModelCache:
         if model is not None:
             obs.count("model_cache.hit")
             self._entries.move_to_end(key)
-            if profile_store is not None:
-                model.profile_store = profile_store
             return model
         obs.count("model_cache.miss")
         model = ArrayIRModel(config, faults=faults, solver=solver)
-        if profile_store is not None:
-            model.profile_store = profile_store
         self._insert(key, model)
         return model
 

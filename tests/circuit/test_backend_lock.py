@@ -88,7 +88,7 @@ def test_held_lock_blocks_a_solve(ladder_builder):
     assert done.is_set()
 
 
-@pytest.mark.parametrize("name", ["reference", "factor-cache", "batched"])
+@pytest.mark.parametrize("name", ["reference", "batched"])
 def test_entry_points_reenter_under_the_lock(ladder_builder, name):
     """``solve`` / ``solve_many`` / ``solve_ensemble`` call each other;
     the lock must let the owning thread back in."""

@@ -14,8 +14,8 @@ Two oracles, neither of which is a backend:
   segment carrying every downstream tap's current — the analytic line
   IR drop of Chen & Indiveri).
 
-Every backend — the ``batched`` default, its ``factor-cache`` name and
-the ``reference`` oracle — must land within :data:`CONTRACT_V` of the
+Every backend — the ``batched`` default and the ``reference`` oracle —
+must land within :data:`CONTRACT_V` of the
 converged solution on the golden drives, 3.3 V included, both from a
 flat start and from the anchor seed the profile solver uses.
 """

@@ -4,8 +4,7 @@ Two-tier contract (see ``docs/solvers.md``):
 
 * ``reference`` is the seed implementation behind an interface; its
   results are locked byte-for-byte by committed fingerprints.
-* ``batched`` (``factor-cache`` is another name for it) takes a
-  different linear-algebra path on forest patterns — one banded LU per
+* ``batched`` takes a different linear-algebra path on forest patterns — one banded LU per
   Newton iteration over block-diagonally stacked networks — and must
   agree with the reference on node voltages within 1e-9 V.  On
   patterns with cycles it takes the reference path, bit for bit.

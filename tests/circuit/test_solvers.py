@@ -43,7 +43,7 @@ class TestRegistry:
         assert available_solvers() == tuple(sorted(ALL_SOLVERS))
 
     def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ValueError, match="batched.*factor-cache.*reference"):
+        with pytest.raises(ValueError, match="batched, reference"):
             get_backend("superlu-typo")
         with pytest.raises(ValueError, match="unknown solver backend"):
             solver_name("superlu-typo")
@@ -53,7 +53,7 @@ class TestRegistry:
         assert solver_name(None) == "batched"
 
     def test_named_lookup_is_singleton(self):
-        assert get_backend("factor-cache") is get_backend("factor-cache")
+        assert get_backend("reference") is get_backend("reference")
         assert get_backend("batched") is get_backend("batched")
 
     def test_instance_passthrough(self):
@@ -64,9 +64,10 @@ class TestRegistry:
     def test_backend_classes_expose_names(self):
         assert ReferenceBackend.name == "reference"
         assert BatchedBackend.name == "batched"
-        # The old name selects batched and keeps its own cache namespace.
-        assert get_backend("factor-cache") is get_backend("batched")
-        assert solver_name("factor-cache") == "factor-cache"
+
+    def test_removed_factor_cache_name_points_at_batched(self):
+        with pytest.raises(ValueError, match="'factor-cache'.*batched"):
+            solver_name("factor-cache")
 
 
 class TestObsCounters:

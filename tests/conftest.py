@@ -14,7 +14,7 @@ import pytest
 from repro.config import default_config
 
 #: Every registered solver backend, in parity-suite order.
-ALL_SOLVERS = ("reference", "factor-cache", "batched")
+ALL_SOLVERS = ("reference", "batched")
 
 #: Longest a test's setup, call or teardown may run.  The slowest test
 #: takes about 6.5 s on a 2-vCPU host; a phase past this budget is

@@ -1,10 +1,10 @@
-"""Process-plane shared data plane: parity, group dispatch, chaos.
+"""Process plane: parity, profile sharing, group dispatch, epochs.
 
-Covers the shared-memory profile segment riding under
-:class:`~repro.engine.compute.ProcessPoolBackend`, the supervisor's
-group dispatch, request-scoped solver counters on the thread plane,
-the worker-epoch guard against double-merged observations, and the
-``shm.kill_in_lock`` crash mode.
+Covers byte parity of the process, thread and inline planes, profiles
+crossing :class:`~repro.engine.compute.ProcessPoolBackend` workers
+through the disk cache, the supervisor's group dispatch,
+request-scoped solver counters on the thread plane, and the
+worker-epoch guard against double-merged observations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.xpoint.vmap import _DEFAULT_CACHE, profile_registry
 @pytest.fixture(autouse=True)
 def _fresh_state():
     # A warm model cache (inherited through fork) lets experiments skip
-    # the solves that publish profiles, so clear it alongside the rest.
+    # the solves that fill the registry, so clear it alongside the rest.
     clear_warm_contexts()
     profile_registry.clear()
     _DEFAULT_CACHE.clear()
@@ -59,10 +59,6 @@ def ok_probe():
     _REGISTRY.pop("_shared_ok", None)
 
 
-def _leftover_segments():
-    return [f for f in os.listdir("/dev/shm") if f.startswith("repro-shm-")]
-
-
 def _plain(result):
     """Byte-exact comparable payload (the chaos smoke's JSON idiom)."""
     import json
@@ -70,12 +66,12 @@ def _plain(result):
     return json.loads(json.dumps(result.to_plain()))["payload"]
 
 
-def _ctx(seed, rate=1e-3, solver=None):
+def _ctx(seed, rate=1e-3, solver=None, cache_dir=None):
     return warm_context(
         seed=seed,
         solver=solver,
         faults=FaultModel.at_rate(rate, seed=seed),
-        cache_dir=None,
+        cache_dir=cache_dir,
     )
 
 
@@ -99,20 +95,15 @@ def _fig04_after_warm_job(backend):
 
 
 class TestParity:
-    def test_shared_plane_matches_thread_and_inline_bytewise(self):
+    def test_process_plane_matches_thread_and_inline_bytewise(self):
         """Reference-solver payloads are byte-identical across planes."""
         ensure_loaded()
 
         backend = ProcessPoolBackend(workers=2)
         try:
-            shared = _fig04_after_warm_job(backend)
-            counters = backend.stats().counters
+            processes = _fig04_after_warm_job(backend)
         finally:
             backend.close()
-        # The plane genuinely carried profiles, and no worker re-solved
-        # an artefact a sibling had already published.
-        assert counters.get("profile_cache.shared_stores", 0) >= 1
-        assert counters.get("profile_cache.duplicate_solves", 0) == 0
 
         clear_warm_contexts()
         profile_registry.clear()
@@ -125,31 +116,16 @@ class TestParity:
         clear_warm_contexts()
         profile_registry.clear()
         expected = _fig04_after_warm_job(InlineBackend())
-        assert shared == expected
+        assert processes == expected
         assert threaded == expected
-        assert _leftover_segments() == []
 
-    def test_plane_unavailable_falls_back_to_disk_cache(
-        self, monkeypatch, tmp_path
-    ):
-        """Without a segment, worker-solved profiles stay local and are
-        written through to the disk cache; payloads are unchanged."""
-        from repro.engine import shm
-
-        def _unavailable(*args, **kwargs):
-            raise shm.SharedPlaneUnavailable("no /dev/shm in this test")
-
-        monkeypatch.setattr(
-            shm.SharedProfilePlane, "create", staticmethod(_unavailable)
-        )
+    def test_process_plane_writes_profiles_to_disk_cache(self, tmp_path):
+        """Worker-solved profiles are written through to the job's disk
+        cache; payloads are unchanged."""
         ensure_loaded()
 
         def ctx():
-            return warm_context(
-                seed=3,
-                faults=FaultModel.at_rate(1e-3, seed=3),
-                cache_dir=tmp_path,
-            )
+            return _ctx(3, cache_dir=tmp_path)
 
         backend = ProcessPoolBackend(workers=2)
         try:
@@ -157,8 +133,6 @@ class TestParity:
             counters = backend.stats().counters
         finally:
             backend.close()
-        assert counters.get("compute.shared_plane_unavailable", 0) == 1
-        assert "profile_cache.shared_stores" not in counters
         assert counters.get("profile_cache.disk_store", 0) >= 1
         # Profiles no longer ride back on results in any form.
         assert not [n for n in counters if n.startswith("profile_cache.ship")]
@@ -252,7 +226,7 @@ class TestGroupDispatch:
             faults = FaultModel.at_rate(1e-3, seed=0)
             contexts = [
                 warm_context(
-                    seed=s, solver="factor-cache",
+                    seed=s, solver="batched",
                     faults=faults, cache_dir=None,
                 )
                 for s in range(4)
@@ -297,7 +271,7 @@ class TestGroupDispatch:
             service = EngineService(
                 ServeOptions(
                     cache_dir=None, compute_plane="process",
-                    compute_workers=workers, solver="factor-cache",
+                    compute_workers=workers, solver="batched",
                 )
             )
             try:
@@ -327,8 +301,6 @@ class TestGroupDispatch:
         requests = len(burst_rates) * duplicates
         # At least 2x fewer solves than every request solving alone.
         assert timed.get("solver.solves", 0) <= requests * one_request / 2
-        assert timed.get("profile_cache.duplicate_solves", 0) <= 2
-        assert timed.get("profile_cache.shared_stores", 0) >= 1
         dispatches = timed.get("compute.group_dispatches", 0)
         assert dispatches >= 1
         assert timed.get("compute.grouped_jobs", 0) / dispatches >= 2
@@ -412,43 +384,18 @@ class TestWorkerEpochGuard:
         assert backend.alive_workers() == 0
 
 
-class TestChaos:
-    def test_kill_in_lock_keeps_profiles_local_and_converges(self):
-        """A worker dying *while holding a stripe write lock* is the
-        plane's worst case: the stripe stays locked forever, the retry
-        times out on it and keeps its profiles local — results unchanged.
-        """
-        ensure_loaded()
-        policy = ChaosPolicy(seed=0, kill_in_lock_rate=1.0)
-        backend = ProcessPoolBackend(
-            workers=1, restart_budget=16, chaos_policy=policy
-        )
-        try:
-            result = backend.run(build_plan("fig04", _ctx(5)), _ctx(5))
-            counters = backend.stats().counters
-        finally:
-            backend.close()
-        assert counters.get("compute.worker_deaths", 0) >= 1
-        # The retry could not publish (corpse holds the lock) and kept
-        # the profiles in its own registry instead.
-        assert counters.get("profile_cache.shm_fallbacks", 0) >= 1
-        clear_warm_contexts()
-        profile_registry.clear()
-        expected = InlineBackend().run(build_plan("fig04", _ctx(5)), _ctx(5))
-        assert _plain(result) == _plain(expected)
-        assert _leftover_segments() == []
-
-
 class TestRestartReattach:
-    def test_replacement_worker_reads_predecessors_profiles(self):
-        """A respawned worker reattaches by name and shared-plane-hits
-        the profiles its dead predecessor published."""
+    def test_replacement_worker_reads_predecessors_profiles(self, tmp_path):
+        """A respawned worker reads the profiles its dead predecessor
+        solved from the disk cache instead of re-solving them."""
         ensure_loaded()
         backend = ProcessPoolBackend(workers=1, restart_budget=4)
         try:
-            backend.run(build_plan("fig04", _ctx(0)), _ctx(0))
-            first = backend.stats().counters
-            assert first.get("profile_cache.shared_stores", 0) >= 1
+            backend.run(
+                build_plan("fig04", _ctx(0, cache_dir=tmp_path)),
+                _ctx(0, cache_dir=tmp_path),
+            )
+            assert backend.stats().counters.get("profile_cache.disk_store", 0) >= 1
             # Kill the only worker outright; the supervisor replaces it.
             worker = next(iter(backend._pool.values()))
             os.kill(worker.process.pid, signal.SIGKILL)
@@ -465,12 +412,17 @@ class TestRestartReattach:
                     break
                 time.sleep(0.05)
             assert alive, "worker was never replaced"
-            # Same parameters again: the cold replacement must find the
-            # profiles in the segment, not re-solve them.
-            backend.run(build_plan("fig04", _ctx(0)), _ctx(0))
-            counters = backend.stats().counters
+            # Another seed of the same rate: a new payload key (so not a
+            # result-cache hit) over the same profiles, which the cold
+            # replacement must find on disk, not re-solve.
+            before = backend.stats().counters
+            backend.run(
+                build_plan("fig04", _ctx(1, cache_dir=tmp_path)),
+                _ctx(1, cache_dir=tmp_path),
+            )
+            after = backend.stats().counters
         finally:
             backend.close()
-        assert counters.get("profile_cache.shared_hit", 0) >= 1
-        assert counters.get("profile_cache.duplicate_solves", 0) == 0
-        assert _leftover_segments() == []
+        delta = {k: v - before.get(k, 0) for k, v in after.items()}
+        assert delta.get("profile_cache.disk_hit", 0) >= 1
+        assert delta.get("solver.solves", 0) == 0

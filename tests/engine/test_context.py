@@ -67,10 +67,10 @@ class TestSolverSelection:
     def test_solver_backends_never_alias_in_model_cache(self, tiny_config):
         cache = ModelCache()
         default = cache.get(tiny_config)
-        fast = cache.get(tiny_config, solver="factor-cache")
-        assert fast is not default
-        assert fast.solver == "factor-cache"
-        assert cache.get(tiny_config, solver="factor-cache") is fast
+        oracle = cache.get(tiny_config, solver="reference")
+        assert oracle is not default
+        assert oracle.solver == "reference"
+        assert cache.get(tiny_config, solver="reference") is oracle
 
     def test_batched_solver_shares_default_entry(self, tiny_config):
         """The default and an explicit ``batched`` are one entry."""
@@ -102,16 +102,16 @@ class TestSolverSelection:
         cache = ResultCache(str(tmp_path / "cache"))
         first = run_experiment("fig11a", RunContext(cache=cache))
         assert first.cache == "miss"
-        # Same experiment under an accelerated backend: its own key.
+        # Same experiment under the other backend: its own key.
         other = run_experiment(
-            "fig11a", RunContext(cache=cache, solver="factor-cache")
+            "fig11a", RunContext(cache=cache, solver="reference")
         )
         assert other.cache == "miss"
         # Both namespaces hit on re-run.
         assert run_experiment("fig11a", RunContext(cache=cache)).cache == "hit"
         assert (
             run_experiment(
-                "fig11a", RunContext(cache=cache, solver="factor-cache")
+                "fig11a", RunContext(cache=cache, solver="reference")
             ).cache
             == "hit"
         )

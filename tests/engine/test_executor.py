@@ -276,46 +276,38 @@ class TestDrainDeadlines:
         assert [r.value for r in results] == ["ok"] * 3
 
 
-def _shm_segments():
-    return {f for f in os.listdir("/dev/shm") if f.startswith("repro-shm-")}
-
-
 class TestCloseLifecycle:
     """Each map closes its own pool: nothing outlives a map."""
 
-    def _assert_nothing_left(self, segments_before):
+    def _assert_nothing_left(self):
         assert multiprocessing.active_children() == []
-        assert _shm_segments() <= segments_before
 
     def test_close_joins_worker_processes(self):
-        before = _shm_segments()
         executor = ParallelExecutor(2)
         assert [r.value for r in executor.map(_square, [1, 2, 3, 4])] == [
             1, 4, 9, 16,
         ]
-        self._assert_nothing_left(before)
+        self._assert_nothing_left()
 
     def test_close_is_idempotent_and_map_still_works(self):
         # The pool a map closes on its way out is that map's alone: the
         # executor stays usable, and the next map starts a fresh pool.
-        before = _shm_segments()
         executor = ParallelExecutor(2)
         executor.map(_square, [1, 2, 3, 4])
-        self._assert_nothing_left(before)
+        self._assert_nothing_left()
         assert [r.value for r in executor.map(_square, [5, 6, 7, 8])] == [
             25, 36, 49, 64,
         ]
-        self._assert_nothing_left(before)
+        self._assert_nothing_left()
 
     def test_registry_prunes_dead_pools_across_maps(self):
-        # No finished pool, worker or segment accumulates across maps.
-        before = _shm_segments()
+        # No finished pool or worker accumulates across maps.
         executor = ParallelExecutor(2)
         for batch in range(3):
             assert [r.value for r in executor.map(_square, [5, 6, 7])] == [
                 25, 36, 49,
             ]
-            self._assert_nothing_left(before)
+            self._assert_nothing_left()
 
     def test_idle_executor_owns_no_process(self):
         ParallelExecutor(2)
@@ -323,17 +315,15 @@ class TestCloseLifecycle:
         assert multiprocessing.active_children() == []
 
     def test_worker_exit_map_leaves_nothing(self):
-        before = _shm_segments()
         policy = RetryPolicy(retries=1, backoff_s=0.001, jitter=0.0)
         results = ParallelExecutor(2, policy).map(_exit_on_three, [1, 2, 3, 4])
         assert [r.ok for r in results] == [True, True, False, True]
-        self._assert_nothing_left(before)
+        self._assert_nothing_left()
 
     def test_strict_raise_leaves_nothing(self):
-        before = _shm_segments()
         with pytest.raises(ValueError, match="boom"):
             ParallelExecutor(2, strict=True).map(_fail_on_three, [1, 2, 3, 4])
-        self._assert_nothing_left(before)
+        self._assert_nothing_left()
 
 
 class TestObservability:

@@ -20,7 +20,7 @@ from repro.xpoint.vmap import _VOLTAGE_QUANTUM, ArrayIRModel, ModelCache
 pytestmark = pytest.mark.faults
 
 #: The accelerated backends the ensemble path dispatches through.
-ENSEMBLE_SOLVERS = ("batched", "factor-cache")
+ENSEMBLE_SOLVERS = ("batched",)
 
 
 def _context(config, solver="batched"):

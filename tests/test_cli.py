@@ -103,10 +103,17 @@ class TestCli:
         assert main(["fig11a", "--no-cache", "--strict"]) == 0
         assert "optimal_bits: 4" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("solver", ["reference", "factor-cache", "batched"])
+    @pytest.mark.parametrize("solver", ["reference", "batched"])
     def test_solver_flag(self, capsys, solver):
         assert main(["fig11a", "--no-cache", "--solver", solver]) == 0
         assert "optimal_bits: 4" in capsys.readouterr().out
+
+    def test_removed_factor_cache_name_points_at_batched(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig11a", "--no-cache", "--solver", "factor-cache"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "factor-cache" in err and "batched" in err
 
     def test_unknown_solver_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
