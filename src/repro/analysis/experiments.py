@@ -498,11 +498,9 @@ def fig09(
         generator = WritePatternGenerator(
             spec.patterns[0], line_bits=line_bits, seed=context.seed_for(17)
         )
-        counts = np.zeros(width + 1, dtype=float)
-        for _ in range(writes):
-            resets, _sets = generator.masks()
-            per_mat = resets.reshape(mats, width).sum(axis=1)
-            counts += np.bincount(per_mat, minlength=width + 1)
+        resets, _sets = generator.masks_many(writes)
+        per_mat = resets.reshape(writes * mats, width).sum(axis=1)
+        counts = np.bincount(per_mat, minlength=width + 1).astype(float)
         histograms[name] = counts / counts.sum()
     return {"histograms": histograms}
 
@@ -585,10 +583,9 @@ def fig14(
         generator = WritePatternGenerator(
             spec.patterns[0], line_bits=line_bits, seed=context.seed_for(29)
         )
-        drawn = [generator.masks() for _ in range(writes)]
+        resets, sets = generator.masks_many(writes)
         # One row per MAT slice of every write; an idle slice plans nothing.
-        resets = np.array([r for r, _ in drawn]).reshape(-1, width)
-        sets = np.array([s for _, s in drawn]).reshape(-1, width)
+        resets, sets = resets.reshape(-1, width), sets.reshape(-1, width)
         base_resets, base_sets = int(resets.sum()), int(sets.sum())
         plans = pr.plan_many(resets, sets)
         pr_resets, pr_sets = int(plans.resets.sum()), int(plans.sets.sum())

@@ -1,8 +1,9 @@
 """Set-associative cache model (Table III's L1/L2/L3).
 
 A functional write-back, write-allocate cache with LRU replacement.
-``access`` reports the hit/miss outcome and any dirty victim evicted by
-the fill — the victim write-backs are what become ReRAM main-memory
+``access_many`` reports, per access of a block, the hit/miss outcome
+and any dirty victim evicted by the fill (``access`` is its one-access
+case) — the victim write-backs are what become ReRAM main-memory
 writes once they fall out of the in-package DRAM L3.
 
 LRU is kept in each set's dict insertion order: a hit moves its tag to
@@ -14,6 +15,8 @@ memory proportional to the cache, not the footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["AccessResult", "SetAssociativeCache"]
 
@@ -55,29 +58,54 @@ class SetAssociativeCache:
         return line % self.sets, line // self.sets
 
     def access(self, address: int, is_write: bool) -> AccessResult:
-        """Read or write one line; allocate on miss."""
-        if address < 0:
-            raise ValueError(f"address must be >= 0, got {address}")
-        set_index, tag = self._locate(address)
-        ways = self._sets.get(set_index)
-        if ways is None:
-            ways = self._sets[set_index] = {}
-        dirty = ways.pop(tag, None)
-        if dirty is not None:
-            ways[tag] = dirty or is_write
-            self.hits += 1
+        """Read or write one line; allocate on miss (:meth:`access_many` of one)."""
+        hits, victims = self.access_many([address], [is_write])
+        if hits[0]:
             return _HIT
-        self.misses += 1
-        result = _CLEAN_MISS
-        if len(ways) >= self.ways:
-            victim_tag = next(iter(ways))
-            if ways.pop(victim_tag):
-                victim_line = victim_tag * self.sets + set_index
-                result = AccessResult(
-                    hit=False, writeback_address=victim_line * self.line_bytes
-                )
-        ways[tag] = is_write
-        return result
+        victim = int(victims[0])
+        if victim < 0:
+            return _CLEAN_MISS
+        return AccessResult(hit=False, writeback_address=victim)
+
+    def access_many(self, addresses, writes) -> tuple[np.ndarray, np.ndarray]:
+        """Read or write each line in order; allocate on miss.
+
+        Returns per access whether it hit and the byte address of the
+        dirty victim its fill evicted (-1 for none), as bool and int64
+        arrays.  Set indices and tags are computed for the whole block
+        up front; the LRU updates run in access order.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.size and int(addresses.min()) < 0:
+            raise ValueError(f"address must be >= 0, got {int(addresses.min())}")
+        lines = addresses // self.line_bytes
+        set_indices = (lines % self.sets).tolist()
+        tags = (lines // self.sets).tolist()
+        count = len(tags)
+        hits = [False] * count
+        victims = [-1] * count
+        cache_sets, ways_per_set = self._sets, self.ways
+        sets, line_bytes = self.sets, self.line_bytes
+        for index, set_index, tag, is_write in zip(
+            range(count), set_indices, tags, np.asarray(writes, dtype=bool).tolist()
+        ):
+            ways = cache_sets.get(set_index)
+            if ways is None:
+                ways = cache_sets[set_index] = {}
+            dirty = ways.pop(tag, None)
+            if dirty is not None:
+                ways[tag] = dirty or is_write
+                hits[index] = True
+                continue
+            if len(ways) >= ways_per_set:
+                victim_tag = next(iter(ways))
+                if ways.pop(victim_tag):
+                    victims[index] = (victim_tag * sets + set_index) * line_bytes
+            ways[tag] = is_write
+        hit_count = sum(hits)
+        self.hits += hit_count
+        self.misses += count - hit_count
+        return np.array(hits, dtype=bool), np.array(victims, dtype=np.int64)
 
     def contains(self, address: int) -> bool:
         """Whether the line is currently cached (no LRU update)."""

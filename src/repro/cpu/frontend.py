@@ -10,6 +10,17 @@ no memory traffic), then records the measured window in compact arrays
 victim its address and RESET/SET masks packed one byte per MAT.
 :class:`~repro.cpu.system.SystemSimulator` replays the records through a
 scheme's address mapping, line-write model and memory controller.
+
+Recording runs in blocks, one call per core and stage: the stream
+draws a whole window (:meth:`~repro.workloads.synthetic.SyntheticStream.draw`),
+the L3 serves it in one LRU pass
+(:meth:`~repro.cpu.cache.SetAssociativeCache.access_many`), and the
+mask generator draws every victim's masks in one call
+(:meth:`~repro.workloads.datapatterns.WritePatternGenerator.masks_many`).
+The mask generator has its own seed, so its k-th draw belongs to the
+k-th victim however the stages interleave; each block method makes the
+draws of its per-access case in the same order, so the records are
+those of an access-at-a-time loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..config import CpuParams, SystemConfig
 from ..workloads.benchmarks import BenchmarkSpec
 from ..workloads.datapatterns import WritePatternGenerator
 from ..workloads.synthetic import SyntheticStream
-from .hierarchy import CoreCacheHierarchy
+from .cache import SetAssociativeCache
 
 __all__ = ["WRITE", "L3_HIT", "WRITEBACK", "CoreRecords", "FrontEnd"]
 
@@ -68,50 +80,47 @@ class FrontEnd:
         warmup_accesses: int = 0,
     ) -> "FrontEnd":
         """Play every core's stream through its L3 and record the outcome."""
+        cpu = config.cpu
         line_bits = config.memory.line_bytes * 8
         cores = []
         l3_accesses = l3_misses = 0
-        for core_id in range(benchmark.cores):
-            stream = SyntheticStream(benchmark.streams[core_id], seed=seed + core_id)
-            patterns = WritePatternGenerator(
-                benchmark.patterns[core_id],
-                line_bits=line_bits,
-                seed=seed + 1000 + core_id,
-            )
-            hierarchy = CoreCacheHierarchy(config.cpu)
-            for _ in range(warmup_accesses):
-                access = stream.next_access()
-                hierarchy.access_l3(access.address, access.is_write)
-            gaps, addresses, kinds = [], [], []
-            victims, resets, sets = [], [], []
-            for _ in range(accesses_per_core):
-                access = stream.next_access()
-                outcome = hierarchy.access_l3(access.address, access.is_write)
-                kind = WRITE if access.is_write else 0
-                if outcome.level == "L3":
-                    kind |= L3_HIT
-                elif outcome.writeback_address is not None:
-                    kind |= WRITEBACK
-                    victims.append(outcome.writeback_address)
-                    reset_mask, set_mask = patterns.masks()
-                    resets.append(np.packbits(reset_mask, bitorder="little"))
-                    sets.append(np.packbits(set_mask, bitorder="little"))
-                gaps.append(access.gap_instructions)
-                addresses.append(access.address)
-                kinds.append(kind)
-            line_bytes = config.memory.line_bytes
-            cores.append(
-                CoreRecords(
-                    gaps=np.array(gaps, dtype=np.int64),
-                    addresses=np.array(addresses, dtype=np.int64),
-                    kinds=np.array(kinds, dtype=np.uint8),
-                    victims=np.array(victims, dtype=np.int64),
-                    resets=np.array(resets, dtype=np.uint8).reshape(-1, line_bytes),
-                    sets=np.array(sets, dtype=np.uint8).reshape(-1, line_bytes),
+        with obs.span("frontend.record", benchmark=benchmark.name):
+            for core_id in range(benchmark.cores):
+                stream = SyntheticStream(
+                    benchmark.streams[core_id], seed=seed + core_id
                 )
-            )
-            l3_accesses += hierarchy.l3.accesses
-            l3_misses += hierarchy.l3.misses
+                l3 = SetAssociativeCache(
+                    cpu.l3_bytes_per_core, cpu.l3_ways, cpu.line_bytes
+                )
+                _, warm_addresses, warm_writes = stream.draw(warmup_accesses)
+                l3.access_many(warm_addresses, warm_writes)
+                gaps, addresses, writes = stream.draw(accesses_per_core)
+                hits, victims = l3.access_many(addresses, writes)
+                writebacks = victims >= 0
+                kinds = np.zeros(accesses_per_core, dtype=np.uint8)
+                kinds[writes] = WRITE
+                kinds[hits] |= L3_HIT
+                kinds[writebacks] |= WRITEBACK
+                # The mask generator is seeded apart from the stream, so
+                # its k-th draw is the k-th victim's however they interleave.
+                patterns = WritePatternGenerator(
+                    benchmark.patterns[core_id],
+                    line_bits=line_bits,
+                    seed=seed + 1000 + core_id,
+                )
+                resets, sets = patterns.masks_many(int(writebacks.sum()))
+                cores.append(
+                    CoreRecords(
+                        gaps=gaps,
+                        addresses=addresses,
+                        kinds=kinds,
+                        victims=victims[writebacks],
+                        resets=np.packbits(resets, axis=1, bitorder="little"),
+                        sets=np.packbits(sets, axis=1, bitorder="little"),
+                    )
+                )
+                l3_accesses += l3.accesses
+                l3_misses += l3.misses
         return cls(
             benchmark=benchmark,
             cpu=config.cpu,

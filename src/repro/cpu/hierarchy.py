@@ -3,9 +3,10 @@
 Each core owns a private L1, L2 and an in-package DRAM L3 slice (32 MB,
 16-way) that buffers write-intensive lines in front of the ReRAM main
 memory [32].  ``access_full`` walks all three levels for raw CPU-level
-address streams (the examples use this); ``access_l3`` serves the
-benchmark path, whose synthetic traces are already at the L2-miss level
-(Table IV's RPKI/WPKI).
+address streams (the examples use this); ``access_l3`` is one access of
+an L2-miss-level trace (Table IV's RPKI/WPKI).  The benchmark path,
+:meth:`repro.cpu.frontend.FrontEnd.record`, passes whole windows of
+such a trace to the L3's ``access_many`` instead.
 """
 
 from __future__ import annotations

@@ -191,19 +191,17 @@ class SystemSimulator:
         """
         rng = self._maintenance_rng
         rate = self.scheme.maintenance_write_rate
-        hits, resets, sets, rows = [], [], [], []
+        hits, rows = [], []
         for index in range(demand_writes):
             if rng.random() < rate:
-                reset_mask, set_mask = self._maintenance_patterns.masks()
                 hits.append(index)
-                resets.append(reset_mask)
-                sets.append(set_mask)
                 rows.append(int(rng.integers(self.config.array.size)))
         extras = [None] * demand_writes
         if hits:
-            results = self.write_model.write_many(
-                np.stack(resets), np.stack(sets), rows
-            )
+            # The masks have their own generator: the k-th hit takes its
+            # k-th draw, so all of them come in one call.
+            resets, sets = self._maintenance_patterns.masks_many(len(hits))
+            results = self.write_model.write_many(resets, sets, rows)
             for index, result in zip(hits, results):
                 extras[index] = result
         return iter(extras)

@@ -78,26 +78,43 @@ class WritePatternGenerator:
 
     def masks(self) -> tuple[np.ndarray, np.ndarray]:
         """One write's (RESET, SET) cell masks, each ``line_bits`` long."""
+        resets, sets = self.masks_many(1)
+        return resets[0], sets[0]
+
+    def masks_many(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` writes' (RESET, SET) masks, each ``(count, line_bits)`` bool.
+
+        Per write the generator draws, in order: the dirty-word count
+        (geometric), the dirty words (a choice without replacement),
+        each dirty word's flips in word order, then every cell's
+        RESET-or-SET direction.  The flips and directions are
+        consecutive uniforms, so they come from one ``random`` call.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         params = self.params
-        rng = self._rng
-        dirty = min(
-            self.words, int(rng.geometric(1.0 / self._mean_dirty_words))
-        )
-        dirty_words = rng.choice(self.words, size=dirty, replace=False)
-        changed = np.zeros(self.line_bits, dtype=bool)
-        for word in dirty_words:
-            start = word * params.word_bits
-            flips = rng.random(params.word_bits) < params.in_word_change
-            changed[start : start + params.word_bits] = flips
-        direction = rng.random(self.line_bits) < 0.5
-        resets = changed & direction
-        sets = changed & ~direction
-        return resets, sets
+        geometric = self._rng.geometric
+        choice = self._rng.choice
+        random = self._rng.random
+        dirty_p = 1.0 / self._mean_dirty_words
+        words, word_bits = self.words, params.word_bits
+        changed = np.zeros((count, self.line_bits), dtype=bool)
+        resets = np.empty((count, self.line_bits), dtype=bool)
+        cells = changed.reshape(count, words, word_bits)
+        for row in range(count):
+            dirty = min(words, geometric(dirty_p))
+            dirty_words = choice(words, size=dirty, replace=False)
+            uniforms = random(dirty * word_bits + self.line_bits)
+            flips = uniforms[: dirty * word_bits].reshape(dirty, word_bits)
+            cells[row, dirty_words] = flips < params.in_word_change
+            np.less(uniforms[dirty * word_bits :], 0.5, out=resets[row])
+        # ``resets`` holds the directions until here; a changed cell is a
+        # RESET in direction 1 and a SET otherwise.
+        resets &= changed
+        changed ^= resets
+        return resets, changed
 
     def mean_changed_bits(self, samples: int = 200) -> float:
         """Empirical mean changed cells per write (for calibration tests)."""
-        total = 0
-        for _ in range(samples):
-            resets, sets = self.masks()
-            total += int(resets.sum() + sets.sum())
-        return total / samples
+        resets, sets = self.masks_many(samples)
+        return int(resets.sum() + sets.sum()) / samples

@@ -92,21 +92,6 @@ class SyntheticStream:
 
     # -- popularity -------------------------------------------------------------
 
-    def _rank_to_line(self, rank: int) -> int:
-        return (rank * self._mult) % self._n
-
-    def _draw_rank(self) -> int:
-        u = self._rng.random()
-        alpha = self.params.zipf_alpha
-        if abs(alpha - 1.0) < 1e-9:
-            rank = self._q * np.exp(u * self._log_base) - self._q
-        else:
-            power = 1.0 - alpha
-            rank = (
-                self._pow_lo + u * (self._pow_hi - self._pow_lo)
-            ) ** (1.0 / power) - self._q
-        return min(self._n - 1, max(0, int(rank)))
-
     def hotness_ranks(self, addresses) -> np.ndarray:
         """Popularity percentile of each address's line: 0.0 = hottest."""
         addresses = np.asarray(addresses, dtype=np.int64)
@@ -124,31 +109,75 @@ class SyntheticStream:
 
     # -- generation ----------------------------------------------------------------
 
-    def _next_line(self) -> int:
-        if self._run_remaining > 0:
-            self._run_remaining -= 1
-            self._run_line = (self._run_line + 1) % self.params.working_set_lines
-            return self._run_line
-        if self.params.run_length > 1.0:
-            self._run_remaining = int(
-                self._rng.geometric(1.0 / self.params.run_length)
-            ) - 1
-        line = self._rank_to_line(self._draw_rank())
-        self._run_line = line
-        return line
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` accesses as ``(gaps, addresses, writes)``.
+
+        ``gaps`` (instructions retired before each access) and
+        ``addresses`` are int64, ``writes`` is bool.  Per access the
+        generator draws, in order: the instruction gap (geometric); when
+        a sequential run starts, the run length (geometric, only for a
+        mean run above one line) and the popularity rank (uniform); then
+        the read/write choice (uniform).  The stream is one sequence, so
+        any split of it into ``draw`` calls yields the same accesses.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        params = self.params
+        geometric = self._rng.geometric
+        random = self._rng.random
+        gap_p = self._mpki / 1000.0
+        run_p = 1.0 / params.run_length if params.run_length > 1.0 else 0.0
+        n, q, mult = self._n, self._q, self._mult
+        # The rank arithmetic stays scalar: a vectorised power or exp may
+        # differ in the last bit and move ``int(rank)``.
+        alpha = params.zipf_alpha
+        log_base = self._log_base if abs(alpha - 1.0) < 1e-9 else None
+        if log_base is None:
+            pow_lo, pow_span = self._pow_lo, self._pow_hi - self._pow_lo
+            exponent = 1.0 / (1.0 - alpha)
+        remaining, line = self._run_remaining, self._run_line
+        gaps, lines, write_draws = [], [], []
+        for _ in range(count):
+            gaps.append(geometric(gap_p))
+            if remaining > 0:
+                remaining -= 1
+                line = (line + 1) % n
+            else:
+                if run_p:
+                    remaining = geometric(run_p) - 1
+                u = random()
+                if log_base is not None:
+                    rank = q * np.exp(u * log_base) - q
+                else:
+                    rank = (pow_lo + u * pow_span) ** exponent - q
+                line = (min(n - 1, max(0, int(rank))) * mult) % n
+            lines.append(line)
+            write_draws.append(random())
+        self._run_remaining, self._run_line = remaining, line
+        addresses = np.array(lines, dtype=np.int64)
+        addresses *= self.LINE_BYTES
+        addresses += params.address_base
+        return (
+            np.array(gaps, dtype=np.int64),
+            addresses,
+            np.array(write_draws) < self._write_probability,
+        )
 
     def next_access(self) -> MemoryAccess:
-        """Generate the next access of the stream."""
-        gap = int(self._rng.geometric(self._mpki / 1000.0))
-        line = self._next_line()
-        address = self.params.address_base + line * self.LINE_BYTES
-        is_write = bool(self._rng.random() < self._write_probability)
+        """Generate the next access of the stream (:meth:`draw` of one)."""
+        gaps, addresses, writes = self.draw(1)
         return MemoryAccess(
-            gap_instructions=gap, is_write=is_write, address=address
+            gap_instructions=int(gaps[0]),
+            is_write=bool(writes[0]),
+            address=int(addresses[0]),
         )
 
     def take(self, count: int) -> Trace:
         """Materialise ``count`` accesses as a replayable trace."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return Trace(self.next_access() for _ in range(count))
+        gaps, addresses, writes = self.draw(count)
+        return Trace(
+            MemoryAccess(gap_instructions=gap, is_write=write, address=address)
+            for gap, address, write in zip(
+                gaps.tolist(), addresses.tolist(), writes.tolist()
+            )
+        )

@@ -17,9 +17,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import default_config
-from repro.circuit.line_model import ReducedArrayModel
-
 from ..conftest import ALL_SOLVERS
 
 PARITY_ATOL = 1e-9

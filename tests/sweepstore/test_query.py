@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.sweepstore import (
-    SweepStore,
     Table,
     apply_filters,
     join_tables,

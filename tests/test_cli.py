@@ -68,6 +68,15 @@ class TestCli:
         assert profile["spans"]  # the experiment span at minimum
         assert "experiment[name=fig11a]" in profile["spans"]
 
+    @pytest.mark.slow
+    def test_simulation_profile_times_front_end_recording(self, capsys):
+        argv = ["fig17", "--quick", "--benchmarks", "zeu_m", "--no-cache"]
+        assert main([*argv, "--profile", "--json"]) == 0
+        spans = json.loads(capsys.readouterr().out)["meta"]["profile"]["spans"]
+        recorded = [p for p in spans if p.endswith("frontend.record[benchmark=zeu_m]")]
+        assert len(recorded) == 1
+        assert recorded[0].startswith("experiment[name=fig17]/")
+
     def test_json_without_profile_has_no_profile_block(self, capsys):
         assert main(["fig11a", "--no-cache", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
