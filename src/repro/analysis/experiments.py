@@ -31,7 +31,7 @@ from ..engine.context import RunContext
 from ..engine.registry import experiment
 from ..mem.energy import EnergyModel
 from ..mem.lifetime import LifetimeEstimator
-from ..mem.line_codec import LineWriteModel
+from ..mem.line_codec import LineWriteModel, write_model
 from ..techniques import (
     Scheme,
     SchemeLatencyModel,
@@ -165,8 +165,10 @@ class PerformanceRunner:
 
     A benchmark's cells share one recorded
     :class:`~repro.cpu.frontend.FrontEnd` (only the latest benchmark's
-    stays resident) and each scheme one
-    :class:`~repro.mem.line_codec.LineWriteModel`.
+    stays resident).  Each scheme's
+    :class:`~repro.mem.line_codec.LineWriteModel` comes from the process
+    registry (:func:`~repro.mem.line_codec.write_model`), so runners,
+    figures and pool workers of one process build it once.
     """
 
     def __init__(
@@ -190,7 +192,6 @@ class PerformanceRunner:
         }
         self._cache: dict[tuple[str, str], SimulationResult] = {}
         self._frontend: FrontEnd | None = None
-        self._write_models: dict[str, LineWriteModel] = {}
 
     @property
     def benchmark_names(self) -> tuple[str, ...]:
@@ -268,14 +269,11 @@ class PerformanceRunner:
             self.context.cache.store(self._cell_key(*cell), result.value)
 
     def _write_model(self, scheme_name: str) -> LineWriteModel:
-        model = self._write_models.get(scheme_name)
-        if model is None:
-            # Scheme levels and latency tables are both calibrated on the
-            # context's solver, which the cell's cache key names.
-            model = self._write_models[scheme_name] = LineWriteModel(
-                self.config, self.scheme(scheme_name), solver=self.context.solver
-            )
-        return model
+        # Scheme levels and latency tables are both calibrated on the
+        # context's solver, which the cell's cache key names.
+        return write_model(
+            self.config, self.scheme(scheme_name), self.context.solver
+        )
 
     def run(self, scheme_name: str, benchmark: str) -> SimulationResult:
         key = (scheme_name, benchmark)

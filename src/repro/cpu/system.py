@@ -26,6 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..config import SystemConfig
+from ..mem import line_codec
 from ..mem.controller import ControllerStats, MemoryController
 from ..mem.dimm import AddressMapping
 from ..mem.line_codec import LineWriteModel, LineWriteResult
@@ -79,10 +80,11 @@ def _scheduler(
 class SystemSimulator:
     """One (benchmark, scheme) run: a front end replayed under a scheme.
 
-    ``frontend`` and ``write_model`` let several schemes share one
-    recorded :class:`~repro.cpu.frontend.FrontEnd` and each scheme one
-    :class:`~repro.mem.line_codec.LineWriteModel`; without them the
-    simulator records and builds its own.
+    ``frontend`` lets several schemes share one recorded
+    :class:`~repro.cpu.frontend.FrontEnd`; without it the simulator
+    records its own.  Without ``write_model`` it takes the scheme's
+    :class:`~repro.mem.line_codec.LineWriteModel` from the process
+    registry (:func:`~repro.mem.line_codec.write_model`, default solver).
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class SystemSimulator:
         ):
             raise ValueError("front end was recorded for a different run")
         if write_model is None:
-            write_model = LineWriteModel(config, scheme)
+            write_model = line_codec.write_model(config, scheme)
         elif write_model.scheme != scheme or write_model.config != config:
             raise ValueError("write model belongs to a different scheme or config")
         self.config = config

@@ -35,7 +35,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from ..config import SystemConfig, config_hash
-from .cache import DEFAULT_CACHE_DIR, NullCache, ResultCache
+from .cache import NullCache, ResultCache
 from .context import RunContext
 from .executor import make_executor
 

@@ -8,7 +8,7 @@ from .ecp import EcpLine, ecp_lifetime_factor
 from .energy import EnergyModel, EnergyReport
 from .flip_n_write import FlipNWrite, FnwImage
 from .lifetime import LifetimeEstimator, LifetimeReport
-from .line_codec import LineWriteModel, LineWriteResult
+from .line_codec import LineWriteModel, LineWriteResult, write_model
 from .timing import MemoryTiming
 from .wear_leveling import InterLineWearLeveling, IntraLineWearLeveling
 from .wear_sim import WearSimParams, WearSimResult, WearSimulator
@@ -34,4 +34,5 @@ __all__ = [
     "WearSimParams",
     "WearSimResult",
     "WearSimulator",
+    "write_model",
 ]

@@ -71,15 +71,17 @@ class LifetimeEstimator:
     def __init__(self, config: SystemConfig, context=None) -> None:
         self.config = config
         self.context = context
-        self._latency_models: dict[int, SchemeLatencyModel] = {}
+        # Keyed on the scheme's value: an id could be reused by a new
+        # scheme once the old one is freed.
+        self._latency_models: dict[Scheme, SchemeLatencyModel] = {}
 
     def _latency_model(self, scheme: Scheme) -> SchemeLatencyModel:
-        model = self._latency_models.get(id(scheme))
+        model = self._latency_models.get(scheme)
         if model is None:
             model = SchemeLatencyModel(
                 self.config, scheme, context=self.context
             )
-            self._latency_models[id(scheme)] = model
+            self._latency_models[scheme] = model
         return model
 
     # -- components -------------------------------------------------------------

@@ -11,18 +11,27 @@ records.
 
 ``LineWriteResult`` aggregates everything the memory controller, energy
 model, lifetime estimator and Figs. 9/14 need about one line write.
+
+A model depends only on (config, scheme, solver) and is read-only once
+built, so the simulator takes it from one bounded process registry,
+:func:`write_model`: every runner, figure and pool task of a process
+shares each scheme's tables.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..config import SystemConfig
 from ..techniques.base import Scheme, SchemeLatencyModel
+from ..xpoint.vmap import profile_registry
 
-__all__ = ["LineWriteResult", "LineWriteModel"]
+__all__ = ["LineWriteResult", "LineWriteModel", "write_model"]
 
 
 @dataclass
@@ -80,9 +89,9 @@ class LineWriteModel:
         self._plans = self._plan_pairs()
 
     def __reduce__(self):
-        # Pickled (to pool workers) as its recipe: the tables rebuild
-        # from the process's profile caches.
-        return type(self), (self.config, self.scheme, self.solver)
+        # Pickled (to pool workers) as its recipe: a worker builds each
+        # model once, through the registry, for all of its tasks.
+        return write_model, (self.config, self.scheme, self.solver)
 
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, RESET-group mask) tables of RESET-phase latency and energy.
@@ -216,3 +225,53 @@ class LineWriteModel:
         return self.write_many(
             np.reshape(resets, (1, -1)), np.reshape(sets, (1, -1)), [row]
         )[0]
+
+
+#: Most models held at once: one configuration's full scheme registry
+#: (11 schemes) fits.  A model holds ~2.8 MB of tables.
+_MODELS_BOUND = 16
+_models: OrderedDict[tuple, LineWriteModel] = OrderedDict()
+_models_lock = threading.Lock()
+
+
+def write_model(
+    config: SystemConfig, scheme: Scheme, solver: str | None = None
+) -> LineWriteModel:
+    """The process's shared :class:`LineWriteModel` for (config, scheme,
+    solver), built on a miss (``solver`` ``None``: the default).
+
+    Least recently used models are dropped past :data:`_MODELS_BOUND`,
+    and ``profile_registry.clear()`` drops them all.  The build runs
+    outside the lock; concurrent builders of one key are redundant but
+    consistent, and the first insert wins.
+    """
+    # Imported here: the solver backends load SciPy's linear algebra,
+    # which importing the package does not otherwise pay for.
+    from ..circuit.solvers import solver_name
+
+    solver = solver_name(solver)
+    key = (config, scheme, solver)
+    with _models_lock:
+        model = _models.get(key)
+        if model is not None:
+            _models.move_to_end(key)
+    if model is not None:
+        obs.count("write_model.hit")
+        return model
+    obs.count("write_model.miss")
+    with obs.span("mem.write_model", scheme=scheme.name):
+        built = LineWriteModel(config, scheme, solver)
+    with _models_lock:
+        model = _models.setdefault(key, built)
+        _models.move_to_end(key)
+        while len(_models) > _MODELS_BOUND:
+            _models.popitem(last=False)
+    return model
+
+
+def _clear_models() -> None:
+    with _models_lock:
+        _models.clear()
+
+
+profile_registry.derive(_clear_models)

@@ -187,7 +187,8 @@ class Partitioner:
 
     A subclass implements ``_plan_many`` once, vectorised over rows of
     masks that ``plan_many`` has already checked; ``plan`` is its
-    one-row case.
+    one-row case.  Subclasses are frozen dataclasses, so equal
+    partitioners make equal (hashable) schemes.
     """
 
     def plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
@@ -216,6 +217,7 @@ class Partitioner:
         )
 
 
+@dataclass(frozen=True)
 class IdentityPartitioner(Partitioner):
     """No transformation: reset exactly the data-required bits."""
 

@@ -16,6 +16,8 @@ that partitions the array into eight equivalent circuits.  The cost:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..config import SystemConfig
@@ -32,6 +34,7 @@ DBL_OVERHEADS = ChipOverheads(
 )
 
 
+@dataclass(frozen=True)
 class DummyBitlinePartitioner(Partitioner):
     """Reset a dummy BL in every group that has no data RESET."""
 

@@ -18,6 +18,8 @@ the baseline SET-then-RESET order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import Partitioner, WritePlans
@@ -32,20 +34,19 @@ PR_GROUP_SIZE = 2
 """Bits per partition group; PR guarantees one RESET per group."""
 
 
+@dataclass(frozen=True)
 class PartitionResetPartitioner(Partitioner):
     """Algorithm 1: decide how many and which cells to reset."""
 
-    def __init__(
-        self,
-        trigger_start: int = PR_TRIGGER_START,
-        group_size: int = PR_GROUP_SIZE,
-    ) -> None:
+    trigger_start: int = PR_TRIGGER_START
+    group_size: int = PR_GROUP_SIZE
+
+    def __post_init__(self) -> None:
+        trigger_start, group_size = self.trigger_start, self.group_size
         if trigger_start < 0:
             raise ValueError(f"trigger_start must be >= 0, got {trigger_start}")
         if group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {group_size}")
-        self.trigger_start = trigger_start
-        self.group_size = group_size
 
     def _plan_many(self, resets: np.ndarray, sets: np.ndarray) -> WritePlans:
         n, width = resets.shape

@@ -77,6 +77,7 @@ class ProfileRegistry:
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
         self._stores: dict[str, ProfileStore] = {}  # by cache directory
         self._scope = threading.local()
+        self._derived: list[Callable[[], None]] = []
         #: Monotonic count of locally *computed* artefacts registered
         #: here (new :meth:`put` entries).  Disk hits don't count, so a
         #: before/after delta measures real solver work, which is what
@@ -194,11 +195,19 @@ class ProfileRegistry:
             self._insert(parts, value)
         return value
 
+    def derive(self, clear: Callable[[], None]) -> None:
+        """Register a process cache built from these artefacts (the
+        line-write models): :meth:`clear` calls ``clear`` to drop it too."""
+        self._derived.append(clear)
+
     def clear(self) -> None:
-        """Drop the entries and the stores' record of what is on disk
-        (the disk itself is untouched), as in a fresh process."""
+        """Drop the entries, the caches derived from them and the
+        stores' record of what is on disk (the disk itself is
+        untouched), as in a fresh process."""
         self._entries.clear()
         self._stores.clear()
+        for clear in self._derived:
+            clear()
 
     def __len__(self) -> int:
         return len(self._entries)

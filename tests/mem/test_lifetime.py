@@ -75,3 +75,18 @@ class TestComponents:
         estimator = LifetimeEstimator(paper_config)
         scheme = standard_schemes(paper_config)["Base"]
         assert estimator.cell_write_fraction(scheme) == pytest.approx(0.5)
+
+    def test_latency_tables_are_memoised_by_scheme_value(self, small_config):
+        from repro.techniques import make_baseline, make_dbl
+
+        estimator = LifetimeEstimator(small_config)
+        # All three stay alive, so no two share an id.
+        base, again, dbl = (
+            make_baseline(small_config),
+            make_baseline(small_config),
+            make_dbl(small_config),
+        )
+        first = estimator._latency_model(base)
+        assert estimator._latency_model(again) is first
+        assert estimator._latency_model(dbl) is not first
+        assert len(estimator._latency_models) == 2

@@ -77,6 +77,34 @@ class TestCli:
         assert len(recorded) == 1
         assert recorded[0].startswith("experiment[name=fig17]/")
 
+    @pytest.mark.slow
+    def test_simulation_profile_times_each_write_model_build_once(self, capsys):
+        """On an empty registry each scheme's line-write model build is
+        one span; a second runner in the same process builds none."""
+        argv = ["fig17", "--quick", "--benchmarks", "zeu_m", "--no-cache"]
+
+        def profile():
+            assert main([*argv, "--profile", "--json"]) == 0
+            return json.loads(capsys.readouterr().out)["meta"]["profile"]
+
+        def builds(spans):
+            return {
+                path.rsplit("/", 1)[-1]: stat["count"]
+                for path, stat in spans.items()
+                if path.rsplit("/", 1)[-1].startswith("mem.write_model[")
+            }
+
+        first = profile()
+        schemes = ("Hard+Sys", "UDRVR+PR", "UDRVR-3.94")
+        assert builds(first["spans"]) == {
+            f"mem.write_model[scheme={name}]": 1 for name in schemes
+        }
+        assert first["counters"]["write_model.miss"] == len(schemes)
+        again = profile()
+        assert builds(again["spans"]) == {}
+        assert "write_model.miss" not in again["counters"]
+        assert again["counters"]["write_model.hit"] >= len(schemes)
+
     def test_json_without_profile_has_no_profile_block(self, capsys):
         assert main(["fig11a", "--no-cache", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
