@@ -10,9 +10,10 @@ The package layers:
   endurance maps;
 * :mod:`repro.techniques` — DRVR, PR, UDRVR and every prior scheme the
   paper compares against;
-* :mod:`repro.pump`, :mod:`repro.mem`, :mod:`repro.cpu`,
-  :mod:`repro.workloads` — the charge pump, NVDIMM memory system,
-  CMP simulator and synthetic Table-IV workloads;
+* :mod:`repro.mem`, :mod:`repro.cpu`, :mod:`repro.workloads` — the
+  NVDIMM memory system (its controller enforces the charge pump's
+  current budget and charge latency), CMP simulator and synthetic
+  Table-IV workloads;
 * :mod:`repro.analysis` — one driver per paper figure/table.
 
 Quick start::

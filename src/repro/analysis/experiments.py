@@ -31,7 +31,7 @@ from ..engine.context import RunContext
 from ..engine.registry import experiment
 from ..mem.energy import EnergyModel
 from ..mem.lifetime import LifetimeEstimator
-from ..mem.line_codec import LineWriteModel, write_model
+from ..mem.line_codec import write_model
 from ..techniques import (
     Scheme,
     SchemeLatencyModel,
@@ -131,18 +131,26 @@ class PerfSettings:
 
 @dataclass(frozen=True)
 class _PerfTask:
-    """One executor task: replay a benchmark's front end under a scheme."""
+    """One executor task: replay a benchmark's front end under a scheme.
+
+    It carries the write model's recipe, not the model: the task takes
+    the model from its process's registry inside the task's
+    observability scope, so ``--profile`` counts a worker's lookups.
+    """
 
     frontend: FrontEnd
-    write_model: LineWriteModel  # pickles as (config, scheme, solver)
+    config: SystemConfig
+    scheme: Scheme
+    solver: str | None  # the tables' calibration solver (the context's)
 
 
 def _run_cell(task: _PerfTask) -> SimulationResult:
     """Simulate one cell (top-level so it pickles to pool workers)."""
-    frontend, model = task.frontend, task.write_model
+    frontend = task.frontend
+    model = write_model(task.config, task.scheme, task.solver)
     simulator = SystemSimulator(
-        model.config,
-        model.scheme,
+        task.config,
+        task.scheme,
         frontend.benchmark,
         accesses_per_core=frontend.accesses_per_core,
         seed=frontend.seed,
@@ -167,8 +175,11 @@ class PerformanceRunner:
     :class:`~repro.cpu.frontend.FrontEnd` (only the latest benchmark's
     stays resident).  Each scheme's
     :class:`~repro.mem.line_codec.LineWriteModel` comes from the process
-    registry (:func:`~repro.mem.line_codec.write_model`), so runners,
-    figures and pool workers of one process build it once.
+    registry (:func:`~repro.mem.line_codec.write_model`), so runners and
+    figures of one process build it once.  A task carries the model's
+    recipe and takes the model inside its own observability scope;
+    pool workers forked after the runner's build find it in the
+    registry they inherit.
     """
 
     def __init__(
@@ -251,9 +262,12 @@ class PerformanceRunner:
                 self.settings.seed,
                 self.settings.warmup_accesses,
             )
-        tasks = [
-            _PerfTask(frontend, self._write_model(name)) for name in scheme_names
-        ]
+        recipes = [self._recipe(name) for name in scheme_names]
+        for recipe in recipes:
+            # Built here, before the executor starts a pool: forked
+            # workers inherit the registry, so their tasks' lookups hit.
+            write_model(*recipe)
+        tasks = [_PerfTask(frontend, *recipe) for recipe in recipes]
         for name, result in zip(
             scheme_names, self.context.executor.map(_run_cell, tasks)
         ):
@@ -268,12 +282,13 @@ class PerformanceRunner:
             self._cache[cell] = result.value
             self.context.cache.store(self._cell_key(*cell), result.value)
 
-    def _write_model(self, scheme_name: str) -> LineWriteModel:
-        # Scheme levels and latency tables are both calibrated on the
-        # context's solver, which the cell's cache key names.
-        return write_model(
-            self.config, self.scheme(scheme_name), self.context.solver
-        )
+    def _recipe(self, scheme_name: str) -> tuple[SystemConfig, Scheme, str | None]:
+        """The ``write_model`` arguments of a scheme's cells.
+
+        Scheme levels and latency tables are both calibrated on the
+        context's solver, which the cell's cache key names.
+        """
+        return self.config, self.scheme(scheme_name), self.context.solver
 
     def run(self, scheme_name: str, benchmark: str) -> SimulationResult:
         key = (scheme_name, benchmark)

@@ -4,7 +4,7 @@ solvers that compute IR drop in cross-point arrays."""
 from .cell import CellModel, CellState
 from .crosspoint import BASELINE_BIAS, BiasScheme, FullArrayModel, FullArraySolution
 from .equivalent import WordlineDropModel
-from .line_model import ReducedArrayModel, ReducedSolution
+from .line_model import ReducedArrayModel, ReducedSolution, ResetNetwork
 from .network import GROUND, ConvergenceError, Network, Solution
 from .selector import OnStackModel, SelectorModel, fit_selectivity_shape
 from .wire import wire_resistance, wire_resistance_table
@@ -19,6 +19,7 @@ __all__ = [
     "WordlineDropModel",
     "ReducedArrayModel",
     "ReducedSolution",
+    "ResetNetwork",
     "GROUND",
     "ConvergenceError",
     "Network",

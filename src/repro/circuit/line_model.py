@@ -126,75 +126,6 @@ class ReducedArrayModel:
             solution = get_backend(self.solver).solve(built.network)
         return self._extract(solution, built)
 
-    def solve_reset_many(
-        self,
-        selections: "list[tuple[int, tuple[int, ...]]]",
-        v_applied: float | dict[int, float] | None = None,
-        bias: BiasScheme = BASELINE_BIAS,
-        initials: "list[np.ndarray | None] | None" = None,
-    ) -> "list[ReducedSolution]":
-        """Solve several independent RESETs ``(row, cols)`` at once.
-
-        Equivalent to calling :meth:`solve_reset` per selection, but the
-        whole batch is handed to the backend's ``solve_many`` so backends
-        that stack solves (``batched``) amortise Python overhead across
-        the batch.  ``initials`` optionally seeds
-        each solve with a full node-voltage vector (continuation from an
-        adjacent drive point); ``None`` entries start cold.
-        """
-        return [
-            solution
-            for solution, _voltages in self.solve_reset_batch(
-                selections, v_applied, bias, initials
-            )
-        ]
-
-    def solve_reset_batch(
-        self,
-        selections: "list[tuple[int, tuple[int, ...]]]",
-        v_applied: float | dict[int, float] | None = None,
-        bias: BiasScheme = BASELINE_BIAS,
-        initials: "list[np.ndarray | None] | None" = None,
-    ) -> "list[tuple[ReducedSolution, np.ndarray]]":
-        """Like :meth:`solve_reset_many`, returning ``(solution, voltages)``.
-
-        The second element of each pair is the raw node-voltage vector of
-        the solved network — the exact shape a later call can pass back
-        via ``initials`` to continuation-seed the same ``(row, cols)``
-        selection at a nearby drive voltage.  The reduced-network build
-        is deterministic for a fixed selection and bias, so node indices
-        line up between the producing and consuming solves.
-        """
-        built = [
-            self._build_reset_network(*self._normalise(row, cols, v_applied), bias)
-            for row, cols in selections
-        ]
-        return self.solve_networks(built, initials)
-
-    def solve_reset_ensemble(
-        self,
-        jobs: "list[tuple[int, tuple[int, ...], float | dict[int, float] | None]]",
-        bias: BiasScheme = BASELINE_BIAS,
-        initials: "list[np.ndarray | None] | None" = None,
-        chunk: int | None = None,
-    ) -> "list[tuple[ReducedSolution, np.ndarray]]":
-        """Solve a Monte Carlo ensemble of RESET jobs with per-job drive.
-
-        Each job is ``(row, cols, v_applied)`` — unlike
-        :meth:`solve_reset_batch`, the drive voltage varies *per job*,
-        which is what an ensemble of array instances with sampled pump
-        droop needs.  All jobs share the array geometry, so their
-        networks share one sparsity pattern and the whole flat batch
-        goes through the backend's ``solve_ensemble`` (chunked
-        block-diagonal stacking on ``batched``).  Returns
-        ``(solution, voltages)`` pairs like :meth:`solve_reset_batch`.
-        """
-        built = [
-            self._build_reset_network(*self._normalise(row, cols, v_applied), bias)
-            for row, cols, v_applied in jobs
-        ]
-        return self.solve_networks(built, initials, ensemble=True, chunk=chunk)
-
     def reset_network(
         self,
         row: int,
@@ -223,9 +154,15 @@ class ReducedArrayModel:
     ) -> "list[tuple[ReducedSolution, np.ndarray]]":
         """Solve built RESET networks, as ``(solution, voltages)`` pairs.
 
-        The batch goes to the backend's ``solve_many``, or with
-        ``ensemble`` to its chunked ``solve_ensemble`` (see
-        :meth:`solve_reset_ensemble`).
+        The batch goes to the backend's ``solve_many``, so backends
+        that stack solves (``batched``) amortise Python overhead across
+        it.  With ``ensemble`` it goes to the chunked ``solve_ensemble``
+        instead: an ensemble's networks share one sparsity pattern but
+        may carry per-network drives (sampled pump droop), and stack
+        block-diagonally ``chunk`` at a time.  ``initials`` optionally
+        seeds each solve with a full node-voltage vector (a previous
+        solution's ``voltages`` for the same selection and bias, whose
+        node indices line up); ``None`` entries start cold.
         """
         from .solvers import get_backend
 

@@ -207,46 +207,17 @@ class FaultModel:
         """An applied RESET voltage after charge-pump droop."""
         return v * (1.0 - self.vrst_droop)
 
-    # -- vectorized ensemble sampling --------------------------------------------
+    # -- ensemble sampling ------------------------------------------------------
     #
-    # The ensemble_* methods stack one draw per derived instance into
-    # (samples, ...) arrays.  Each instance's slice is bit-identical to
-    # the corresponding single-instance draw (``for_instance(i)`` then
-    # the scalar method) — the Monte Carlo engine depends on that to
-    # keep K=1 ensembles in exact parity with the analytic path, and
-    # the statistics suite locks it.
+    # The Monte Carlo engine needs every instance's droop up front (to
+    # batch the profile solves); each entry is bit-identical to the
+    # single-instance draw (``for_instance(i).sampled_droop()``), which
+    # keeps K=1 ensembles in exact parity with the analytic path.  It
+    # draws stuck masks and wire / cell factors one instance at a time,
+    # through ``for_instance(i)``.
 
     def ensemble_droops(self, samples: int) -> np.ndarray:
         """Per-instance pump droop, shape (samples,)."""
         return np.array(
             [self.for_instance(i).sampled_droop() for i in range(samples)]
         )
-
-    def ensemble_stuck_masks(
-        self, size: int, samples: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked stuck masks, each of shape (samples, size, size)."""
-        sa0 = np.empty((samples, size, size), dtype=bool)
-        sa1 = np.empty((samples, size, size), dtype=bool)
-        for i in range(samples):
-            sa0[i], sa1[i] = self.for_instance(i).stuck_masks(size)
-        return sa0, sa1
-
-    def ensemble_line_factors(
-        self, size: int, samples: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked per-line wire factors, each of shape (samples, size)."""
-        wl = np.empty((samples, size))
-        bl = np.empty((samples, size))
-        for i in range(samples):
-            wl[i], bl[i] = self.for_instance(i).line_factors(size)
-        return wl, bl
-
-    def ensemble_cell_latency_factors(
-        self, size: int, samples: int
-    ) -> np.ndarray:
-        """Stacked per-cell latency spread, shape (samples, size, size)."""
-        cells = np.empty((samples, size, size))
-        for i in range(samples):
-            cells[i] = self.for_instance(i).cell_latency_factors(size)
-        return cells

@@ -88,11 +88,6 @@ class LineWriteModel:
         self._reset_phase, self._reset_energy = self._tabulate()
         self._plans = self._plan_pairs()
 
-    def __reduce__(self):
-        # Pickled (to pool workers) as its recipe: a worker builds each
-        # model once, through the registry, for all of its tasks.
-        return write_model, (self.config, self.scheme, self.solver)
-
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, RESET-group mask) tables of RESET-phase latency and energy.
 

@@ -1,27 +1,23 @@
-"""Inter-line and intra-line wear leveling (§I, [11], [12]).
+"""Inter-line wear leveling (§I, [11]).
 
 ReRAM cells tolerate ~5e6 over-RESET writes, so a main memory must
-spread write traffic:
+spread write traffic.  Security-Refresh-style inter-line leveling [11]
+has the bank periodically re-key a lightweight address permutation,
+migrating lines so that no physical line stays hot.  It is modelled as
+an XOR permutation whose key is rotated every ``epoch_writes`` writes.
 
-* **inter-line** (Security-Refresh-style [11]): the bank periodically
-  re-keys a lightweight address permutation, migrating lines so that no
-  physical line stays hot.  Modelled as an XOR permutation whose key is
-  rotated every ``epoch_writes`` writes.
-* **intra-line** (row shifting [12]): each line's cells are rotated by
-  a byte offset that advances every ``shift_interval`` writes, so a hot
-  word wears all positions of its word-line equally.  This is the
-  mechanism that defeats RBDL's careful data layout (§III-B).
-
-Both classes are functional models: they track write counts and expose
-the current mapping, and their statistical behaviour (uniform wear) is
-what the property-based tests verify.
+This is a functional model: it tracks write counts and exposes the
+current mapping, and its statistical behaviour (uniform wear) is what
+the tests verify.  Intra-line row shifting [12] is modelled where it
+matters, as the per-round mask rotation of
+:class:`~repro.mem.wear_sim.WearSimulator`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["InterLineWearLeveling", "IntraLineWearLeveling"]
+__all__ = ["InterLineWearLeveling"]
 
 
 class InterLineWearLeveling:
@@ -62,45 +58,3 @@ class InterLineWearLeveling:
     def writes(self) -> int:
         return self._writes
 
-
-class IntraLineWearLeveling:
-    """Row-shifting intra-line wear leveling for one line."""
-
-    def __init__(
-        self, line_bits: int = 512, shift_interval: int = 256, shift_bits: int = 8
-    ) -> None:
-        if line_bits < 1:
-            raise ValueError(f"line size must be positive, got {line_bits}")
-        if shift_interval < 1:
-            raise ValueError(f"shift interval must be >= 1, got {shift_interval}")
-        if shift_bits < 1 or line_bits % shift_bits:
-            raise ValueError(
-                f"shift granularity {shift_bits} must divide line size {line_bits}"
-            )
-        self.line_bits = line_bits
-        self.shift_interval = shift_interval
-        self.shift_bits = shift_bits
-        self._writes = 0
-
-    @property
-    def offset_bits(self) -> int:
-        """Current rotation of the line's cells (bits)."""
-        steps = self._writes // self.shift_interval
-        return (steps * self.shift_bits) % self.line_bits
-
-    def physical_positions(self, logical_bits: np.ndarray) -> np.ndarray:
-        """Rotate a logical bit mask onto its current cell positions."""
-        mask = np.asarray(logical_bits, dtype=bool)
-        if mask.size != self.line_bits:
-            raise ValueError(
-                f"mask has {mask.size} bits, line holds {self.line_bits}"
-            )
-        return np.roll(mask, self.offset_bits)
-
-    def record_write(self) -> None:
-        """Account one write toward the next shift step."""
-        self._writes += 1
-
-    @property
-    def writes(self) -> int:
-        return self._writes

@@ -1,7 +1,13 @@
 """Synthetic workload substrate: trace records, address streams, write
 data patterns, and the Table IV benchmark suite."""
 
-from .benchmarks import CORES, BenchmarkSpec, benchmark_suite, get_benchmark
+from .benchmarks import (
+    CORES,
+    BenchmarkSpec,
+    benchmark_suite,
+    get_benchmark,
+    scale_benchmark,
+)
 from .datapatterns import PatternParams, WritePatternGenerator
 from .synthetic import StreamParams, SyntheticStream
 from .trace import MemoryAccess, Trace
@@ -11,6 +17,7 @@ __all__ = [
     "BenchmarkSpec",
     "benchmark_suite",
     "get_benchmark",
+    "scale_benchmark",
     "PatternParams",
     "WritePatternGenerator",
     "StreamParams",

@@ -7,18 +7,16 @@ number of instructions the core retired since its previous record.  The
 in-package DRAM L3 cache model filters these further before anything
 reaches the ReRAM main memory.
 
-Traces round-trip through ``.npz`` files (:meth:`Trace.save` /
-:meth:`Trace.load`), so externally captured streams can replace the
-synthetic generators.
+The simulator replays array-form front ends
+(:class:`~repro.cpu.frontend.FrontEnd`), not these records; to run a
+captured stream, feed it to the L3's ``access_many`` and fill a
+``CoreRecords`` per core (see ``docs/extending.md``).
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-import numpy as np
 
 __all__ = ["MemoryAccess", "Trace"]
 
@@ -74,33 +72,3 @@ class Trace:
         instructions = self.instructions
         return 1000.0 * self.writes / instructions if instructions else 0.0
 
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, path: "str | pathlib.Path") -> None:
-        """Write the trace to a compressed ``.npz`` file."""
-        gaps = np.array([a.gap_instructions for a in self._accesses], dtype=np.int64)
-        writes = np.array([a.is_write for a in self._accesses], dtype=bool)
-        addresses = np.array([a.address for a in self._accesses], dtype=np.uint64)
-        np.savez_compressed(
-            path, gaps=gaps, writes=writes, addresses=addresses
-        )
-
-    @classmethod
-    def load(cls, path: "str | pathlib.Path") -> "Trace":
-        """Read a trace written by :meth:`save`."""
-        with np.load(path) as data:
-            required = {"gaps", "writes", "addresses"}
-            if not required <= set(data.files):
-                raise ValueError(
-                    f"{path} is not a trace file (needs {sorted(required)})"
-                )
-            return cls(
-                MemoryAccess(
-                    gap_instructions=int(gap),
-                    is_write=bool(write),
-                    address=int(address),
-                )
-                for gap, write, address in zip(
-                    data["gaps"], data["writes"], data["addresses"]
-                )
-            )

@@ -1,13 +1,9 @@
 """Array micro-architecture layer: full-array voltage / latency /
 endurance maps built on the circuit substrate."""
 
-from .read_margin import ReadMarginReport, read_margin_report, read_voltage_map
 from .vmap import ArrayIRModel, get_ir_model
 
 __all__ = [
     "ArrayIRModel",
     "get_ir_model",
-    "ReadMarginReport",
-    "read_margin_report",
-    "read_voltage_map",
 ]

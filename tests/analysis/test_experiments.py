@@ -197,6 +197,7 @@ class TestPerformanceRunner:
         from repro.circuit.solvers import BatchedBackend
         from repro.config import default_config
         from repro.engine import RunContext
+        from repro.mem.line_codec import write_model
         from repro.xpoint.vmap import ModelCache
 
         def forbidden(*args, **kwargs):
@@ -212,7 +213,7 @@ class TestPerformanceRunner:
         monkeypatch.setattr(BatchedBackend, "solve_many", forbidden)
         reference = runner("reference")
         for name in ("Base", "DRVR+PR", "UDRVR+PR"):
-            model = reference._write_model(name)
+            model = write_model(*reference._recipe(name))
             assert model.latency_model.ir_model.solver == "reference"
         assert reference._cell_key("Base", "mcf_m") != default_key
 

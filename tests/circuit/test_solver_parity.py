@@ -127,8 +127,10 @@ class TestBackendParity:
         want = [reference.solve_reset(row, cols) for row, cols in selections]
         for solver in ACCELERATED:
             model = reduced_model_builder(128, solver)
-            got = model.solve_reset_many(selections)
-            for (row, cols), w, g in zip(selections, want, got):
+            got = model.solve_networks(
+                [model.reset_network(row, cols) for row, cols in selections]
+            )
+            for (row, cols), w, (g, _) in zip(selections, want, got):
                 _assert_close(w, g, f"({solver}, row={row}, cols={cols})")
 
     @pytest.mark.parametrize("solver", ACCELERATED)
@@ -194,8 +196,10 @@ class TestReferenceGoldens:
         model = reduced_model_builder(64, "reference")
         selections = reset_vector_gen(64, 4, n_bits=2)
         looped = [model.solve_reset(row, cols) for row, cols in selections]
-        batched = model.solve_reset_many(selections)
-        for w, g in zip(looped, batched):
+        batched = model.solve_networks(
+            [model.reset_network(row, cols) for row, cols in selections]
+        )
+        for w, (g, _) in zip(looped, batched):
             assert fingerprint(w) == fingerprint(g)
 
 

@@ -211,6 +211,14 @@ class TestHistoryFree:
     """No solve depends on what was solved before it or beside it."""
 
     @staticmethod
+    def _solve(model, selections, v_applied):
+        """Node voltages of one multi-network solve of ``selections``."""
+        networks = [
+            model.reset_network(row, cols, v_applied) for row, cols in selections
+        ]
+        return [voltages for _solution, voltages in model.solve_networks(networks)]
+
+    @staticmethod
     def _mixed_selections(reset_vector_gen):
         """1-, 2- and 8-bit selections in one batch, so the merged band
         is wider than most of its blocks' own."""
@@ -228,10 +236,10 @@ class TestHistoryFree:
         solves."""
         batched = reduced_model_builder(64, "batched")
         selections = self._mixed_selections(reset_vector_gen)
-        batched.solve_reset_many([(10, (3,)), (50, (60,))], 3.5)  # history
-        got = batched.solve_reset_batch(selections, 3.3)
-        for (row, cols), (_solution, voltages) in zip(selections, got):
-            alone = batched.solve_reset_batch([(row, cols)], 3.3)[0][1]
+        self._solve(batched, [(10, (3,)), (50, (60,))], 3.5)  # history
+        got = self._solve(batched, selections, 3.3)
+        for (row, cols), voltages in zip(selections, got):
+            (alone,) = self._solve(batched, [(row, cols)], 3.3)
             np.testing.assert_array_equal(voltages, alone)
 
     def test_merged_solve_is_near_reference(
@@ -240,10 +248,10 @@ class TestHistoryFree:
         reference = reduced_model_builder(64, "reference")
         batched = reduced_model_builder(64, "batched")
         selections = self._mixed_selections(reset_vector_gen)
-        batched.solve_reset_many([(10, (3,)), (50, (60,))], 3.5)  # history
-        got = batched.solve_reset_batch(selections, 3.3)
-        for (row, cols), (_solution, voltages) in zip(selections, got):
-            want = reference.solve_reset_batch([(row, cols)], 3.3)[0][1]
+        self._solve(batched, [(10, (3,)), (50, (60,))], 3.5)  # history
+        got = self._solve(batched, selections, 3.3)
+        for (row, cols), voltages in zip(selections, got):
+            (want,) = self._solve(reference, [(row, cols)], 3.3)
             np.testing.assert_allclose(voltages, want, atol=PARITY_ATOL, rtol=0)
 
     def test_ensemble_chunk_takes_one_band_solve_per_iteration(

@@ -42,7 +42,12 @@ def _solve_driver(config=None, context=None):
     selections = [
         (int(rng.integers(16)), (int(rng.integers(16)),)) for _ in range(4)
     ]
-    solutions = model.solve_reset_many(selections)
+    solutions = [
+        solution
+        for solution, _voltages in model.solve_networks(
+            [model.reset_network(row, cols) for row, cols in selections]
+        )
+    ]
     return {
         "v_eff": {
             f"{row}-{cols[0]}": solution.v_eff[(row, cols[0])]

@@ -27,17 +27,21 @@ def _context(config, solver="batched"):
     return RunContext(config=config, model_cache=ModelCache(), solver=solver)
 
 
+def _networks(model, jobs):
+    """One reduced network per ``(row, cols, v_applied)`` job."""
+    return [model.reset_network(row, cols, v) for row, cols, v in jobs]
+
+
 class TestSolverEnsembleParity:
     @pytest.mark.parametrize("solver", ("reference", *ENSEMBLE_SOLVERS))
     def test_solve_ensemble_matches_solve_reset_batch(
         self, reduced_model_builder, reset_vector_gen, solver
     ):
         model = reduced_model_builder(size=32, solver=solver)
-        selections = reset_vector_gen(32, 6)
         v = model.config.cell.v_reset
-        batch = model.solve_reset_batch(selections, v)
-        jobs = [(row, cols, v) for row, cols in selections]
-        ensemble = model.solve_reset_ensemble(jobs)
+        jobs = [(row, cols, v) for row, cols in reset_vector_gen(32, 6)]
+        batch = model.solve_networks(_networks(model, jobs))
+        ensemble = model.solve_networks(_networks(model, jobs), ensemble=True)
         assert len(ensemble) == len(batch)
         for (_, expected), (_, got) in zip(batch, ensemble):
             np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -48,16 +52,20 @@ class TestSolverEnsembleParity:
         model = reduced_model_builder(size=32, solver="batched")
         v = model.config.cell.v_reset
         jobs = [(row, cols, v) for row, cols in reset_vector_gen(32, 7)]
-        whole = model.solve_reset_ensemble(jobs)
-        chunked = model.solve_reset_ensemble(jobs, chunk=2)
+        whole = model.solve_networks(_networks(model, jobs), ensemble=True)
+        chunked = model.solve_networks(
+            _networks(model, jobs), ensemble=True, chunk=2
+        )
         for (_, expected), (_, got) in zip(whole, chunked):
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_per_job_drive_levels(self, reduced_model_builder):
-        """Ensemble jobs carry their own voltage, unlike a batch."""
+        """Ensemble jobs carry their own voltage."""
         model = reduced_model_builder(size=32, solver="batched")
         jobs = [(5, (0,), 3.0), (5, (0,), 3.1)]
-        (low, _), (high, _) = model.solve_reset_ensemble(jobs)
+        (low, _), (high, _) = model.solve_networks(
+            _networks(model, jobs), ensemble=True
+        )
         assert high.v_eff[(5, 0)] > low.v_eff[(5, 0)]
 
 

@@ -71,10 +71,18 @@ class TestReproducibility:
             run_ensemble(_context(mini_config), samples=0)
 
 
+def _per_instance(fm, samples, draw):
+    """``draw(fm.for_instance(i))`` for each instance, as the Monte
+    Carlo engine takes them."""
+    return [draw(fm.for_instance(i)) for i in range(samples)]
+
+
 class TestMoments:
     def test_cell_spread_recovers_lognormal_moments(self):
         fm = FaultModel(ron_sigma=0.3, seed=5)
-        log_factors = np.log(fm.ensemble_cell_latency_factors(32, 64))
+        log_factors = np.log(
+            _per_instance(fm, 64, lambda inst: inst.cell_latency_factors(32))
+        )
         # n = 64 * 32 * 32 draws: the mean's standard error is
         # sigma / sqrt(n) ~ 0.0012, the std's ~ 0.0008.
         assert abs(log_factors.mean()) < 0.01
@@ -82,8 +90,8 @@ class TestMoments:
 
     def test_wire_spread_recovers_lognormal_moments(self):
         fm = FaultModel(r_wire_sigma=0.2, seed=8)
-        wl, bl = fm.ensemble_line_factors(64, 64)
-        log_lines = np.log(np.concatenate([wl.ravel(), bl.ravel()]))
+        lines = _per_instance(fm, 64, lambda inst: inst.line_factors(64))
+        log_lines = np.log(np.concatenate([np.ravel(pair) for pair in lines]))
         assert abs(log_lines.mean()) < 0.01
         assert abs(log_lines.std() - 0.2) < 0.01
 
@@ -98,8 +106,8 @@ class TestMoments:
 
     def test_stuck_fraction_recovers_rate(self):
         fm = FaultModel(sa0_rate=0.01, sa1_rate=0.01, seed=3)
-        sa0, sa1 = fm.ensemble_stuck_masks(64, 32)
-        stuck = (sa0 | sa1).mean()
+        masks = _per_instance(fm, 32, lambda inst: inst.stuck_masks(64))
+        stuck = np.mean([sa0 | sa1 for sa0, sa1 in masks])
         # 32 * 64 * 64 Bernoulli draws at p = 0.02: se ~ 0.0004.
         assert abs(stuck - 0.02) < 0.003
 

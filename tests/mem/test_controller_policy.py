@@ -4,11 +4,12 @@ import heapq
 import itertools
 
 import numpy as np
+import pytest
 
 from repro.mem.controller import MemoryController
 from repro.mem.dimm import AddressMapping
 from repro.mem.line_codec import LineWriteModel
-from repro.techniques import make_baseline, make_dbl
+from repro.techniques import make_baseline, make_dbl, make_udrvr_pr
 
 
 class Engine:
@@ -68,6 +69,24 @@ class TestWriteBurst:
         for i in range(small_config.memory.write_queue_entries - 1):
             controller.try_submit_write(0.0, mapping.locate(64 * i).bank_index, result)
         assert controller.stats.write_bursts == 0
+
+
+class TestPumpAnchors:
+    """Table III's pump, as the controller enforces it per write."""
+
+    def test_charge_latency(self, paper_config):
+        base = MemoryController(paper_config, make_baseline(paper_config), None)
+        ours = MemoryController(paper_config, make_udrvr_pr(paper_config), None)
+        assert base._charge_latency == pytest.approx(28e-9)
+        # UDRVR's extra pump stage charges 4.8% longer.
+        assert ours._charge_latency == pytest.approx(28e-9 * 1.048)
+
+    def test_reset_budget(self, paper_config):
+        base = MemoryController(paper_config, make_baseline(paper_config), None)
+        dbl = MemoryController(paper_config, make_dbl(paper_config), None)
+        # 23 mA / 90 uA: one worst-case 64B line write per phase.
+        assert base._reset_budget == 256
+        assert dbl._reset_budget == 2 * 256  # D-BL doubles the pump
 
 
 class TestPumpAdmission:

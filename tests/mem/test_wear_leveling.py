@@ -1,10 +1,8 @@
 """Wear-leveling model tests: bijectivity and wear spreading."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.mem.wear_leveling import InterLineWearLeveling, IntraLineWearLeveling
+from repro.mem.wear_leveling import InterLineWearLeveling
 
 
 class TestInterLine:
@@ -38,51 +36,3 @@ class TestInterLine:
         with pytest.raises(ValueError):
             wl.physical_line(64)
 
-
-class TestIntraLine:
-    def test_offset_advances_with_writes(self):
-        wl = IntraLineWearLeveling(line_bits=512, shift_interval=4, shift_bits=8)
-        assert wl.offset_bits == 0
-        for _ in range(4):
-            wl.record_write()
-        assert wl.offset_bits == 8
-
-    def test_rotation_preserves_popcount(self):
-        wl = IntraLineWearLeveling(line_bits=64, shift_interval=1, shift_bits=8)
-        rng = np.random.default_rng(0)
-        mask = rng.random(64) < 0.3
-        for _ in range(5):
-            wl.record_write()
-            rotated = wl.physical_positions(mask)
-            assert rotated.sum() == mask.sum()
-
-    def test_full_cycle_returns_home(self):
-        wl = IntraLineWearLeveling(line_bits=32, shift_interval=1, shift_bits=8)
-        mask = np.zeros(32, dtype=bool)
-        mask[0] = True
-        for _ in range(4):
-            wl.record_write()
-        assert wl.physical_positions(mask)[0]
-
-    @settings(max_examples=30)
-    @given(writes=st.integers(min_value=0, max_value=200))
-    def test_hot_bit_wears_every_position_eventually(self, writes):
-        wl = IntraLineWearLeveling(line_bits=32, shift_interval=1, shift_bits=8)
-        mask = np.zeros(32, dtype=bool)
-        mask[3] = True
-        positions = set()
-        for _ in range(writes):
-            positions.add(int(np.flatnonzero(wl.physical_positions(mask))[0]))
-            wl.record_write()
-        assert len(positions) == min(4, writes)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IntraLineWearLeveling(line_bits=0)
-        with pytest.raises(ValueError):
-            IntraLineWearLeveling(line_bits=512, shift_interval=0)
-        with pytest.raises(ValueError):
-            IntraLineWearLeveling(line_bits=512, shift_bits=7)
-        wl = IntraLineWearLeveling(line_bits=64)
-        with pytest.raises(ValueError):
-            wl.physical_positions(np.zeros(32, dtype=bool))

