@@ -17,14 +17,13 @@ carries a disk cache — shares them across invocations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..circuit.wire import wire_resistance_table
 from ..config import SelectorParams, SystemConfig, config_hash, default_config
-from ..cpu.frontend import FrontEnd
+from ..cpu.frontend import recorded
 from ..cpu.system import SimulationResult, SystemSimulator
 from ..engine.cache import MISSING, cache_key
 from ..engine.context import RunContext
@@ -41,7 +40,7 @@ from ..techniques import (
 from ..techniques.partition_reset import PartitionResetPartitioner
 from ..techniques.dummy_bl import DummyBitlinePartitioner
 from ..workloads import benchmark_suite
-from ..workloads.benchmarks import scale_benchmark
+from ..workloads.benchmarks import BenchmarkSpec, scale_benchmark
 from ..workloads.datapatterns import WritePatternGenerator
 from .maps import block_reduce, summarise_map
 from .overheads import chip_overheads
@@ -133,30 +132,31 @@ class PerfSettings:
 class _PerfTask:
     """One executor task: replay a benchmark's front end under a scheme.
 
-    It carries the write model's recipe, not the model: the task takes
-    the model from its process's registry inside the task's
-    observability scope, so ``--profile`` counts a worker's lookups.
+    It carries recipes, not arrays or tables: the task takes the front
+    end and the write model from its process's registries inside the
+    task's observability scope, so ``--profile`` counts a worker's
+    lookups.
     """
 
-    frontend: FrontEnd
     config: SystemConfig
     scheme: Scheme
     solver: str | None  # the tables' calibration solver (the context's)
+    benchmark: BenchmarkSpec
+    accesses_per_core: int
+    seed: int
+    warmup_accesses: int
 
 
 def _run_cell(task: _PerfTask) -> SimulationResult:
     """Simulate one cell (top-level so it pickles to pool workers)."""
-    frontend = task.frontend
-    model = write_model(task.config, task.scheme, task.solver)
     simulator = SystemSimulator(
         task.config,
         task.scheme,
-        frontend.benchmark,
-        accesses_per_core=frontend.accesses_per_core,
-        seed=frontend.seed,
-        warmup_accesses=frontend.warmup_accesses,
-        frontend=frontend,
-        write_model=model,
+        task.benchmark,
+        accesses_per_core=task.accesses_per_core,
+        seed=task.seed,
+        warmup_accesses=task.warmup_accesses,
+        write_model=write_model(task.config, task.scheme, task.solver),
     )
     return simulator.run()
 
@@ -171,15 +171,15 @@ class PerformanceRunner:
     cache — on disk, keyed by (config hash, sizing, scheme, benchmark,
     solver, code version).
 
-    A benchmark's cells share one recorded
-    :class:`~repro.cpu.frontend.FrontEnd` (only the latest benchmark's
-    stays resident).  Each scheme's
-    :class:`~repro.mem.line_codec.LineWriteModel` comes from the process
-    registry (:func:`~repro.mem.line_codec.write_model`), so runners and
-    figures of one process build it once.  A task carries the model's
-    recipe and takes the model inside its own observability scope;
-    pool workers forked after the runner's build find it in the
-    registry they inherit.
+    A benchmark's recorded :class:`~repro.cpu.frontend.FrontEnd` and a
+    scheme's :class:`~repro.mem.line_codec.LineWriteModel` both come
+    from process registries (:func:`~repro.cpu.frontend.recorded`,
+    :func:`~repro.mem.line_codec.write_model`), so the runners, figures
+    and sweep variants of one process record and build each once.  A
+    task carries their recipes and takes both inside its own
+    observability scope; :meth:`prefetch` takes them first, so pool
+    workers forked by its one ``map`` find them in the registries they
+    inherit.
     """
 
     def __init__(
@@ -202,7 +202,6 @@ class PerformanceRunner:
             for name, spec in benchmark_suite().items()
         }
         self._cache: dict[tuple[str, str], SimulationResult] = {}
-        self._frontend: FrontEnd | None = None
 
     @property
     def benchmark_names(self) -> tuple[str, ...]:
@@ -230,7 +229,12 @@ class PerformanceRunner:
         scheme_names: tuple[str, ...],
         benchmarks: tuple[str, ...] | None = None,
     ) -> None:
-        """Materialise every missing (scheme, benchmark) cell at once."""
+        """Materialise every missing (scheme, benchmark) cell at once.
+
+        The missing cells' front ends are recorded and their write
+        models built here, then every cell runs in one executor ``map``
+        (one process pool under ``--workers N``).
+        """
         for name in scheme_names:
             self.scheme(name)  # validate early, before fan-out
         cells = [
@@ -247,30 +251,26 @@ class PerformanceRunner:
                 missing.append(cell)
             else:
                 self._cache[cell] = value
-        for benchmark, group in itertools.groupby(missing, key=lambda c: c[1]):
-            self._simulate(benchmark, [scheme for scheme, _ in group])
-
-    def _simulate(self, benchmark: str, scheme_names: list[str]) -> None:
-        """Run one benchmark's cells on its shared front end."""
-        frontend = self._frontend
-        if frontend is None or frontend.benchmark.name != benchmark:
-            self._frontend = frontend = None  # release before recording
-            self._frontend = frontend = FrontEnd.record(
-                self.config,
-                self._suite[benchmark],
-                self.settings.accesses_per_core,
-                self.settings.seed,
-                self.settings.warmup_accesses,
-            )
-        recipes = [self._recipe(name) for name in scheme_names]
-        for recipe in recipes:
-            # Built here, before the executor starts a pool: forked
-            # workers inherit the registry, so their tasks' lookups hit.
-            write_model(*recipe)
-        tasks = [_PerfTask(frontend, *recipe) for recipe in recipes]
-        for name, result in zip(
-            scheme_names, self.context.executor.map(_run_cell, tasks)
-        ):
+        if not missing:
+            return
+        settings = self.settings
+        trace = (
+            settings.accesses_per_core,
+            settings.seed,
+            settings.warmup_accesses,
+        )
+        # Taken here, before the executor starts a pool: forked workers
+        # inherit both registries, so their tasks' lookups hit.
+        for benchmark in dict.fromkeys(benchmark for _, benchmark in missing):
+            recorded(self.config, self._suite[benchmark], *trace)
+        for name in dict.fromkeys(name for name, _ in missing):
+            write_model(*self._recipe(name))
+        tasks = [
+            _PerfTask(*self._recipe(name), self._suite[benchmark], *trace)
+            for name, benchmark in missing
+        ]
+        results = self.context.executor.map(_run_cell, tasks)
+        for cell, result in zip(missing, results):
             if result.error is not None:
                 # Partial-result mode: the cell stays missing, the
                 # structured failure record rides out on the context
@@ -278,7 +278,6 @@ class PerformanceRunner:
                 self.context.note_task_error(result.error)
                 continue
             self.context.note_retries(result.attempts - 1)
-            cell = (name, benchmark)
             self._cache[cell] = result.value
             self.context.cache.store(self._cell_key(*cell), result.value)
 

@@ -463,7 +463,12 @@ class _SolverState:
 
     def drive(self, fixed: dict[int, float]) -> _Drive:
         """The pinned values and source injections of ``fixed``."""
-        values = np.array([fixed[n] for n in self.fixed_nodes.tolist()], dtype=float)
+        return self.drive_values(
+            np.array([fixed[n] for n in self.fixed_nodes.tolist()], dtype=float)
+        )
+
+    def drive_values(self, values: np.ndarray) -> _Drive:
+        """The drive of ``values``, pinned at :attr:`fixed_nodes` in order."""
         voltage_of = np.zeros(self.node_count + 1, dtype=float)
         voltage_of[self.fixed_nodes] = values
         return _Drive(values, -self._inject_g * voltage_of[self._inject_src])

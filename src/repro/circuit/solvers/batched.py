@@ -38,7 +38,22 @@ def _shifted(nodes: np.ndarray, off: int) -> np.ndarray:
     return np.where(nodes == GROUND, nodes, nodes + off)
 
 
-def _merge_networks(networks: Sequence) -> tuple[Network, list[int]]:
+def _batch_key(networks: Sequence) -> tuple:
+    """The merged pattern's cache key, from the members' memoised
+    signatures: those, and which members' device groups share a model
+    object (they merge into one group)."""
+    models: dict[int, int] = {}
+    return (
+        tuple(net.pattern_signature() for net in networks),
+        tuple(
+            models.setdefault(key, len(models))
+            for net in networks
+            for key in net._groups
+        ),
+    )
+
+
+def _merge_networks(networks: Sequence) -> Network:
     """Block-diagonal union of ``networks`` (GROUND stays shared)."""
     merged = Network()
     offsets: list[int] = []
@@ -60,7 +75,7 @@ def _merge_networks(networks: Sequence) -> tuple[Network, list[int]]:
         for node, value in net._fixed.items():
             merged._fixed[node + off] = value
     merged._revision += 1
-    return merged, offsets
+    return merged
 
 
 class BatchedBackend(SolverBackend):
@@ -147,17 +162,25 @@ class BatchedBackend(SolverBackend):
         obs.count("solver.solves", len(networks))
         obs.gauge("solver.batch_size", len(networks))
 
-        merged, offsets = _merge_networks(networks)
-        structure = self.cache.get(merged)
+        structure = self.cache.get(
+            _batch_key(networks), lambda: _merge_networks(networks)
+        )
         state = structure.state
-        bounds = offsets + [merged.node_count]
+        bounds = np.cumsum([0] + [net.node_count for net in networks]).tolist()
+        offsets = bounds[:-1]
         free_bounds = np.searchsorted(state.free, bounds)
         blocks = [
             (int(free_bounds[i]), int(free_bounds[i + 1]), bounds[i], bounds[i + 1])
             for i in range(len(networks))
         ]
 
-        drive = structure.drive(merged)
+        # The merged pinned nodes are the members', in member order.
+        drive = state.drive_values(
+            np.array(
+                [net._fixed[n] for net in networks for n in sorted(net._fixed)],
+                dtype=float,
+            )
+        )
         solve = dict(
             tol=tol, max_iterations=max_iterations, v_step_limit=v_step_limit
         )

@@ -42,7 +42,7 @@ class ReferenceBackend(SolverBackend):
         v_step_limit: float = 0.25,
     ):
         obs.count("solver.solves")
-        structure = self.cache.get(network)
+        structure = self.cache.get(network.pattern_signature(), lambda: network)
         (result,) = newton_block_solve(
             structure,
             structure.whole,

@@ -40,7 +40,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,7 +265,7 @@ class SolverStructure:
 
 
 class StructureCache:
-    """Bounded, thread-safe LRU of :class:`SolverStructure` by pattern hash."""
+    """Bounded, thread-safe LRU of :class:`SolverStructure` by pattern key."""
 
     def __init__(self, maxsize: int = 64, banded: bool = False) -> None:
         if maxsize < 1:
@@ -273,30 +273,33 @@ class StructureCache:
         self.maxsize = maxsize
         #: Whether structures are built with a band plan.
         self.banded = banded
-        self._entries: OrderedDict[str, SolverStructure] = OrderedDict()
+        self._entries: OrderedDict[Hashable, SolverStructure] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, network: "Network") -> SolverStructure:
-        """The cached structure for ``network``'s pattern.
+    def get(
+        self, key: Hashable, build: "Callable[[], Network]"
+    ) -> SolverStructure:
+        """The cached structure under ``key``; on a miss, the structure
+        of the network ``build()`` returns.
 
-        The key is the content-derived pattern hash, so mutating a
-        network between solves (a fault-injected cell changing its
-        device model, an extra tap) changes the key and rebuilds the
-        structure instead of reusing a stale one.
+        Callers key on content-derived pattern signatures
+        (:meth:`~repro.circuit.network.Network.pattern_signature`), so
+        mutating a network between solves (a fault-injected cell
+        changing its device model, an extra tap) changes the key and
+        rebuilds the structure instead of reusing a stale one.
         """
-        signature = network.pattern_signature()
         with self._lock:
-            structure = self._entries.get(signature)
+            structure = self._entries.get(key)
             if structure is not None:
-                self._entries.move_to_end(signature)
+                self._entries.move_to_end(key)
         if structure is not None:
             obs.count("solver.factor_hits")
             return structure
         obs.count("solver.factor_misses")
         # Unlocked: builds may run in parallel.
-        built = SolverStructure(network, self.banded)
+        built = SolverStructure(build(), self.banded)
         with self._lock:
-            structure = self._entries.setdefault(signature, built)
+            structure = self._entries.setdefault(key, built)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         return structure

@@ -4,7 +4,7 @@ its scheme-independent front end."""
 
 from .cache import AccessResult, SetAssociativeCache
 from .core import CoreState
-from .frontend import FrontEnd
+from .frontend import FrontEnd, recorded
 from .hierarchy import CoreCacheHierarchy, HierarchyOutcome
 from .system import SimulationResult, SystemSimulator
 
@@ -13,6 +13,7 @@ __all__ = [
     "SetAssociativeCache",
     "CoreState",
     "FrontEnd",
+    "recorded",
     "CoreCacheHierarchy",
     "HierarchyOutcome",
     "SimulationResult",

@@ -21,10 +21,20 @@ The mask generator has its own seed, so its k-th draw belongs to the
 k-th victim however the stages interleave; each block method makes the
 draws of its per-access case in the same order, so the records are
 those of an access-at-a-time loop, bit for bit.
+
+A recording depends only on what :meth:`FrontEnd.record` reads — the
+CPU configuration, the line size, the (scaled) benchmark, the sizing
+and the seed — and its arrays are read-only, so the simulator takes it
+from one bounded process registry, :func:`recorded`: every runner,
+figure, sweep variant and pool task of a process shares each
+recording.  The array, wire and selector variants of Figs. 18-20 leave
+those inputs alone and share one recording per benchmark.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +44,10 @@ from ..config import CpuParams, SystemConfig
 from ..workloads.benchmarks import BenchmarkSpec
 from ..workloads.datapatterns import WritePatternGenerator
 from ..workloads.synthetic import SyntheticStream
+from ..xpoint.vmap import profile_registry
 from .cache import SetAssociativeCache
 
-__all__ = ["WRITE", "L3_HIT", "WRITEBACK", "CoreRecords", "FrontEnd"]
+__all__ = ["WRITE", "L3_HIT", "WRITEBACK", "CoreRecords", "FrontEnd", "recorded"]
 
 #: ``CoreRecords.kinds`` flags.
 WRITE = 1  # the access is an L2 write-back (else a read)
@@ -46,7 +57,7 @@ WRITEBACK = 4  # its L3 fill evicted a dirty victim toward the ReRAM
 
 @dataclass(frozen=True, eq=False)
 class CoreRecords:
-    """One core's measured-window records."""
+    """One core's measured-window records (read-only arrays)."""
 
     gaps: np.ndarray  # int64: instructions retired before each access
     addresses: np.ndarray  # int64: byte address of each access
@@ -109,16 +120,17 @@ class FrontEnd:
                     seed=seed + 1000 + core_id,
                 )
                 resets, sets = patterns.masks_many(int(writebacks.sum()))
-                cores.append(
-                    CoreRecords(
-                        gaps=gaps,
-                        addresses=addresses,
-                        kinds=kinds,
-                        victims=victims[writebacks],
-                        resets=np.packbits(resets, axis=1, bitorder="little"),
-                        sets=np.packbits(sets, axis=1, bitorder="little"),
-                    )
+                arrays = (
+                    gaps,
+                    addresses,
+                    kinds,
+                    victims[writebacks],
+                    np.packbits(resets, axis=1, bitorder="little"),
+                    np.packbits(sets, axis=1, bitorder="little"),
                 )
+                for array in arrays:
+                    array.flags.writeable = False  # shared by every replay
+                cores.append(CoreRecords(*arrays))
                 l3_accesses += l3.accesses
                 l3_misses += l3.misses
         return cls(
@@ -142,15 +154,91 @@ class FrontEnd:
         warmup_accesses: int,
     ) -> bool:
         """Whether :meth:`record` with these arguments gives this front end."""
-        return (
-            self.benchmark == benchmark
-            and self.cpu == config.cpu
-            and self.line_bits == config.memory.line_bytes * 8
-            and self.accesses_per_core == accesses_per_core
-            and self.seed == seed
-            and self.warmup_accesses == warmup_accesses
+        mine = (
+            self.cpu,
+            self.line_bits,
+            self.benchmark,
+            self.accesses_per_core,
+            self.seed,
+            self.warmup_accesses,
+        )
+        return mine == _inputs(
+            config, benchmark, accesses_per_core, seed, warmup_accesses
         )
 
     @property
     def l3_miss_rate(self) -> float:
         return self.l3_misses / self.l3_accesses if self.l3_accesses else 0.0
+
+
+def _inputs(
+    config: SystemConfig,
+    benchmark: BenchmarkSpec,
+    accesses_per_core: int,
+    seed: int,
+    warmup_accesses: int,
+) -> tuple:
+    """What :meth:`FrontEnd.record` reads of its arguments."""
+    return (
+        config.cpu,
+        config.memory.line_bytes * 8,
+        benchmark,
+        accesses_per_core,
+        seed,
+        warmup_accesses,
+    )
+
+
+#: Most recordings held at once: the Table IV suite (11 benchmarks) at
+#: one sizing fits.  The suite holds 6.1 MiB of arrays at ``--quick``
+#: sizing and 16.3 MiB at the harness's.
+_FRONTENDS_BOUND = 11
+_frontends: OrderedDict[tuple, FrontEnd] = OrderedDict()
+_frontends_lock = threading.Lock()
+
+
+def recorded(
+    config: SystemConfig,
+    benchmark: BenchmarkSpec,
+    accesses_per_core: int,
+    seed: int,
+    warmup_accesses: int = 0,
+) -> FrontEnd:
+    """The process's shared :class:`FrontEnd` for these arguments of
+    :meth:`FrontEnd.record`, recorded on a miss.
+
+    The key is what the recording reads (:func:`_inputs`):
+    ``config.cpu``, the line size, the benchmark, the sizing and the
+    seed, so configurations that differ only in the array share an
+    entry.  Least recently used recordings are dropped past
+    :data:`_FRONTENDS_BOUND`, and ``profile_registry.clear()`` drops
+    them all.  The recording runs outside the lock; concurrent
+    recorders of one key are redundant but consistent, and the first
+    insert wins.
+    """
+    key = _inputs(config, benchmark, accesses_per_core, seed, warmup_accesses)
+    with _frontends_lock:
+        frontend = _frontends.get(key)
+        if frontend is not None:
+            _frontends.move_to_end(key)
+    if frontend is not None:
+        obs.count("frontend.hit")
+        return frontend
+    obs.count("frontend.miss")
+    built = FrontEnd.record(
+        config, benchmark, accesses_per_core, seed, warmup_accesses
+    )
+    with _frontends_lock:
+        frontend = _frontends.setdefault(key, built)
+        _frontends.move_to_end(key)
+        while len(_frontends) > _FRONTENDS_BOUND:
+            _frontends.popitem(last=False)
+    return frontend
+
+
+def _clear_frontends() -> None:
+    with _frontends_lock:
+        _frontends.clear()
+
+
+profile_registry.derive(_clear_frontends)

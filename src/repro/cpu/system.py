@@ -35,7 +35,7 @@ from ..workloads.benchmarks import BenchmarkSpec
 from ..workloads.datapatterns import WritePatternGenerator
 from ..workloads.synthetic import SyntheticStream
 from .core import CoreState, compute_seconds
-from .frontend import L3_HIT, WRITE, WRITEBACK, FrontEnd
+from .frontend import L3_HIT, WRITE, WRITEBACK, FrontEnd, recorded
 
 __all__ = ["SimulationResult", "SystemSimulator"]
 
@@ -80,11 +80,13 @@ def _scheduler(
 class SystemSimulator:
     """One (benchmark, scheme) run: a front end replayed under a scheme.
 
-    ``frontend`` lets several schemes share one recorded
+    ``frontend`` replays a given recorded
     :class:`~repro.cpu.frontend.FrontEnd`; without it the simulator
-    records its own.  Without ``write_model`` it takes the scheme's
-    :class:`~repro.mem.line_codec.LineWriteModel` from the process
-    registry (:func:`~repro.mem.line_codec.write_model`, default solver).
+    takes the run's recording from the process registry
+    (:func:`~repro.cpu.frontend.recorded`).  Without ``write_model`` it
+    takes the scheme's :class:`~repro.mem.line_codec.LineWriteModel`
+    from the process registry (:func:`~repro.mem.line_codec.write_model`,
+    default solver).
     """
 
     def __init__(
@@ -100,7 +102,7 @@ class SystemSimulator:
         write_model: LineWriteModel | None = None,
     ) -> None:
         if frontend is None:
-            frontend = FrontEnd.record(
+            frontend = recorded(
                 config, benchmark, accesses_per_core, seed, warmup_accesses
             )
         elif not frontend.matches(

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .collector import Snapshot
 
-__all__ = ["derived_ratios", "format_profile"]
+__all__ = ["derived_ratios", "format_profile", "unattributed"]
 
 #: Ratio rows rendered under "derived": name -> (numerator, denominator).
 #: Every backend factorises each network once per Newton iteration, so
@@ -45,15 +45,40 @@ def derived_ratios(counters: "dict[str, float]") -> "dict[str, float]":
 
 
 def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
+    size = abs(seconds)
+    if size >= 1.0:
         return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
+    if size >= 1e-3:
         return f"{seconds * 1e3:.2f}ms"
     return f"{seconds * 1e6:.1f}us"
 
 
+def unattributed(spans: "dict[str, dict]") -> "dict[str, float]":
+    """Each parent span's total less its direct children's totals.
+
+    A span's parent is the longest recorded path it nests under (span
+    paths join names with ``/``).  Spans with no children get no entry.
+    """
+    children: dict[str, float] = {}
+    for path, stat in spans.items():
+        cut = path.rfind("/")
+        while cut > 0 and path[:cut] not in spans:
+            cut = path.rfind("/", 0, cut)
+        if cut > 0:
+            parent = path[:cut]
+            children[parent] = children.get(parent, 0.0) + stat["total_s"]
+    return {
+        parent: spans[parent]["total_s"] - total
+        for parent, total in children.items()
+    }
+
+
 def format_profile(snapshot: "Snapshot | dict") -> str:
     """Render counters, gauges and span timings as aligned tables.
+
+    Under each span with children, a ``<span>/(unattributed)`` row holds
+    the span's total less its direct children's totals: the time no
+    child span explains.
 
     Accepts a live :class:`~repro.obs.collector.Snapshot` or its
     :meth:`~repro.obs.collector.Snapshot.to_plain` dictionary form.
@@ -76,8 +101,12 @@ def format_profile(snapshot: "Snapshot | dict") -> str:
                 _fmt_seconds(stat["min_s"]),
                 _fmt_seconds(stat["max_s"]),
             ]
-            for name, stat in sorted(spans.items())
+            for name, stat in spans.items()
+        ] + [
+            [f"{parent}/(unattributed)", "", _fmt_seconds(rest), "", "", ""]
+            for parent, rest in unattributed(spans).items()
         ]
+        rows.sort(key=lambda row: row[0])
         sections.append(
             format_table(
                 ("span", "count", "total", "mean", "min", "max"),

@@ -196,8 +196,9 @@ class ProfileRegistry:
         return value
 
     def derive(self, clear: Callable[[], None]) -> None:
-        """Register a process cache built from these artefacts (the
-        line-write models): :meth:`clear` calls ``clear`` to drop it too."""
+        """Register another process cache that a fresh process would not
+        have — the line-write models built from these artefacts, the
+        recorded front ends: :meth:`clear` calls ``clear`` to drop it too."""
         self._derived.append(clear)
 
     def clear(self) -> None:

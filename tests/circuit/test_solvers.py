@@ -152,9 +152,12 @@ class TestStructureReuse:
         from repro.circuit.solvers.structure import StructureCache
 
         cache = StructureCache(maxsize=2)
-        cache.get(_cell_network())
-        cache.get(_cell_network(extra_device=True))
-        cache.get(_cell_network(r_scale=3.0))
+        for network in (
+            _cell_network(),
+            _cell_network(extra_device=True),
+            _cell_network(r_scale=3.0),
+        ):
+            cache.get(network.pattern_signature(), lambda: network)
         assert len(cache) == 2
 
 
@@ -181,6 +184,41 @@ class TestBatchedMechanics:
             np.testing.assert_allclose(
                 sol.voltages, want.voltages, atol=1e-9, rtol=0
             )
+
+    def test_structure_hit_merges_nothing(self, monkeypatch):
+        """A batch whose structure is cached is not merged again; its
+        drive comes from the members' pinned values."""
+        from repro.circuit.solvers import batched
+
+        merges = []
+        merge = batched._merge_networks
+
+        def counted(networks):
+            merges.append(len(networks))
+            return merge(networks)
+
+        monkeypatch.setattr(batched, "_merge_networks", counted)
+        backend = BatchedBackend()
+        backend.solve_many([_cell_network(2.8), _cell_network(2.4)])
+        got = backend.solve_many([_cell_network(2.0), _cell_network(2.6)])
+        assert merges == [2]
+        want = BatchedBackend().solve_many([_cell_network(2.0), _cell_network(2.6)])
+        for sol, expected in zip(got, want, strict=True):
+            assert np.array_equal(sol.voltages, expected.voltages)
+
+    def test_members_sharing_a_model_key_apart(self):
+        """Members that share a model object merge into one device
+        group, so their batch does not reuse the structure of equal
+        members with a model each."""
+        backend = BatchedBackend()
+        backend.solve_many([_cell_network(2.8), _cell_network(2.4)])
+        net = _cell_network(2.8)
+        batch = [net, net.redriven({0: 2.4})]
+        got = backend.solve_many(batch)
+        assert len(backend.cache) == 2
+        want = BatchedBackend().solve_many(batch)
+        for sol, expected in zip(got, want, strict=True):
+            assert np.array_equal(sol.voltages, expected.voltages)
 
     def test_merged_solution_slices_per_network(self):
         nets = [_cell_network(2.8), _cell_network(2.4)]

@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.experiments import PerfSettings, PerformanceRunner
 from repro.cpu.frontend import L3_HIT, WRITE, WRITEBACK, FrontEnd
 from repro.cpu.system import SystemSimulator
@@ -217,7 +218,16 @@ class TestRunnerSharing:
         parallel = self.cells(RunContext(executor=ParallelExecutor(2)))
         assert parallel == serial
 
-    def test_one_front_end_resident(self):
-        runner = PerformanceRunner(settings=self.SETTINGS)
-        runner.prefetch(self.NAMES)
-        assert runner._frontend.benchmark.name == "lbm_m"
+    def test_each_front_end_recorded_once_per_process(self):
+        """A second runner, on its own context, records nothing."""
+
+        def misses():
+            collector = obs.Collector()
+            with obs.collecting(collector):
+                PerformanceRunner(
+                    settings=self.SETTINGS, context=RunContext()
+                ).prefetch(self.NAMES)
+            return collector.counters.get("frontend.miss", 0)
+
+        assert misses() == len(self.SETTINGS.benchmarks)
+        assert misses() == 0

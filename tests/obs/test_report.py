@@ -1,9 +1,11 @@
 """Profile report rendering."""
 
+import json
+
 from repro import obs
 from repro.obs import format_profile
 from repro.obs.collector import Collector
-from repro.obs.report import derived_ratios
+from repro.obs.report import derived_ratios, unattributed
 
 
 def _snapshot():
@@ -80,4 +82,69 @@ class TestDerivedRatios:
         assert (
             derived_ratios({"solver.factorisations": 6, "solver.solves": 0})
             == {}
+        )
+
+
+def _row(text: str, path: str) -> list[str]:
+    """The cells of the span table row named ``path``."""
+    (line,) = [line for line in text.splitlines() if line.split()[:1] == [path]]
+    return line.split()
+
+
+class TestUnattributed:
+    def test_remainder_row_under_each_parent(self):
+        collector = Collector()
+        collector.record_span("run", 1.0)
+        collector.record_span("run/solve", 0.25)
+        collector.record_span("run/solve/inner", 0.25)
+        collector.record_span("run/record[path=a/b]", 0.5)
+        collector.record_span("leaf", 0.5)
+        snapshot = collector.snapshot()
+        assert unattributed(snapshot.to_plain()["spans"]) == {
+            "run": 0.25,
+            "run/solve": 0.0,
+        }
+        text = format_profile(snapshot)
+        assert _row(text, "run/(unattributed)") == [
+            "run/(unattributed)",
+            "250.00ms",
+        ]
+        # Right under its parent, before the children.
+        rows = [line.split()[0] for line in text.splitlines() if "run" in line]
+        assert rows[:2] == ["run", "run/(unattributed)"]
+        assert "leaf/(unattributed)" not in text
+
+    def test_overlapping_children_read_negative(self):
+        collector = Collector()
+        collector.record_span("map", 0.002)
+        collector.record_span("map/task", 0.003)
+        text = format_profile(collector.snapshot())
+        assert _row(text, "map/(unattributed)")[1] == "-1.00ms"
+
+    def _check_experiment(self, argv, experiment, capsys):
+        from repro.__main__ import main
+        from repro.obs.report import _fmt_seconds
+        from repro.xpoint import vmap
+
+        vmap._DEFAULT_CACHE.clear()  # a warm model would serve fig04's maps
+        assert main([*argv, "--no-cache", "--profile", "--json"]) == 0
+        profile = json.loads(capsys.readouterr().out)["meta"]["profile"]
+        spans = profile["spans"]
+        root = f"experiment[name={experiment}]"
+        children = [
+            stat["total_s"]
+            for path, stat in spans.items()
+            if path.startswith(f"{root}/") and "/" not in path[len(root) + 1 :]
+        ]
+        assert children
+        rest = spans[root]["total_s"] - sum(children)
+        row = _row(format_profile(profile), f"{root}/(unattributed)")
+        assert row[1] == _fmt_seconds(rest)
+
+    def test_fig04(self, capsys):
+        self._check_experiment(["fig04"], "fig04", capsys)
+
+    def test_small_simulation_figure(self, capsys):
+        self._check_experiment(
+            ["fig17", "--quick", "--benchmarks", "zeu_m"], "fig17", capsys
         )
