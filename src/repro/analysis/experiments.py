@@ -17,6 +17,7 @@ carries a disk cache — shares them across invocations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,17 @@ class PerformanceRunner:
         models built here, then every cell runs in one executor ``map``
         (one process pool under ``--workers N``).
         """
+        _prefetch([self], scheme_names, benchmarks)
+
+    def _plan(
+        self, scheme_names: tuple[str, ...], benchmarks: tuple[str, ...] | None
+    ) -> tuple[list[tuple[str, str]], list[_PerfTask]]:
+        """The cells neither memory nor disk holds, and a task for each.
+
+        Takes the cells' front ends and write models first, before the
+        executor starts a pool: forked workers inherit both registries,
+        so their tasks' lookups hit.
+        """
         for name in scheme_names:
             self.scheme(name)  # validate early, before fan-out
         cells = [
@@ -251,16 +263,12 @@ class PerformanceRunner:
                 missing.append(cell)
             else:
                 self._cache[cell] = value
-        if not missing:
-            return
         settings = self.settings
         trace = (
             settings.accesses_per_core,
             settings.seed,
             settings.warmup_accesses,
         )
-        # Taken here, before the executor starts a pool: forked workers
-        # inherit both registries, so their tasks' lookups hit.
         for benchmark in dict.fromkeys(benchmark for _, benchmark in missing):
             recorded(self.config, self._suite[benchmark], *trace)
         for name in dict.fromkeys(name for name, _ in missing):
@@ -269,7 +277,9 @@ class PerformanceRunner:
             _PerfTask(*self._recipe(name), self._suite[benchmark], *trace)
             for name, benchmark in missing
         ]
-        results = self.context.executor.map(_run_cell, tasks)
+        return missing, tasks
+
+    def _store(self, missing: list[tuple[str, str]], results) -> None:
         for cell, result in zip(missing, results):
             if result.error is not None:
                 # Partial-result mode: the cell stays missing, the
@@ -328,6 +338,25 @@ class PerformanceRunner:
                 for name in scheme_names
             }
         return table
+
+
+def _prefetch(
+    runners: list[PerformanceRunner],
+    scheme_names: tuple[str, ...],
+    benchmarks: tuple[str, ...] | None = None,
+) -> None:
+    """Run every runner's missing cells in one executor ``map``.
+
+    The runners share one context, so the configuration variants of a
+    sweep fork one pool between them under ``--workers N``.
+    """
+    plans = [runner._plan(scheme_names, benchmarks) for runner in runners]
+    tasks = [task for _, cell_tasks in plans for task in cell_tasks]
+    if not tasks:
+        return
+    results = iter(runners[0].context.executor.map(_run_cell, tasks))
+    for runner, (missing, _) in zip(runners, plans):
+        runner._store(missing, itertools.islice(results, len(missing)))
 
 
 def _geomean(values) -> float:
@@ -760,9 +789,13 @@ def _sweep(
     maintenance-write handicap that flattens the sweeps; EXPERIMENTS.md
     discusses the deviation).
     """
+    runners = {
+        label: PerformanceRunner(config, settings, context=context)
+        for label, config in configs.items()
+    }
+    _prefetch(list(runners.values()), ("UDRVR+PR", "Base", "Hard+Sys"))
     outcome = {}
-    for label, config in configs.items():
-        runner = PerformanceRunner(config, settings, context=context)
+    for label, runner in runners.items():
         table = runner.speedups(("UDRVR+PR", "Base"), normalise_to="Hard+Sys")
         outcome[label] = {
             "vs_hard_sys": _geomean(

@@ -6,10 +6,13 @@ through private DRAM-L3 slices; L3 misses become main-memory reads
 become main-memory writes (posted, but subject to write-queue
 backpressure).  The streams, L3 slices and write masks do not depend on
 the scheme: :class:`~repro.cpu.frontend.FrontEnd` records them once and
-the simulator replays the records, in the event order its timing
-produces.  The ReRAM write path — Flip-N-Write masks, the active
-scheme's partitioner and voltage levels, pump constraints, write bursts
-— is the event-driven controller of :mod:`repro.mem.controller`.
+the simulator replays the records.  Its events pop off one heap in
+(time, push order), each an integer code: ``~core`` steps a core, and
+the controller's bank events are non-negative.  A step that touches no
+memory runs at once when its successor is strictly the next event.  The
+ReRAM write path — Flip-N-Write masks, the active scheme's partitioner
+and voltage levels, pump constraints, write bursts — is the
+event-driven controller of :mod:`repro.mem.controller`.
 
 ``Speedup = IPC_tech / IPC_base`` on the identical trace is the paper's
 performance metric (§V).
@@ -21,10 +24,11 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from .. import obs
 from ..config import SystemConfig
 from ..mem import line_codec
 from ..mem.controller import ControllerStats, MemoryController
@@ -60,21 +64,9 @@ class SimulationResult:
         return sum(self.per_core_ipc)
 
 
-def _scheduler(
-    heap: list[tuple[float, int, Callable[[float], None]]]
-) -> Callable[[float, Callable[[float], None]], None]:
-    """Event push onto ``heap``, ties broken by insertion order.
-
-    A closure rather than a bound method: the controller keeps it, and
-    a controller -> simulator reference cycle would hold every finished
-    simulator (and the front end it replayed) until a full collection.
-    """
-    seq = itertools.count()
-
-    def schedule(time: float, callback: Callable[[float], None]) -> None:
-        heapq.heappush(heap, (time, next(seq), callback))
-
-    return schedule
+def _push(heap: list, order: Iterator[int], time: float, code: int) -> None:
+    """Push event ``code`` at ``time``; equal times pop in push order."""
+    heapq.heappush(heap, (time, next(order), code))
 
 
 class SystemSimulator:
@@ -119,9 +111,15 @@ class SystemSimulator:
         self.accesses_per_core = accesses_per_core
         self.frontend = frontend
         self.write_model = write_model
-        self._heap: list[tuple[float, int, Callable[[float], None]]] = []
-        self._schedule = _scheduler(self._heap)
-        self.controller = MemoryController(config, scheme, self._schedule)
+        # Events are (time, push order, code).  The controller's push is a
+        # partial over the heap, not a bound method: a controller ->
+        # simulator cycle would hold every finished simulator (and its
+        # front end) until a full collection.
+        self._heap: list[tuple[float, int, int]] = []
+        self._order = itertools.count()
+        self.controller = MemoryController(
+            config, scheme, functools.partial(_push, self._heap, self._order)
+        )
         self.mapping = AddressMapping(
             config.memory, config.array.size, scheduling=scheme.scheduling
         )
@@ -131,6 +129,7 @@ class SystemSimulator:
             for core_id in range(benchmark.cores)
         ]
         self._l3_hit_s = config.cpu.l3_hit_cycles * config.cpu.cycle_s
+        self._mlp = max(1.0, effective_mlp)
         self._remaining = [accesses_per_core] * benchmark.cores
         # The k-th demand write in event order takes the k-th draws of
         # these two generators, whatever the scheme's timing.
@@ -141,12 +140,8 @@ class SystemSimulator:
             benchmark.patterns[0], line_bits=frontend.line_bits, seed=seed + 2000
         )
         # Per-run replay state, set by ``run`` and dropped when it ends.
-        self._records: list | None = None
-        self._victims: list | None = None
-        self._maintenance: Iterator[LineWriteResult | None] | None = None
-        self._issued: list[float] | None = None
-        self._steps: list | None = None
-        self._read_done: list | None = None
+        self._records = self._victims = self._maintenance = None
+        self._issued = self._read_done = None
 
     # -- replay tables ------------------------------------------------------------
 
@@ -219,81 +214,100 @@ class SystemSimulator:
     # -- event engine --------------------------------------------------------------
 
     def _run_heap(self) -> float:
-        heap = self._heap
-        pop = heapq.heappop
-        last = 0.0
+        """Pop events in (time, push order); returns the latest time popped.
+
+        After a step that touches no memory (an L3 hit, or a write miss
+        with no dirty victim), the core's next step would be the next pop
+        if its time is strictly below every queued one: the core takes it
+        at once.  On an equal time the queued event, pushed first, wins.
+        """
+        heap, order, cores = self._heap, self._order, self.cores
+        records, remaining, issued = self._records, self._remaining, self._issued
+        read_done, l3_hit_s = self._read_done, self._l3_hit_s
+        fire, submit_read = self.controller.fire, self.controller.submit_read
+        pop, push = heapq.heappop, heapq.heappush
+        last, inline = 0.0, 0
         while heap:
-            time, _, callback = pop(heap)
+            time, _, code = pop(heap)
             if time > last:
                 last = time
-            callback(time)
+            if code >= 0:
+                fire(code, time)
+                continue
+            core_id = ~code
+            core, steps, left = cores[core_id], records[core_id], remaining[core_id]
+            now, stall = core.time_s, core.stall_s
+            while True:
+                left -= 1
+                compute_s, kind, bank = next(steps)
+                now += compute_s
+                if not kind & L3_HIT and kind != WRITE:
+                    break  # the step goes to memory
+                if not kind & WRITE:
+                    now += l3_hit_s
+                    stall += l3_hit_s
+                if not left:
+                    break
+                if heap and heap[0][0] <= now:
+                    push(heap, (now, next(order), code))
+                    break
+                inline += 1
+                if now > last:
+                    last = now
+            core.time_s, core.stall_s, remaining[core_id] = now, stall, left
+            if kind & L3_HIT or kind == WRITE:
+                continue
+            # L3 read miss: fetch the line from main memory (write misses
+            # are L2 write-backs carrying the full line -- no fetch) ...
+            blocked = not kind & WRITE
+            if blocked:
+                issued[core_id] = now
+                submit_read(now, bank, read_done[core_id])
+            # ... and a dirty victim, if any, is written back to ReRAM.
+            if kind & WRITEBACK:
+                self._submit_write(core_id, blocked)
+        self._inline_steps += inline
         return last
 
     # -- core behaviour -----------------------------------------------------------------
 
-    def _core_step(self, core_id: int, now: float) -> None:
-        self._remaining[core_id] -= 1
-        core = self.cores[core_id]
-        compute_s, kind, bank = next(self._records[core_id])
-        core.time_s += compute_s
-        if kind & L3_HIT:
-            if not kind & WRITE:
-                core.time_s += self._l3_hit_s
-                core.stall_s += self._l3_hit_s
-            self._schedule_next(core_id)
-            return
-        # L3 read miss: fetch the line from main memory (write misses
-        # are L2 write-backs carrying the full line -- no fetch).
-        blocked = not kind & WRITE
-        if blocked:
-            self._issued[core_id] = core.time_s
-            self.controller.submit_read(
-                core.time_s, bank, self._read_done[core_id]
-            )
-        # ... and a dirty victim, if any, is written back to ReRAM.
-        if kind & WRITEBACK:
-            self._submit_write(core_id, blocked)
-        elif not blocked:
-            self._schedule_next(core_id)
-
     def _read_complete(self, core_id: int, completion: float) -> None:
-        self.cores[core_id].stall_for_read(self._issued[core_id], completion)
+        """The core's read is back: it stalls for the exposed latency."""
+        core = self.cores[core_id]
+        issued = self._issued[core_id]
+        latency = completion - issued
+        exposed = (latency if latency > 0.0 else 0.0) / self._mlp
+        done = issued + exposed
+        if done > core.time_s:
+            core.time_s = done
+        core.stall_s += exposed
         self._schedule_next(core_id)
 
-    def _submit_write(self, core_id: int, read_blocked: bool) -> None:
+    def _submit_write(self, core_id: int, blocked: bool) -> None:
         bank, result = next(self._victims[core_id])
         now = self.cores[core_id].time_s
         extra = next(self._maintenance)
         if extra is not None:
             self.controller.try_submit_write(now, bank, extra)
-        self._attempt_write(core_id, bank, result, read_blocked, now)
+        self._attempt_write(core_id, bank, result, blocked, now)
 
     def _attempt_write(
-        self,
-        core_id: int,
-        bank: int,
-        result: LineWriteResult,
-        read_blocked: bool,
-        time: float,
+        self, core_id: int, bank: int, result: LineWriteResult, blocked: bool, at: float
     ) -> None:
         core = self.cores[core_id]
-        core.stall_until(time)
+        core.stall_until(at)
         if self.controller.try_submit_write(core.time_s, bank, result):
-            if not read_blocked:
+            if not blocked:
                 self._schedule_next(core_id)
         else:
-            # Queue full: the core stalls until a slot frees [35].  (A
-            # partial, not a self-referencing closure: no reference cycle
-            # outlives the write.)
+            # Queue full: the core stalls until a slot frees [35].
             self.controller.notify_write_space(
-                functools.partial(
-                    self._attempt_write, core_id, bank, result, read_blocked
-                )
+                functools.partial(self._attempt_write, core_id, bank, result, blocked)
             )
 
     def _schedule_next(self, core_id: int) -> None:
         if self._remaining[core_id] > 0:
-            self._schedule(self.cores[core_id].time_s, self._steps[core_id])
+            _push(self._heap, self._order, self.cores[core_id].time_s, ~core_id)
 
     # -- driving --------------------------------------------------------------------
 
@@ -305,17 +319,35 @@ class SystemSimulator:
             sum(core.victims.size for core in self.frontend.cores)
         )
         self._issued = [0.0] * len(self.cores)
-        self._steps = [functools.partial(self._core_step, c) for c in cores]
         self._read_done = [functools.partial(self._read_complete, c) for c in cores]
+        self._inline_steps = 0
         try:
-            self._replay()
+            for core_id in cores:
+                self._schedule_next(core_id)
+            last = self._run_heap()
+            # Cores can be parked waiting for a write-queue slot while the
+            # event heap is empty (reads stopped arriving, so queued writes
+            # never drained).  Force drains until everything retires.
+            for _ in range(len(self.cores) * self.accesses_per_core + 1):
+                if not any(self._remaining) and self.controller.write_queue_depth == 0:
+                    break
+                self.controller.drain(last)
+                if not self._heap:
+                    break
+                last = max(last, self._run_heap())
         finally:
             # The callables are bound to this simulator: dropping them
             # leaves no reference cycle, so a finished simulator (and the
             # front end it replayed) is freed as soon as it is unused.
             self._records = self._victims = self._maintenance = None
-            self._issued = None
-            self._steps = self._read_done = None
+            self._issued = self._read_done = None
+        if any(self._remaining):
+            raise RuntimeError(
+                f"simulation deadlock: {self._remaining} accesses unconsumed"
+            )
+        # Every event pushed is popped, and a push takes the next number.
+        obs.count("sim.events", next(self._order))
+        obs.count("sim.inline_steps", self._inline_steps)
         elapsed = max(core.time_s for core in self.cores)
         for core, records in zip(self.cores, self.frontend.cores):
             core.instructions = int(records.gaps.sum())
@@ -330,23 +362,3 @@ class SystemSimulator:
             memory_reads=self.controller.stats.reads,
             memory_writes=self.controller.stats.writes,
         )
-
-    def _replay(self) -> None:
-        """Play every core's records through the controller."""
-        for core_id in range(len(self.cores)):
-            self._schedule_next(core_id)
-        last = self._run_heap()
-        # Cores can be parked waiting for a write-queue slot while the
-        # event heap is empty (reads stopped arriving, so queued writes
-        # never drained).  Force drains until everything retires.
-        for _ in range(len(self.cores) * self.accesses_per_core + 1):
-            if not any(self._remaining) and self.controller.write_queue_depth == 0:
-                break
-            self.controller.drain(last)
-            if not self._heap:
-                break
-            last = max(last, self._run_heap())
-        if any(self._remaining):
-            raise RuntimeError(
-                f"simulation deadlock: {self._remaining} accesses unconsumed"
-            )

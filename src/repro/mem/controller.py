@@ -15,14 +15,14 @@ Scheduling policy, following the paper's baseline:
   scheme's partitioner and voltage regulator determine per write.
 
 The controller is event-driven but engine-agnostic: the owner supplies
-``schedule(delay, callback)`` (the CPU simulator's heap) and receives
-read completions through per-request callbacks.
+``schedule(time, code)`` (the CPU simulator's heap) and hands each code
+back to :meth:`MemoryController.fire` at its time, in (time, push order).
+Code ``bank`` frees a bank, ``banks + bank`` wakes an idle one; negative
+codes are the owner's.  Reads complete through per-request callbacks.
 """
 
 from __future__ import annotations
 
-import functools
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -56,18 +56,6 @@ class ControllerStats:
     write_latency_sum: float = 0.0
 
 
-def _free_bank(controller: weakref.ref, bank: int, now: float) -> None:
-    """Bank-free event: the bank goes idle and issues its next command."""
-    owner = controller()
-    owner._bank_busy[bank] = False
-    owner._dispatch(bank, now)
-
-
-def _wake_bank(controller: weakref.ref, bank: int, now: float) -> None:
-    """Wake event: an idle bank issues its next command."""
-    controller()._dispatch(bank, now)
-
-
 class MemoryController:
     """One channel's controller over all its ranks and banks.
 
@@ -80,33 +68,32 @@ class MemoryController:
         self,
         config: SystemConfig,
         scheme: Scheme,
-        schedule: Callable[[float, Callable[[float], None]], None],
+        schedule: Callable[[float, int], None],
     ) -> None:
         self.config = config
         self.scheme = scheme
         self.schedule = schedule
-        self.timing = MemoryTiming.from_params(config.memory, config.cpu)
+        self.timing = timing = MemoryTiming.from_params(config.memory, config.cpu)
+        self._mc_to_bank = timing.mc_to_bank
+        self._read_service = timing.read_service
+        self._bus_transfer = timing.bus_transfer
         memory = config.memory
-        banks = memory.total_banks
+        self._banks = banks = memory.total_banks
         self._banks_per_rank = memory.banks_per_rank
         self._bank_free = [0.0] * banks
         self._bank_busy = [False] * banks
-        # Per bank, waiting reads as (arrival, on_complete).
+        # Per bank, oldest first: waiting reads as (arrival, on_complete)
+        # and queued writes as (arrival, result).  A bank's oldest write
+        # is the oldest queued write addressed to it.
         self._bank_read_q: list[deque] = [deque() for _ in range(banks)]
-        # The bank events' callbacks, built once.  They reach the
-        # controller through a weak reference: a strong one would make a
-        # controller -> callback -> controller cycle.
-        this = weakref.ref(self)
-        self._on_free = [functools.partial(_free_bank, this, b) for b in range(banks)]
-        self._wake = [functools.partial(_wake_bank, this, b) for b in range(banks)]
+        self._bank_write_q: list[deque] = [deque() for _ in range(banks)]
+        self._queued_writes = 0
         # Pump constraint: per rank, the outstanding write phases'
         # concurrent RESETs may not exceed the current budget (23 mA /
         # 90 uA = 256 bit-RESETs).  Each entry is (end_time, resets).
         self._pump_active: list[list[tuple[float, int]]] = [
             [] for _ in range(memory.channels * memory.ranks_per_channel)
         ]
-        # Queued writes as (arrival, bank, result).
-        self._write_q: deque[tuple[float, int, LineWriteResult]] = deque()
         self._write_capacity = memory.write_queue_entries
         self._burst = False
         self._waiting_reads = 0
@@ -128,7 +115,7 @@ class MemoryController:
         """Queue a line read on ``bank``; ``on_complete(finish_time)`` fires later."""
         self._bank_read_q[bank].append((now, on_complete))
         self._waiting_reads += 1
-        self._dispatch(bank, now + self.timing.mc_to_bank)
+        self._dispatch(bank, now + self._mc_to_bank)
 
     def try_submit_write(
         self, now: float, bank: int, result: LineWriteResult
@@ -137,18 +124,19 @@ class MemoryController:
 
         A rejected caller may register with :meth:`notify_write_space`.
         """
-        if len(self._write_q) >= self._write_capacity:
+        if self._queued_writes >= self._write_capacity:
             return False
-        self._write_q.append((now, bank, result))
-        if len(self._write_q) >= self._write_capacity:
+        self._bank_write_q[bank].append((now, result))
+        self._queued_writes += 1
+        if self._queued_writes >= self._write_capacity:
             # Queue just filled: enter write-burst mode and push every
             # bank to start draining [35].
             self._burst = True
             self.stats.write_bursts += 1
-            for key in range(len(self._bank_free)):
+            for key in range(self._banks):
                 self._dispatch(key, now)
         elif self._waiting_reads == 0:
-            self._dispatch(bank, now + self.timing.mc_to_bank)
+            self._dispatch(bank, now + self._mc_to_bank)
         return True
 
     def notify_write_space(self, waiter: Callable[[float], None]) -> None:
@@ -157,13 +145,22 @@ class MemoryController:
 
     def drain(self, now: float) -> None:
         """Force all queued writes to issue (end of simulation)."""
-        self._burst = bool(self._write_q)
-        for key in range(len(self._bank_free)):
+        self._burst = bool(self._queued_writes)
+        for key in range(self._banks):
             self._dispatch(key, now)
+
+    def fire(self, code: int, now: float) -> None:
+        """Handle a bank event at its time; a bank with nothing queued idles."""
+        if code < self._banks:
+            self._bank_busy[code] = False  # the bank's command finished
+        else:
+            code -= self._banks
+        if self._bank_read_q[code] or self._bank_write_q[code]:
+            self._dispatch(code, now)
 
     @property
     def write_queue_depth(self) -> int:
-        return len(self._write_q)
+        return self._queued_writes
 
     # -- scheduling core --------------------------------------------------------------
 
@@ -175,59 +172,56 @@ class MemoryController:
         """
         if self._bank_busy[bank]:
             return
-        start_floor = max(now, self._bank_free[bank])
+        free = self._bank_free[bank]
+        if free > now:
+            now = free
         read_q = self._bank_read_q[bank]
         if read_q and not self._burst:
-            self._issue_read(bank, read_q.popleft(), start_floor)
-            return
-        if self._write_q and (self._burst or self._waiting_reads == 0):
-            write = self._next_write_for(bank)
-            if write is not None:
-                self._issue_write(bank, write, start_floor)
-
-    def _next_write_for(self, bank: int) -> tuple[float, int, LineWriteResult] | None:
-        for index, write in enumerate(self._write_q):
-            if write[1] == bank:
-                del self._write_q[index]
-                return write
-        return None
-
-    def _issue_read(
-        self, bank: int, request: tuple[float, Callable[[float], None]], start: float
-    ) -> None:
-        arrival, on_complete = request
-        self._waiting_reads -= 1
-        begin = max(start, arrival + self.timing.mc_to_bank)
-        finish_bank = begin + self.timing.read_service
-        completion = finish_bank + self.timing.bus_transfer
-        self._occupy(bank, begin, finish_bank)
-        stats = self.stats
-        stats.reads += 1
-        stats.read_latency_sum += completion - arrival
-        on_complete(completion)
+            # Issue the oldest read; the bank is busy until its data is out.
+            arrival, on_complete = read_q.popleft()
+            self._waiting_reads -= 1
+            begin = arrival + self._mc_to_bank
+            if now > begin:
+                begin = now
+            finish = begin + self._read_service
+            completion = finish + self._bus_transfer
+            self._bank_busy[bank] = True
+            self._bank_free[bank] = finish
+            stats = self.stats
+            stats.busy_time += finish - begin
+            self.schedule(finish, bank)
+            stats.reads += 1
+            stats.read_latency_sum += completion - arrival
+            on_complete(completion)
+        elif self._queued_writes and (self._burst or self._waiting_reads == 0):
+            write_q = self._bank_write_q[bank]
+            if write_q:
+                self._queued_writes -= 1
+                self._issue_write(bank, write_q.popleft(), now)
 
     def _issue_write(
-        self, bank: int, write: tuple[float, int, LineWriteResult], start: float
+        self, bank: int, write: tuple[float, LineWriteResult], start: float
     ) -> None:
-        arrival, _, result = write
+        arrival, result = write
         pump_key = bank // self._banks_per_rank
-        phases = max(
-            1, -(-result.concurrent_resets // max(1, self._reset_budget))
-        )
-        begin = max(start, arrival + self.timing.mc_to_bank)
-        begin = self._pump_admission(
-            pump_key, begin, min(result.concurrent_resets, self._reset_budget)
-        )
+        phases = max(1, -(-result.concurrent_resets // max(1, self._reset_budget)))
+        resets = min(result.concurrent_resets, self._reset_budget)
+        begin = arrival + self._mc_to_bank
+        if start > begin:
+            begin = start
+        begin = self._pump_admission(pump_key, begin, resets)
         begin += self._charge_latency
         # Over-budget writes split the RESET phase only; the SET phase
         # runs once regardless.
         duration = result.latency + (phases - 1) * result.reset_latency
         finish = begin + duration
-        self._pump_active[pump_key].append(
-            (finish, min(result.concurrent_resets, self._reset_budget))
-        )
-        self._occupy(bank, begin, finish + self.timing.write_to_read)
+        self._pump_active[pump_key].append((finish, resets))
+        until = finish + self.timing.write_to_read
+        self._bank_busy[bank] = True
+        self._bank_free[bank] = until
         stats = self.stats
+        stats.busy_time += until - begin
+        self.schedule(until, bank)
         stats.writes += 1
         stats.pump_charges += 1
         stats.write_phases += phases
@@ -238,13 +232,13 @@ class MemoryController:
         stats.reset_energy_j += result.reset_energy
         stats.set_energy_j += result.set_energy
         stats.write_latency_sum += duration
-        if self._burst and not self._write_q:
+        if self._burst and not self._queued_writes:
             # Burst over: banks that parked their reads during the burst
             # may be idle with nothing scheduled -- wake them all.
             self._burst = False
             for key, busy in enumerate(self._bank_busy):
                 if key != bank and not busy:
-                    self.schedule(begin, self._wake[key])
+                    self.schedule(begin, self._banks + key)
         if self._write_waiters:
             # A queue slot freed the moment this write left the queue.
             self._write_waiters.popleft()(begin)
@@ -264,9 +258,3 @@ class MemoryController:
             if in_use + resets <= budget or not active:
                 return begin
             begin = max(begin, min(end for end, _ in active))
-
-    def _occupy(self, bank: int, begin: float, until: float) -> None:
-        self._bank_busy[bank] = True
-        self._bank_free[bank] = until
-        self.stats.busy_time += until - begin
-        self.schedule(until, self._on_free[bank])

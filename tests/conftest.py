@@ -45,16 +45,18 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture(autouse=True)
 def _isolated_profile_registry():
-    """Empty the process-wide profile registry before every test.
+    """Empty the process-wide profile registry and model cache before every test.
 
     The registry deliberately shares solved profiles across models and
-    experiments within one process; between tests that sharing would
+    experiments within one process, and the default model cache shares
+    each configuration's memoised maps; between tests that sharing would
     leak state (a later test silently consuming an earlier test's
-    solves), so each test starts from a clean registry.
+    solves), so each test starts from a clean registry and cache.
     """
-    from repro.xpoint.vmap import profile_registry
+    from repro.xpoint import vmap
 
-    profile_registry.clear()
+    vmap.profile_registry.clear()
+    vmap._DEFAULT_CACHE.clear()
     yield
 
 

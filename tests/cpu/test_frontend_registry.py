@@ -113,6 +113,31 @@ class TestRunner:
             QUICK.benchmarks
         )
 
+    def test_sweep_runs_every_variant_in_one_map(self, small_config):
+        """A Fig. 18-style sweep under two workers maps its variants'
+        cells once, one pool between them, with the serial payload."""
+        variants = {
+            "32x32": small_config.with_array(size=32),
+            "64x64": small_config,
+        }
+        serial = _sweep(
+            variants, QUICK, RunContext(config=small_config, model_cache=ModelCache())
+        )
+        profile_registry.clear()
+        context = RunContext(
+            config=small_config, model_cache=ModelCache(), executor=make_executor(2)
+        )
+        collector = obs.Collector()
+        with obs.collecting(collector):
+            pooled = _sweep(variants, QUICK, context)
+        maps = [
+            stat.count
+            for path, stat in collector.spans.items()
+            if path.split("/")[-1].startswith("executor.map")
+        ]
+        assert maps == [1]
+        assert pooled == serial
+
     def test_prefetch_starts_one_pool(self, small_config, monkeypatch):
         """Every missing cell runs in one ``map``: one pool for all the
         benchmarks, not one per benchmark."""

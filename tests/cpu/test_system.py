@@ -82,3 +82,27 @@ class TestPerformanceOrdering:
         base_lat = base.stats.read_latency_sum / base.stats.reads
         oracle_lat = oracle.stats.read_latency_sum / oracle.stats.reads
         assert base_lat > oracle_lat
+
+
+class TestReplayCounters:
+    def test_events_and_inline_steps_counted_once_per_run(
+        self, sim_config, bench, monkeypatch
+    ):
+        """A write-bound cell folds steps, and reports both counts per run."""
+        from repro import obs
+
+        calls = []
+        monkeypatch.setattr(obs, "count", lambda name, n=1: calls.append((name, n)))
+        sim = SystemSimulator(
+            sim_config, make_baseline(sim_config), bench, accesses_per_core=500
+        )
+        sim.run()
+        replay = {name: n for name, n in calls if name.startswith("sim.")}
+        assert [name for name, _ in calls if name.startswith("sim.")] == [
+            "sim.events",
+            "sim.inline_steps",
+        ]
+        assert replay["sim.inline_steps"] > 0
+        # Every access is one step, popped or taken inline.
+        steps = bench.cores * 500
+        assert replay["sim.events"] > steps - replay["sim.inline_steps"]

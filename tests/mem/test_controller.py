@@ -19,20 +19,22 @@ class Engine:
         self.heap = []
         self.seq = itertools.count()
 
-    def schedule(self, time, callback):
-        heapq.heappush(self.heap, (time, next(self.seq), callback))
+    def schedule(self, time, code):
+        heapq.heappush(self.heap, (time, next(self.seq), code))
 
     def run(self):
         while self.heap:
-            time, _, callback = heapq.heappop(self.heap)
-            callback(time)
+            time, _, code = heapq.heappop(self.heap)
+            self.controller.fire(code, time)
 
 
 @pytest.fixture()
 def setup(small_config):
     engine = Engine()
     scheme = make_baseline(small_config)
-    controller = MemoryController(small_config, scheme, engine.schedule)
+    controller = engine.controller = MemoryController(
+        small_config, scheme, engine.schedule
+    )
     mapping = AddressMapping(small_config.memory, small_config.array.size)
     writer = LineWriteModel(small_config, scheme)
     return engine, controller, mapping, writer

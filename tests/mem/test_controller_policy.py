@@ -17,19 +17,19 @@ class Engine:
         self.heap = []
         self.seq = itertools.count()
 
-    def schedule(self, time, callback):
-        heapq.heappush(self.heap, (time, next(self.seq), callback))
+    def schedule(self, time, code):
+        heapq.heappush(self.heap, (time, next(self.seq), code))
 
     def run(self):
         while self.heap:
-            time, _, callback = heapq.heappop(self.heap)
-            callback(time)
+            time, _, code = heapq.heappop(self.heap)
+            self.controller.fire(code, time)
 
 
 def build(config, scheme_factory=make_baseline):
     engine = Engine()
     scheme = scheme_factory(config)
-    controller = MemoryController(config, scheme, engine.schedule)
+    controller = engine.controller = MemoryController(config, scheme, engine.schedule)
     mapping = AddressMapping(config.memory, config.array.size)
     writer = LineWriteModel(config, scheme)
     return engine, controller, mapping, writer

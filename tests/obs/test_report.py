@@ -124,9 +124,7 @@ class TestUnattributed:
     def _check_experiment(self, argv, experiment, capsys):
         from repro.__main__ import main
         from repro.obs.report import _fmt_seconds
-        from repro.xpoint import vmap
 
-        vmap._DEFAULT_CACHE.clear()  # a warm model would serve fig04's maps
         assert main([*argv, "--no-cache", "--profile", "--json"]) == 0
         profile = json.loads(capsys.readouterr().out)["meta"]["profile"]
         spans = profile["spans"]
