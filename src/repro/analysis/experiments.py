@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..circuit.wire import wire_resistance_table
 from ..config import SelectorParams, SystemConfig, config_hash, default_config
 from ..cpu.frontend import recorded
@@ -386,14 +387,15 @@ def _maps_payload(
 ) -> dict:
     model = context.ir_model(config)
     v_eff, latency, endurance = model.cell_maps(v_applied, n_bits=n_bits)
-    return {
-        "v_eff": summarise_map(v_eff),
-        "latency": summarise_map(latency),
-        "endurance": summarise_map(endurance),
-        "v_eff_blocks": block_reduce(v_eff, reduce="min"),
-        "latency_blocks": block_reduce(latency, reduce="max"),
-        "endurance_blocks": block_reduce(endurance, reduce="min"),
-    }
+    with obs.span("maps.summarise", array=config.array.size):
+        return {
+            "v_eff": summarise_map(v_eff),
+            "latency": summarise_map(latency),
+            "endurance": summarise_map(endurance),
+            "v_eff_blocks": block_reduce(v_eff, reduce="min"),
+            "latency_blocks": block_reduce(latency, reduce="max"),
+            "endurance_blocks": block_reduce(endurance, reduce="min"),
+        }
 
 
 @experiment(output_keys=_MAP_KEYS)
@@ -490,15 +492,17 @@ def fig07b(
 ) -> dict:
     """Fig. 7b: effective Vrst along the left-most BL, with/without DRVR.
 
+    Only bit line 0 is built (``columns=[0]``), the full maps' bytes.
+
     Paper anchors: ~0.66 V near/far difference without DRVR; <0.1 V
     within each section with 8 levels.
     """
     config, context = _resolve(config, context)
     model = context.ir_model(config)
     a = config.array.size
-    static = model.v_eff_map(config.cell.v_reset)[:, 0]
+    static = model.v_eff_map(config.cell.v_reset, columns=[0])[:, 0]
     drvr = make_drvr(config, model=context.nominal_ir_model(config))
-    regulated = model.v_eff_map(drvr.regulator.matrix(model))[:, 0]
+    regulated = model.v_eff_map(drvr.regulator.matrix(model), columns=[0])[:, 0]
     sections = config.array.drvr_sections
     rows = a // sections
     intra = max(

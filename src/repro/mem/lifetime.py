@@ -89,18 +89,21 @@ class LifetimeEstimator:
     def min_endurance(self, scheme: Scheme) -> float:
         """Weakest cell endurance under the scheme's applied voltages.
 
-        Evaluated on the 1-bit latency map: partitioning only ever slows
-        cells down (raising their endurance), so the 1-bit map holds the
+        Evaluated on the 1-bit map: partitioning only ever slows cells
+        down (raising their endurance), so the 1-bit map holds the
         fastest — most over-RESET — operating point of every cell.
+        Both equations run on the largest v_eff alone: they are monotone,
+        so that is the bytes of the endurance map's finite minimum.
         """
         latency_model = self._latency_model(scheme)
         ir = latency_model.ir_model
         v_matrix = scheme.regulator.matrix(ir)
-        endurance = ir.endurance_map(v_matrix, n_bits=1, bias=scheme.bias)
-        finite = endurance[np.isfinite(endurance)]
-        if finite.size == 0:
+        v_eff = ir.v_eff_map(v_matrix, n_bits=1, bias=scheme.bias)
+        # A one-cell array, evaluated as the map's cells would be.
+        endurance = ir.cell_model.endurance_at_voltage(v_eff.max(keepdims=True))
+        if not np.isfinite(endurance).all():
             raise ValueError(f"scheme {scheme.name} cannot write any cell")
-        return float(finite.min())
+        return endurance.item()
 
     def write_cycle(self, scheme: Scheme) -> float:
         """Per-bank worst-case back-to-back write period (s)."""

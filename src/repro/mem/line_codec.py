@@ -91,7 +91,7 @@ class LineWriteModel:
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, RESET-group mask) tables of RESET-phase latency and energy.
 
-        The latency is the slowest group's (``reset_phase_latency``).
+        The latency is the slowest group's entry of the scheme's table.
         The energy charges each bit Ion at its level for its own RESET
         duration (Equation 1 latency), summed by ``np.sum`` over each
         mask's own ``n``-long group vector — the reduction a one-off

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .. import obs
 from ..circuit.crosspoint import BASELINE_BIAS, BiasScheme
 from ..config import SystemConfig
 from ..xpoint.vmap import ArrayIRModel, get_ir_model
@@ -272,6 +273,10 @@ class SchemeLatencyModel:
     write to ``max`` over its reset groups.  Write-failing operating
     points are charged :data:`WRITE_RETRY_LATENCY` instead of infinity.
 
+    Equation 1 runs on each (row, group)'s lowest v_eff only: it is
+    non-increasing, rounding included, so that is the bytes of the
+    group's slowest cell (DESIGN.md, "Reduce, then evaluate").
+
     Without a ``context`` the tables come from the shared module-level
     model on ``solver`` (``None``: the default backend).
     """
@@ -294,33 +299,19 @@ class SchemeLatencyModel:
             self.ir_model = get_ir_model(self.config, solver=solver)
         a = config.array.size
         width = config.array.data_width
-        v_matrix = scheme.regulator.matrix(self.ir_model)
-        tables = []
-        # One BL-drop gather serves all ``width`` maps.
-        maps = self.ir_model.latency_maps(v_matrix, range(1, width + 1), scheme.bias)
-        for latency in maps:
-            # Worst column position within each group: intra-line wear
-            # leveling rotates data over all of a group's 64 BLs, so the
-            # slowest position bounds the group (under DSGB that is the
+        with obs.span("latency.tables", scheme=scheme.name):
+            v_matrix = scheme.regulator.matrix(self.ir_model)
+            # One BL-drop gather serves all ``width`` maps.  Worst column
+            # position within each group: intra-line wear leveling rotates
+            # data over all of a group's 64 BLs, so the slowest position
+            # (the lowest v_eff) bounds the group (under DSGB that is the
             # group's centre, not its far edge).
-            per_group = latency.reshape(a, width, a // width).max(axis=2)
-            tables.append(np.minimum(per_group, WRITE_RETRY_LATENCY))
-        self.table = np.stack(tables)  # (width, A, width)
+            maps = self.ir_model.v_eff_maps(v_matrix, range(1, width + 1), scheme.bias)
+            lowest = np.stack([v.reshape(a, width, -1).min(axis=2) for v in maps])
+            latency = self.ir_model.cell_model.reset_latency(lowest)
+            self.table = np.minimum(latency, WRITE_RETRY_LATENCY)
         set_energy = config.cell.e_set_per_bit
         self.set_latency = set_energy / (config.cell.v_set * config.cell.i_set)
-
-    def reset_phase_latency(self, row: int, reset_groups: tuple[int, ...]) -> float:
-        """Latency (s) of the RESET phase of one write on one MAT."""
-        if not reset_groups:
-            return 0.0
-        n = len(reset_groups)
-        return float(self.table[n - 1, row, list(reset_groups)].max())
-
-    def write_latency(self, row: int, plan: WritePlan) -> float:
-        """Full write latency: SET phase + RESET phase (either order)."""
-        reset = self.reset_phase_latency(row, plan.reset_groups)
-        set_phase = self.set_latency if plan.set_groups else 0.0
-        return reset + set_phase
 
     def worst_case_write_latency(self) -> float:
         """Worst write latency over all 8-bit RESET patterns and rows.

@@ -25,7 +25,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -622,23 +622,28 @@ class ArrayIRModel:
     # -- full-array maps ---------------------------------------------------------------
 
     def applied_matrix(
-        self, v_applied: "float | np.ndarray | None"
+        self,
+        v_applied: "float | np.ndarray | None",
+        columns: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Broadcast an applied-voltage spec to a full (A, A) matrix.
 
         Accepts a scalar (static Vrst), an (A,) vector read as per-row
-        levels (DRVR sections), or a full (A, A) matrix (UDRVR).
+        levels (DRVR sections), or a full (A, A) matrix (UDRVR).  With
+        ``columns`` (an index array), only those bit lines are kept:
+        shape (A, len(columns)).
         """
         a = self.config.array.size
+        width = a if columns is None else len(columns)
         if v_applied is None:
             v_applied = self.config.cell.v_reset
         v = np.asarray(v_applied, dtype=float)
         if v.ndim == 0:
-            return np.full((a, a), float(v))
+            return np.full((a, width), float(v))
         if v.shape == (a,):
-            return np.repeat(v[:, None], a, axis=1)
+            return np.repeat(v[:, None], width, axis=1)
         if v.shape == (a, a):
-            return v.copy()
+            return v.copy() if columns is None else v[:, columns]
         raise ValueError(
             f"applied voltage must be scalar, ({a},) or ({a}, {a}); got {v.shape}"
         )
@@ -648,9 +653,15 @@ class ArrayIRModel:
         v_applied: "float | np.ndarray | None" = None,
         n_bits: int = 1,
         bias: BiasScheme = BASELINE_BIAS,
+        columns: "Sequence[int] | None" = None,
     ) -> np.ndarray:
-        """Effective RESET voltage of every cell, shape (A, A)."""
-        return next(self._v_eff_maps(v_applied, (n_bits,), bias))
+        """Effective RESET voltage of every cell, shape (A, A).
+
+        ``columns`` keeps only those bit lines, shape (A, len(columns)):
+        column ``c`` holds the bytes of the full map's column ``c``, and
+        no other column is built.
+        """
+        return next(self.v_eff_maps(v_applied, (n_bits,), bias, columns))
 
     def latency_map(
         self,
@@ -659,23 +670,8 @@ class ArrayIRModel:
         bias: BiasScheme = BASELINE_BIAS,
     ) -> np.ndarray:
         """Per-cell RESET latency (s), shape (A, A) (Fig. 4c family)."""
-        return next(self.latency_maps(v_applied, (n_bits,), bias))
-
-    def latency_maps(
-        self,
-        v_applied: "float | np.ndarray | None",
-        n_bits: Iterable[int],
-        bias: BiasScheme = BASELINE_BIAS,
-    ) -> Iterator[np.ndarray]:
-        """:meth:`latency_map` for each of ``n_bits`` in turn.
-
-        The BL drop does not depend on ``n_bits``, so one gather serves
-        every map; the maps are the bytes separate calls would give, and
-        are made one at a time as the iterator is read.
-        """
         cell_faults = None if self.faults is None else self._cell_faults()
-        for v_eff in self._v_eff_maps(v_applied, n_bits, bias):
-            yield self._latency(v_eff, cell_faults)
+        return self._latency(self.v_eff_map(v_applied, n_bits, bias), cell_faults)
 
     def cell_maps(
         self,
@@ -689,13 +685,14 @@ class ArrayIRModel:
         three; each map is the bytes :meth:`v_eff_map`,
         :meth:`latency_map` and :meth:`endurance_map` give alone.
         """
-        v_eff = next(self._v_eff_maps(v_applied, (n_bits,), bias))
-        cell_faults = None if self.faults is None else self._cell_faults()
-        latency = self._latency(v_eff, cell_faults)
-        endurance = np.asarray(self.cell_model.endurance(latency))
-        if cell_faults is not None:
-            sa0, sa1, _factors = cell_faults
-            endurance[sa0 | sa1] = 0.0  # stuck cells store nothing
+        with obs.span("maps.cell", array=self.config.array.size):
+            v_eff = self.v_eff_map(v_applied, n_bits, bias)
+            cell_faults = None if self.faults is None else self._cell_faults()
+            latency = self._latency(v_eff, cell_faults)
+            endurance = np.asarray(self.cell_model.endurance(latency))
+            if cell_faults is not None:
+                sa0, sa1, _factors = cell_faults
+                endurance[sa0 | sa1] = 0.0  # stuck cells store nothing
         return v_eff, latency, endurance
 
     def _cell_faults(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -718,19 +715,23 @@ class ArrayIRModel:
             latency[sa1] = np.inf  # stuck at LRS: RESET never completes
         return latency
 
-    def _v_eff_maps(
+    def v_eff_maps(
         self,
         v_applied: "float | np.ndarray | None",
         n_bits: Iterable[int],
-        bias: BiasScheme,
+        bias: BiasScheme = BASELINE_BIAS,
+        columns: "Sequence[int] | None" = None,
     ) -> Iterator[np.ndarray]:
         """:meth:`v_eff_map` for each of ``n_bits``, from one BL gather.
 
         ``v - bl - wl`` evaluates as ``(v - bl) - wl``, so the shared
-        ``v - bl`` leaves every map's bytes as a separate call's.
+        ``v - bl`` leaves every map's bytes as a separate call's.  Droop,
+        the BL gather, the wire factors and the WL drop are all per cell,
+        so a ``columns`` selection gives the selected columns' bytes.
         """
         a = self.config.array.size
-        v = self.applied_matrix(v_applied)
+        cols = np.arange(a)[slice(None) if columns is None else list(columns)]
+        v = self.applied_matrix(v_applied, None if columns is None else cols)
         if self.faults is not None:
             v = np.asarray(self.faults.applied_voltage(v))
         bl_drop = self._bl_drop_map(v, bias)
@@ -742,10 +743,10 @@ class ArrayIRModel:
             # profile: bit line c contributes its BL drop scaled by
             # bl_factors[c], and selected word line r its WL drop scaled
             # by wl_factors[r].
-            v_after_bl = v - bl_drop * bl_factors[None, :]
+            v_after_bl = v - bl_drop * bl_factors[None, cols]
         del v, bl_drop
         for bits in n_bits:
-            wl_drop = np.asarray(self.wl_model.drop(np.arange(a), bits, bias))
+            wl_drop = np.asarray(self.wl_model.drop(cols, bits, bias))
             if self.faults is None:
                 yield v_after_bl - wl_drop[None, :]
             else:

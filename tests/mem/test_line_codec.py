@@ -15,6 +15,8 @@ from repro.techniques import (
 )
 from repro.techniques.stacks import standard_schemes
 
+from ..cpu.scalar_latency import reset_phase_latency, write_latency
+
 
 @pytest.fixture(scope="module")
 def base_model(small_config):
@@ -167,8 +169,8 @@ class Reference:
                     np.sum(self.v_matrix[row, groups] * self.i_on * durations)
                 )
             self._timings[key] = (
-                self.model.write_latency(row, plan),
-                self.model.reset_phase_latency(row, plan.reset_groups),
+                write_latency(self.model, row, plan),
+                reset_phase_latency(self.model, row, plan.reset_groups),
                 energy,
             )
         return self._timings[key]

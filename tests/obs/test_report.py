@@ -138,6 +138,8 @@ class TestUnattributed:
         rest = spans[root]["total_s"] - sum(children)
         row = _row(format_profile(profile), f"{root}/(unattributed)")
         assert row[1] == _fmt_seconds(rest)
+        # The gate: the experiment's child spans explain >= 90% of it.
+        assert sum(children) >= 0.9 * spans[root]["total_s"], spans
 
     def test_fig04(self, capsys):
         self._check_experiment(["fig04"], "fig04", capsys)

@@ -20,6 +20,8 @@ from repro.techniques import (
 )
 from repro.techniques.dummy_bl import DummyBitlinePartitioner
 
+from ..cpu.scalar_latency import reset_phase_latency, write_latency
+
 
 class TestFactories:
     def test_standard_registry_complete(self, small_config):
@@ -108,24 +110,24 @@ class TestLatencyModels:
         from repro.techniques.base import WritePlan
 
         plan = WritePlan(reset_groups=(), set_groups=())
-        assert models["Base"].write_latency(0, plan) == 0.0
+        assert write_latency(models["Base"], 0, plan) == 0.0
 
     def test_reset_only_plan_skips_set_phase(self, models):
         from repro.techniques.base import WritePlan
 
         plan = WritePlan(reset_groups=(0,), set_groups=())
         base = models["Base"]
-        assert base.write_latency(0, plan) == base.reset_phase_latency(0, (0,))
+        assert write_latency(base, 0, plan) == reset_phase_latency(base, 0, (0,))
 
     def test_far_groups_slower(self, models, small_config):
         base = models["Base"]
-        near = base.reset_phase_latency(0, (0,))
-        far = base.reset_phase_latency(0, (7,))
+        near = reset_phase_latency(base, 0, (0,))
+        far = reset_phase_latency(base, 0, (7,))
         assert far > near
 
     def test_high_rows_slower_for_base(self, models, small_config):
         a = small_config.array.size
         base = models["Base"]
-        assert base.reset_phase_latency(a - 1, (7,)) > base.reset_phase_latency(
-            0, (7,)
+        assert reset_phase_latency(base, a - 1, (7,)) > reset_phase_latency(
+            base, 0, (7,)
         )

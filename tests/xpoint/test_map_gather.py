@@ -1,9 +1,10 @@
 """Full-array maps read each cell's BL drop through one gather.
 
 ``v_eff_map`` gathers every cell's BL drop from a table of the profiles
-present, ``SchemeLatencyModel`` shares that gather across its eight
-N-bit tables, and ``cell_maps`` across a drive's three maps.  Both must give the bytes of the per-quantum masked loop
-the maps used before, which the oracles below keep.
+present, ``v_eff_maps`` shares that gather across N-bit maps (the
+``SchemeLatencyModel`` tables read eight), and ``cell_maps`` across a
+drive's three maps.  All must give the bytes of the per-quantum masked
+loop the maps used before, which the oracles below keep.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.techniques import (
 )
 from repro.techniques.base import WRITE_RETRY_LATENCY, MatrixRegulator
 from repro.xpoint.vmap import ArrayIRModel
+
+from ..cpu.scalar_latency import write_latency
 
 QUANTUM = 0.02
 DSGB_BIAS = BiasScheme(name="dsgb", wl_ground_both_ends=True)
@@ -111,11 +114,13 @@ def test_latency_maps_are_separate_maps(config, faulted):
     faults = FaultModel.at_rate(1e-2, seed=7) if faulted else None
     model = ArrayIRModel(config, faults=faults)
     v = drives(model)["udrvr"]
-    maps = list(model.latency_maps(v, (1, 3, 8), DSGB_BIAS))
+    maps = list(model.v_eff_maps(v, (1, 3, 8), DSGB_BIAS))
     assert len(maps) == 3
     for n_bits, got in zip((1, 3, 8), maps):
+        np.testing.assert_array_equal(
+            got, masked_v_eff_map(model, v, n_bits, DSGB_BIAS)
+        )
         want = masked_latency_map(model, v, n_bits, DSGB_BIAS)
-        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(model.latency_map(v, n_bits, DSGB_BIAS), want)
 
 
@@ -169,6 +174,6 @@ def test_worst_case_write_latency_is_the_row_loop(config, make):
         reset_bits = np.array([(pattern >> i) & 1 for i in range(width)], dtype=bool)
         plan = latency_model.scheme.partitioner.plan(reset_bits, ~reset_bits)
         for row in latency_model._worst_rows():
-            want = max(want, latency_model.write_latency(int(row), plan))
+            want = max(want, write_latency(latency_model, int(row), plan))
     assert latency_model.worst_case_write_latency() == want
 
