@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """CI smoke test for ``python -m repro serve``.
 
-Boots a real service subprocess on an ephemeral port, drives three
-concurrent requests through :mod:`repro.client`, and checks each
-payload against an in-process batch-mode run of the same experiment —
+Boots a real service subprocess on an ephemeral port, drives four
+concurrent requests through :mod:`repro.client` (three experiments and
+a duplicate of one of them), and checks each payload, both copies of
+the duplicate included, against an in-process batch-mode run of the
+same experiment —
 the two front doors must produce identical documents (both run the
 default ``batched`` solver, so parity is exact, not approximate).
 Finishes with a graceful ``shutdown`` op and asserts the subprocess
@@ -12,7 +14,10 @@ subprocess gets a marker environment variable its whole process tree
 inherits; after exit, nothing on the machine may still carry it).
 
 ``--compute-plane`` is passed to ``serve``: the default ``thread``
-plane, or ``process`` for the supervised worker pool.
+plane, or ``process`` for the supervised worker pool.  On the process
+plane the duplicate shares its original's group key, so it joins the
+worker running its group-mate whenever it arrives while that job is in
+flight; the script prints ``compute.grouped_jobs``.
 
 Usage::
 
@@ -40,6 +45,8 @@ from repro.engine.warm import warm_context  # noqa: E402
 #: Cheap, deterministic circuit-level figures: no trace generation,
 #: each a different payload shape.
 EXPERIMENTS = ("fig01e", "fig04", "fig11a")
+#: The concurrent batch: every experiment once, plus a duplicate.
+REQUESTS = (*EXPERIMENTS, "fig04")
 
 _LISTENING = re.compile(r"listening on (?P<host>[^:]+):(?P<port>\d+)")
 
@@ -104,13 +111,13 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"service up on {host}:{port} ({args.compute_plane} plane)")
 
         responses = submit_many(
-            [{"op": "run", "experiment": name} for name in EXPERIMENTS],
+            [{"op": "run", "experiment": name} for name in REQUESTS],
             host=host,
             port=port,
-            concurrency=len(EXPERIMENTS),
+            concurrency=len(REQUESTS),
         )
         failures = 0
-        for name, response in zip(EXPERIMENTS, responses):
+        for name, response in zip(REQUESTS, responses):
             if isinstance(response, Exception):
                 print(f"FAIL: {name}: {response}", file=sys.stderr)
                 failures += 1
@@ -128,8 +135,12 @@ def main(argv: "list[str] | None" = None) -> int:
             stats = client.stats()
             completed = stats["counters"].get("service.completed", 0)
             solves = stats["counters"].get("solver.solves", 0)
-            print(f"service stats: {completed} completed, {solves} solves")
-            if completed < len(EXPERIMENTS):
+            joins = stats["counters"].get("compute.grouped_jobs", 0)
+            print(
+                f"service stats: {completed} completed, {solves} solves, "
+                f"{joins} grouped jobs"
+            )
+            if completed < len(REQUESTS):
                 print("FAIL: completed counter below request count",
                       file=sys.stderr)
                 failures += 1

@@ -49,10 +49,12 @@ fan-out on it, one short-lived pool per ``map``.
 Each worker keeps solved profiles in its process-global profile
 registry (:data:`~repro.xpoint.vmap.profile_registry`); they reach
 sibling and replacement workers through the disk cache, when the job
-carries one.  The supervisor's dispatcher *groups* queued jobs with
-equal (config, solver, fault-set) identity onto one worker, where the
-head job solves the group's profile grids once and its group-mates
-collapse to registry hits — one solve stream serving the whole stack.
+carries one.  The supervisor dispatches with one rule: a queued job
+joins a worker already running a job of its (config, solver,
+fault-set) group while that worker holds fewer than four jobs, and
+otherwise goes to the first idle worker.  The running group-mate solves
+the group's profile grids once, and the jobs that joined it collapse to
+registry hits — one solve stream serving the whole stack.
 """
 
 from __future__ import annotations
@@ -323,12 +325,12 @@ def _pool_worker_main(
     contained.  ``send_lock`` is a plain in-process lock (main thread
     vs heartbeat thread) and dies with the process, harming nobody.
 
-    Task messages are lists of pickled ``(job_id, fn, args,
-    chaos_token)`` jobs; the worker runs ``fn(*args)`` for each and
-    posts the return value (or the exception's type, message and
-    traceback).  Plan jobs stacked by group identity run
-    *sequentially*, in dispatch order: the head job solves the group's
-    profile grids once into the worker's registry, and every
+    Each task message is one pickled ``(job_id, fn, args,
+    chaos_token)`` job; the worker runs ``fn(*args)`` and posts the
+    return value (or the exception's type, message and traceback).
+    Jobs that joined a running group-mate wait in the task queue and
+    run *sequentially*, in dispatch order: the first solves the group's
+    profile grids once into the worker's registry, and every later
     group-mate's solves collapse to registry hits.  Running group-mates
     concurrently instead would be strictly worse: duplicate streams
     re-solve every quantum N times.  Solves run on the job's own thread,
@@ -389,8 +391,7 @@ def _pool_worker_main(
         message = task_queue.get()
         if message is None:
             break
-        for wire in message:
-            run_one(*ForkingPickler.loads(wire))
+        run_one(*ForkingPickler.loads(message))
     post(("bye", worker_id, None))
 
 
@@ -421,8 +422,8 @@ class _Job:
         self.future: Future = Future()
         self.attempts = 0  # resubmissions consumed by worker deaths
         self.dispatched = False
-        #: Group-dispatch identity (config/solver/fault-set); jobs with
-        #: equal groups may be stacked onto one worker.
+        #: Group-dispatch identity (config/solver/fault-set); a job may
+        #: join a worker running a job of its group.
         self.group: "tuple | None" = None
         #: Worker epoch this job is currently dispatched to, or None
         #: while queued.  Results are only merged when the reporting
@@ -433,7 +434,7 @@ class _Job:
 
 class _PoolWorker:
     __slots__ = ("wid", "process", "task_queue", "conn", "job_ids",
-                 "started_at", "last_beat", "group", "grouped")
+                 "started_at", "last_beat", "group")
 
     def __init__(self, wid: int, process, task_queue, conn) -> None:
         self.wid = wid
@@ -443,16 +444,14 @@ class _PoolWorker:
         #: In-flight jobs in dispatch order (a dict as an ordered set):
         #: the worker runs them in this order, so the first is running.
         self.job_ids: dict[int, None] = {}
+        #: When the running job started, as far as the supervisor knows:
+        #: set when an idle worker receives a job and when the worker
+        #: reports one over with more in flight, never by a join.
         self.started_at = 0.0
         self.last_beat = time.monotonic()
-        #: Group identity of the last batch dispatched here.  While jobs
-        #: are in flight it routes affinity appends; once idle it marks
-        #: which identity's profiles sit warm in this worker's registry.
+        #: Group of the jobs in flight here: only the job an idle worker
+        #: received sets it, and only its group-mates join.
         self.group: "tuple | None" = None
-        #: Whether the current solve stream was already counted as a
-        #: group dispatch (keeps the stack-depth counters exact when
-        #: affinity appends trickle in one job at a time).
-        self.grouped = False
 
 
 class ProcessPoolBackend(ComputeBackend):
@@ -468,15 +467,17 @@ class ProcessPoolBackend(ComputeBackend):
     * **Worker death** (crash, OOM kill, chaos ``os._exit``): the job
       the worker was running is charged the death and requeued — at
       most ``resubmit_limit`` times, after which its future fails with
-      :class:`PoolBrokenError`; group-mates stacked behind it never
+      :class:`PoolBrokenError`; group-mates that joined behind it never
       started, so they are requeued uncharged — and the worker is
       replaced while ``restart_budget`` lasts, with
       jittered exponential backoff between restarts
       (:class:`~repro.engine.executor.RetryPolicy`), so a crash loop
       cannot hot-spin the supervisor.
-    * **Wedged solve**: a worker holding one plan past
-      ``job_deadline_s`` — or one whose heartbeat goes silent for
-      ``heartbeat_s * heartbeat_misses`` — is terminated and handled as
+    * **Wedged solve**: a worker running one job for longer than
+      ``job_deadline_s`` — each job's clock starts when the worker
+      begins it, so group-mates queued behind it do not share it — or
+      one whose heartbeat goes silent for
+      ``_HEARTBEAT_S * _HEARTBEAT_MISSES`` is terminated and handled as
       a death; a job that overran its deadline past its resubmission
       budget fails with :class:`JobDeadlineError`.
     * **Budget exhausted**: with no live workers left and no restarts
@@ -489,14 +490,16 @@ class ProcessPoolBackend(ComputeBackend):
     the ``worker.kill`` site inside the job execution path) and armed
     in the supervisor for the ``future.drop`` / ``future.delay`` sites.
 
-    The dispatcher stacks up to ``group_limit`` queued jobs of equal
-    (config, solver, fault-set) identity onto one worker —
-    unconditionally, because a group-mate stacked behind its head job
-    costs a registry lookup while the same job raced on a spare worker
-    re-solves the whole profile grid.  The stacked jobs run in order:
-    the head job solves the group's profiles, the rest collapse to
-    registry hits (see :func:`_pool_worker_main` for why
-    sequential beats concurrent here).
+    The dispatcher (:meth:`_dispatch`) lets a job join a worker running
+    a job of its (config, solver, fault-set) group before it takes an
+    idle worker, because a group-mate queued behind a running job costs
+    a registry lookup while the same job raced on a spare worker
+    re-solves the whole profile grid.  The jobs on one worker run in
+    order (see :func:`_pool_worker_main` for why sequential beats
+    concurrent here).
+
+    The timing and grouping constants below are class attributes; a
+    test changes one by overriding it in a subclass.
     """
 
     #: Liveness interval: the longest the supervisor sleeps between
@@ -504,18 +507,25 @@ class ProcessPoolBackend(ComputeBackend):
     #: close wake it at once (see :meth:`_wake`), so it never delays a
     #: dispatch.
     _TICK_S = 0.02
+    #: Workers beat this often; a worker silent for
+    #: ``_HEARTBEAT_MISSES`` beats is recycled.
+    _HEARTBEAT_S = 0.25
+    _HEARTBEAT_MISSES = 40
+    #: Most jobs one worker holds through joins (its running job
+    #: included).
+    _GROUP_LIMIT = 4
+    #: Backoff between worker restarts.
+    _RESTART_POLICY = RetryPolicy(
+        retries=0, backoff_s=0.05, backoff_factor=2.0, jitter=0.25
+    )
 
     def __init__(
         self,
         workers: int = 2,
         restart_budget: "int | None" = None,
         resubmit_limit: int = 2,
-        heartbeat_s: float = 0.25,
-        heartbeat_misses: int = 40,
         job_deadline_s: "float | None" = None,
-        restart_policy: "RetryPolicy | None" = None,
         chaos_policy: "chaos.ChaosPolicy | None" = None,
-        group_limit: int = 4,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -532,12 +542,7 @@ class ProcessPoolBackend(ComputeBackend):
                 f"restart_budget must be >= 0, got {self.restart_budget}"
             )
         self.resubmit_limit = resubmit_limit
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_misses = heartbeat_misses
         self.job_deadline_s = job_deadline_s
-        self.restart_policy = restart_policy or RetryPolicy(
-            retries=0, backoff_s=0.05, backoff_factor=2.0, jitter=0.25
-        )
         self._chaos = (
             None
             if chaos_policy is None or chaos_policy.is_null
@@ -561,7 +566,6 @@ class ProcessPoolBackend(ComputeBackend):
         self._closed = False
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
-        self.group_limit = max(1, group_limit)
         # Self-pipe: _admit and close write a byte to wake the
         # supervisor out of its wait; the supervisor drains it.
         self._wake_r, self._wake_w = socket.socketpair()
@@ -605,7 +609,7 @@ class ProcessPoolBackend(ComputeBackend):
         )
         # Seed is deliberately *not* part of the group key: distinct
         # seeds of one configuration share every profile grid, so a
-        # stacked seed still rides its head job's solves.
+        # seed that joins a running group-mate rides its solves.
         job.group = (
             plan.cfg_hash, plan.solver, plan.fault_set, spec.cache_dir,
             spec.strict,
@@ -689,7 +693,7 @@ class ProcessPoolBackend(ComputeBackend):
                 wid,
                 task_queue,
                 send_conn,
-                self.heartbeat_s,
+                self._HEARTBEAT_S,
                 self._chaos,
             ),
             name=f"repro-pool-{wid}",
@@ -758,8 +762,12 @@ class ProcessPoolBackend(ComputeBackend):
                 return
             job_id = body[0]
             job = self._jobs.get(job_id)
-            if worker is not None:
-                worker.job_ids.pop(job_id, None)
+            if worker is not None and job_id in worker.job_ids:
+                del worker.job_ids[job_id]
+                if worker.job_ids:
+                    # The next job in flight starts now: its deadline
+                    # is its own, not the one just reported.
+                    worker.started_at = time.monotonic()
             if job is None or job.future.done():
                 return
             if job.wid != wid:
@@ -800,7 +808,7 @@ class ProcessPoolBackend(ComputeBackend):
     def _reap_and_restart(self) -> None:
         """Detect dead/wedged workers, requeue their plans, respawn."""
         now = time.monotonic()
-        stale_after = self.heartbeat_s * self.heartbeat_misses
+        stale_after = self._HEARTBEAT_S * self._HEARTBEAT_MISSES
         for wid, worker in list(self._pool.items()):
             dead = not worker.process.is_alive()
             wedged = False
@@ -854,7 +862,7 @@ class ProcessPoolBackend(ComputeBackend):
             # RetryPolicy machinery as task retries): a crash loop backs
             # off instead of stampeding, and concurrent pools never
             # synchronise their respawn bursts.
-            self._restart_gate = now + self.restart_policy.delay(
+            self._restart_gate = now + self._RESTART_POLICY.delay(
                 min(self._restart_streak, 5), self._restart_rng
             )
             self._spawn_worker()
@@ -862,13 +870,13 @@ class ProcessPoolBackend(ComputeBackend):
             self._mark_broken()
 
     def _requeue_or_fail(self, worker: _PoolWorker, wedged: bool) -> None:
-        """Requeue every job the dead worker held (a grouped batch may
-        hold several).
+        """Requeue every job the dead worker held (group-mates that
+        joined it make several).
 
         Only the job the worker was running — the first still in
-        flight, since a batch runs in dispatch order — is charged the
-        death; the jobs stacked behind it never started, so they keep
-        their resubmission budget and their chaos token.
+        flight, since a worker runs its jobs in dispatch order — is
+        charged the death; the jobs that joined behind it never started,
+        so they keep their resubmission budget and their chaos token.
         """
         held = [
             job
@@ -942,134 +950,59 @@ class ProcessPoolBackend(ComputeBackend):
             job.dispatched = True
         return True
 
-    def _dispatch_affinity(self) -> None:
-        """Append queued jobs to busy workers already running their group.
-
-        A queued job whose identity is in flight somewhere is nearly
-        free *on that worker* — the head job solves the group's
-        profiles into that worker's registry, so a follower's solves
-        collapse to registry hits — but expensive anywhere else:
-        dispatched to an idle worker it races the in-flight solve
-        stream in lockstep, re-solving every profile the stream has not
-        written to disk yet (all of them, on a busy machine).  So group
-        followers chase their head job's worker even when idle workers
-        are available.
-        """
-        for worker in self._pool.values():
-            if not self._queue:
-                return
-            if (
-                not worker.job_ids
-                or worker.group is None
-                or not worker.process.is_alive()
-            ):
-                continue
-            room = self.group_limit - len(worker.job_ids)
-            batch: list[_Job] = []
-            scan = 0
-            while room > 0 and scan < len(self._queue):
-                candidate = self._queue[scan]
-                if candidate.group != worker.group:
-                    scan += 1
-                    continue
-                del self._queue[scan]
-                if not self._claim(candidate):
-                    continue
-                batch.append(candidate)
-                room -= 1
-            if not batch:
-                continue
-            self._note("compute.affinity_dispatches")
-            self._note("compute.grouped_jobs", len(batch))
-            if not worker.grouped:
-                # First append to this stream: the stream itself turns
-                # into a group dispatch (head + followers).
-                self._note("compute.group_dispatches")
-                worker.grouped = True
-            self._send(worker, batch)
-
     def _dispatch(self) -> None:
-        if not self._queue:
-            return
-        self._dispatch_affinity()
-        idle = [
-            w
-            for w in self._pool.values()
-            if not w.job_ids and w.process.is_alive()
-        ]
-        while idle:
-            batch: list[_Job] = []
-            while self._queue and not batch:
-                job = self._queue.popleft()
-                if self._claim(job):
-                    batch.append(job)
-            if not batch:
-                return
-            # Stack same-group queue-mates onto this worker,
-            # unconditionally up to group_limit.  A stacked group-mate
-            # rides the head job's solved profiles for near-free;
-            # dispatched anywhere else it re-solves the whole grid in
-            # lockstep with the head, so even with idle workers to
-            # spare, duplicates belong behind their head job.
-            if batch[0].group is not None:
-                group = batch[0].group
-                scan = 0
-                while (
-                    len(batch) < self.group_limit
-                    and scan < len(self._queue)
-                ):
-                    candidate = self._queue[scan]
-                    if candidate.group != group:
-                        scan += 1
-                        continue
-                    del self._queue[scan]
-                    if not self._claim(candidate):
-                        continue
-                    batch.append(candidate)
-            # Warm placement: of the idle workers, prefer the one that
-            # last ran this identity — its process-local registry
-            # already holds the group's profiles.
+        """One in-order pass over the queue.
+
+        A job joins a live worker running a job of its group while that
+        worker holds fewer than ``_GROUP_LIMIT`` jobs, and otherwise
+        goes to the first idle worker.  A job that fits neither keeps
+        its queue position, and the jobs behind it are still considered.
+        """
+        live = [w for w in self._pool.values() if w.process.is_alive()]
+        scan = 0
+        while scan < len(self._queue):
+            job = self._queue[scan]
             worker = next(
                 (
                     w
-                    for w in idle
-                    if batch[0].group is not None
-                    and w.group == batch[0].group
+                    for w in live
+                    if job.group is not None
+                    and w.job_ids
+                    and w.group == job.group
+                    and len(w.job_ids) < self._GROUP_LIMIT
                 ),
-                idle[0],
-            )
-            idle.remove(worker)
-            worker.group = batch[0].group
-            worker.grouped = len(batch) > 1
-            if len(batch) > 1:
-                self._note("compute.group_dispatches")
-                self._note("compute.grouped_jobs", len(batch))
-            self._send(worker, batch)
-            if not self._queue:
-                return
+                None,
+            ) or next((w for w in live if not w.job_ids), None)
+            if worker is None:
+                scan += 1
+                continue
+            del self._queue[scan]
+            if self._claim(job):
+                self._send(worker, job)
 
-    def _send(self, worker: _PoolWorker, batch: "list[_Job]") -> None:
-        """Hand ``batch`` to ``worker``, pickling each job here.
+    def _send(self, worker: _PoolWorker, job: _Job) -> None:
+        """Hand ``job`` to ``worker``, pickling it here.
 
         Pickling in the supervisor (rather than in the task queue's
         feeder thread, which only logs a failure) turns an unpicklable
         job into a failed future instead of one that never resolves.
         """
-        wire = []
-        for job in batch:
-            try:
-                wire.append(bytes(ForkingPickler.dumps(
-                    (job.id, job.fn, job.args, job.chaos_token)
-                )))
-            except Exception as exc:  # noqa: BLE001 - the future carries it
-                del self._jobs[job.id]
-                job.future.set_exception(exc)
-                continue
-            job.wid = worker.wid
-            worker.job_ids[job.id] = None
-        if wire:
+        try:
+            wire = bytes(ForkingPickler.dumps(
+                (job.id, job.fn, job.args, job.chaos_token)
+            ))
+        except Exception as exc:  # noqa: BLE001 - the future carries it
+            del self._jobs[job.id]
+            job.future.set_exception(exc)
+            return
+        if worker.job_ids:
+            self._note("compute.grouped_jobs")
+        else:
             worker.started_at = time.monotonic()
-            worker.task_queue.put(wire)
+            worker.group = job.group
+        job.wid = worker.wid
+        worker.job_ids[job.id] = None
+        worker.task_queue.put(wire)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -85,10 +85,9 @@ _LADDER = ("process", "thread", "inline")
 class ServeOptions:
     """Tunables of one service instance (all have serving defaults).
 
-    The process rung always stacks queued jobs of equal (config,
-    solver, fault-set) identity onto one worker behind their head job;
-    its workers share solved profiles through the disk cache when the
-    request carries one.
+    On the process rung a queued job joins the worker running a job of
+    its (config, solver, fault-set) group; its workers share solved
+    profiles through the disk cache when the request carries one.
     """
 
     host: str = "127.0.0.1"

@@ -39,6 +39,11 @@ def _slow_driver(config=None, context=None):
     return {"seed": context.seed}
 
 
+def _nap_driver(config=None, context=None):
+    time.sleep(0.6)
+    return {"seed": context.seed}
+
+
 @pytest.fixture
 def ok_probe():
     register(Experiment(name="_pool_ok", driver=_ok_driver, title="ok"))
@@ -58,6 +63,13 @@ def slow_probe():
     register(Experiment(name="_pool_slow", driver=_slow_driver, title="slow"))
     yield "_pool_slow"
     _REGISTRY.pop("_pool_slow", None)
+
+
+@pytest.fixture
+def nap_probe():
+    register(Experiment(name="_pool_nap", driver=_nap_driver, title="nap"))
+    yield "_pool_nap"
+    _REGISTRY.pop("_pool_nap", None)
 
 
 class TestExecution:
@@ -207,6 +219,55 @@ class TestCrashRecovery:
         finally:
             backend.close()
 
+    def test_deadline_is_per_job_not_per_group(self, ok_probe, nap_probe):
+        """Two 0.6 s jobs on one worker each finish inside a 1 s
+        deadline: the second job's clock starts when the first is done,
+        not when it joined."""
+        backend = ProcessPoolBackend(
+            workers=1, resubmit_limit=0, job_deadline_s=1.0
+        )
+        try:
+            warm = warm_context(seed=0)
+            backend.run(build_plan(ok_probe, warm), warm)  # worker is up
+            plans = [
+                (build_plan(nap_probe, ctx), ctx)
+                for ctx in (warm_context(seed=s) for s in (1, 2))
+            ]
+            # The supervisor dispatches under this reentrant lock, so
+            # both jobs are queued before either is dispatched.
+            with backend._lock:
+                futures = [backend.submit(plan, ctx) for plan, ctx in plans]
+            assert [f.result(timeout=60).payload["seed"] for f in futures] == [
+                1, 2
+            ]
+            counters = backend.stats().counters
+            assert counters.get("compute.grouped_jobs", 0) == 1
+            assert counters.get("compute.worker_wedged", 0) == 0
+        finally:
+            backend.close()
+
+    def test_join_leaves_the_running_jobs_clock(self, ok_probe):
+        """A job joining a busy worker does not restart the deadline of
+        the job that worker is running."""
+        backend = ProcessPoolBackend(workers=1)
+        try:
+            first, second = (warm_context(seed=s) for s in (0, 1))
+            # Under the lock the supervisor can neither dispatch nor
+            # report the first job done, so it is running throughout.
+            with backend._lock:
+                backend.submit(build_plan(ok_probe, first), first)
+                backend._dispatch()
+                worker = next(iter(backend._pool.values()))
+                started = worker.started_at
+                assert len(worker.job_ids) == 1 and started > 0
+                time.sleep(0.01)
+                backend.submit(build_plan(ok_probe, second), second)
+                backend._dispatch()
+                assert len(worker.job_ids) == 2
+                assert worker.started_at == started
+        finally:
+            backend.close()
+
 
 class TestDrain:
     def test_close_resolves_every_admitted_future(self, ok_probe):
@@ -231,6 +292,7 @@ class TestDrain:
 
 class _SlowTickPool(ProcessPoolBackend):
     _TICK_S = 2.0
+    _HEARTBEAT_S = 5.0
 
 
 class TestEventDrivenDispatch:
@@ -239,7 +301,7 @@ class TestEventDrivenDispatch:
         tick, each call resolves and an idle close returns far inside
         one tick (the margins are 4x and 2x the tick, not CPU bounds).
         Heartbeats also wake the supervisor, so they are slowed too."""
-        backend = _SlowTickPool(workers=1, heartbeat_s=5.0)
+        backend = _SlowTickPool(workers=1)
         try:
             assert backend.call(abs, -1).result(timeout=60) == 1  # warm-up
             for value in range(2, 7):
